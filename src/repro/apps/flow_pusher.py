@@ -9,6 +9,7 @@ ingress-first.
 
 from __future__ import annotations
 
+import zlib
 from typing import List, Optional, Sequence
 
 from repro.core.requests import RequestDag, SwitchRequest
@@ -46,7 +47,8 @@ class StaticFlowPusher:
         index = list(path).index(switch)
         if index == len(path) - 1:
             return 1
-        return 2 + hash(path[index + 1]) % 30
+        # crc32, not hash(): str hashing is salted per process.
+        return 2 + zlib.crc32(path[index + 1].encode()) % 30
 
     def push_flow(
         self,

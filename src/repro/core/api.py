@@ -8,6 +8,7 @@ their properties, submit request DAGs, and get optimised installation.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Optional
 
 from repro.core.inference import InferredSwitchModel, SwitchInferenceEngine
@@ -119,7 +120,8 @@ class Tango:
         engine = SwitchInferenceEngine(
             profile,
             scores=self.scores,
-            seed=self.seed + hash(name) % 1000,
+            # crc32, not hash(): str hashing is salted per process.
+            seed=self.seed + zlib.crc32(name.encode()) % 1000,
             tracer=self.tracer,
             metrics=self.metrics,
             **probe_kwargs,

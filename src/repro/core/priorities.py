@@ -89,16 +89,17 @@ def enforce_topological_priorities(dag: RequestDag, base: int = 100_000) -> Requ
     (dependent requests get strictly lower priorities than the requests
     they wait on).
     """
-    levels = assign_topological_priorities(dag._graph, base=base)
+    # One level per dependency depth: sinks get ``base``.
+    heights = dag.critical_path_lengths()
     rewritten = RequestDag()
     by_id = {}
     for request in dag.requests:
         updated = dataclasses.replace(
-            request, priority=levels[request.request_id]
+            request, priority=base + heights[request.request_id] - 1
         )
         rewritten.add_request(updated)
         by_id[request.request_id] = updated
-    for first_id, then_id in dag._graph.edges():
+    for first_id, then_id in dag.edge_ids():
         # The source DAG is already acyclic; skip the per-edge check.
         rewritten.add_dependency(by_id[first_id], by_id[then_id], check_cycle=False)
     return rewritten

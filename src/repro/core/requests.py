@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.openflow.actions import Action, OutputAction
 from repro.openflow.match import Match
@@ -70,10 +68,13 @@ class DagOpCounters:
         edge_visits: successor/predecessor edges touched while
             maintaining the ready set (``mark_done``, ``reset``).
         ready_yields: requests returned by ``independent_requests``.
+        cycle_visits: nodes the ``add_dependency`` cycle check searched;
+            construction work, so left out of :meth:`total`.
     """
 
     edge_visits: int = 0
     ready_yields: int = 0
+    cycle_visits: int = 0
 
     def total(self) -> int:
         return self.edge_visits + self.ready_yields
@@ -81,6 +82,7 @@ class DagOpCounters:
     def clear(self) -> None:
         self.edge_visits = 0
         self.ready_yields = 0
+        self.cycle_visits = 0
 
 
 class RequestDag:
@@ -92,7 +94,10 @@ class RequestDag:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
+        # Ordered sets ({id: None}) keyed by id, in insertion order.
+        self._succ: Dict[int, Dict[int, None]] = {}
+        self._pred: Dict[int, Dict[int, None]] = {}
+        self._edge_count = 0
         self._requests: Dict[int, SwitchRequest] = {}
         self._done: Set[int] = set()
         self._ids = itertools.count()
@@ -137,7 +142,8 @@ class RequestDag:
             raise ValueError(f"duplicate request id {request.request_id}")
         rid = request.request_id
         self._requests[rid] = request
-        self._graph.add_node(rid)
+        self._succ[rid] = {}
+        self._pred[rid] = {}
         self._seq[rid] = len(self._seq)
         self._pending[rid] = 0
         self._ready.add(rid)
@@ -149,10 +155,11 @@ class RequestDag:
         """Require ``first`` to finish before ``then`` starts.
 
         Args:
-            check_cycle: verify acyclicity after adding the edge.  Bulk
-                constructors that add edges in a known topological order
-                (e.g. ACL index order) may disable the per-edge check and
-                call :meth:`validate_acyclic` once at the end.
+            check_cycle: reject the edge if ``first`` is reachable from
+                ``then`` (one search of ``then``'s descendants; O(1) when
+                ``then`` is a new sink).  Bulk constructors that add edges
+                in a known topological order (e.g. ACL index order) may
+                disable the check and call :meth:`validate_acyclic` once.
 
         Raises:
             KeyError: either endpoint was never added to this DAG.
@@ -163,26 +170,34 @@ class RequestDag:
         if fid not in self._requests or tid not in self._requests:
             missing = fid if fid not in self._requests else tid
             raise KeyError(f"unknown request {missing}")
-        if self._graph.has_edge(fid, tid):
+        if tid in self._succ[fid]:
             return  # idempotent: the constraint already holds
-        self._graph.add_edge(fid, tid)
-        blocked = fid not in self._done
-        if blocked:
+        if check_cycle and self._reaches(tid, fid):
+            raise ValueError("dependency would create a cycle")
+        self._succ[fid][tid] = None
+        self._pred[tid][fid] = None
+        self._edge_count += 1
+        if fid not in self._done:
             self._pending[tid] += 1
             self._ready.discard(tid)
-        if check_cycle and not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(fid, tid)
-            if blocked:
-                self._pending[tid] -= 1
-                if self._pending[tid] == 0 and tid not in self._done:
-                    self._ready.add(tid)
-            raise ValueError("dependency would create a cycle")
         self._critical_cache = None
+
+    def _reaches(self, source: int, target: int) -> bool:
+        """True when ``target`` is ``source`` or one of its descendants."""
+        seen, stack = {source}, [source]
+        while stack:
+            node = stack.pop()
+            self.ops.cycle_visits += 1
+            if node == target:
+                return True
+            fresh = [child for child in self._succ[node] if child not in seen]
+            seen.update(fresh)
+            stack.extend(fresh)
+        return False
 
     def validate_acyclic(self) -> None:
         """Raise ValueError if the dependency graph contains a cycle."""
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise ValueError("dependency graph contains a cycle")
+        self.topological_order()
 
     # -- scheduling queries --------------------------------------------------
     def __len__(self) -> int:
@@ -214,23 +229,23 @@ class RequestDag:
         return [self._requests[rid] for rid in ready]
 
     def dependencies_of(self, request: SwitchRequest) -> List[SwitchRequest]:
-        return [self._requests[p] for p in self._graph.predecessors(request.request_id)]
+        return [self._requests[p] for p in self._pred[request.request_id]]
 
     def successors_of(self, request: SwitchRequest) -> List[SwitchRequest]:
         """Requests that directly depend on ``request``."""
-        return [self._requests[s] for s in self._graph.successors(request.request_id)]
+        return [self._requests[s] for s in self._succ[request.request_id]]
 
     def predecessor_ids(self, request_id: int) -> List[int]:
         """Ids of the requests ``request_id`` directly depends on."""
-        return list(self._graph.predecessors(request_id))
+        return list(self._pred[request_id])
 
     def successor_ids(self, request_id: int) -> List[int]:
         """Ids of the requests that directly depend on ``request_id``."""
-        return list(self._graph.successors(request_id))
+        return list(self._succ[request_id])
 
     def edge_ids(self) -> List[Tuple[int, int]]:
         """All dependency edges as ``(first_id, then_id)`` pairs."""
-        return list(self._graph.edges())
+        return [(u, v) for u, succ in self._succ.items() for v in succ]
 
     def ready_after(self, done: Iterable[int]) -> List[SwitchRequest]:
         """Requests that would be ready if exactly ``done`` had completed.
@@ -244,7 +259,7 @@ class RequestDag:
         for rid, request in self._requests.items():
             if rid in done_set:
                 continue
-            if all(p in done_set for p in self._graph.predecessors(rid)):
+            if all(p in done_set for p in self._pred[rid]):
                 ready.append(request)
         return ready
 
@@ -258,54 +273,62 @@ class RequestDag:
             raise KeyError(f"unknown request {rid}")
         if rid in self._done:
             return  # idempotent, and the counters must not double-decrement
-        self._done.add(rid)
-        self._ready.discard(rid)
-        pending = self._pending
-        for succ in self._graph.successors(rid):
-            self.ops.edge_visits += 1
-            pending[succ] -= 1
-            if pending[succ] == 0 and succ not in self._done:
-                self._ready.add(succ)
+        _complete(self, rid, self._done, self._pending, self._ready)
 
     def reset(self) -> None:
         """Forget completion state (to re-run the same DAG)."""
         self._done.clear()
-        self._rebuild_ready()
-
-    def _rebuild_ready(self) -> None:
-        """Recompute pending counters and the ready set from scratch."""
-        done = self._done
-        self._pending = {
-            rid: sum(1 for p in self._graph.predecessors(rid) if p not in done)
-            for rid in self._requests
-        }
-        self.ops.edge_visits += self._graph.number_of_edges()
-        self._ready = {
-            rid
-            for rid, count in self._pending.items()
-            if count == 0 and rid not in done
-        }
+        self._pending, self._ready = _ready_state(self, self._done)
 
     # -- structure metrics ----------------------------------------------------
+    def _kahn_order(self) -> List[int]:
+        """Kahn's algorithm by generations, each in release order (ties in
+        insertion order).  Nodes on or behind a cycle are never
+        released, so the order is short iff the graph is cyclic."""
+        indegree = {rid: len(pred) for rid, pred in self._pred.items() if pred}
+        generation = [rid for rid, pred in self._pred.items() if not pred]
+        order: List[int] = []
+        while generation:
+            order.extend(generation)
+            released = []
+            for node in generation:
+                for child in self._succ[node]:
+                    indegree[child] -= 1
+                    if not indegree[child]:
+                        released.append(child)
+            generation = released
+        return order
+
     def is_acyclic(self) -> bool:
         """True when the dependency graph contains no cycle."""
-        return bool(nx.is_directed_acyclic_graph(self._graph))
+        return len(self._kahn_order()) == len(self._requests)
 
     def find_cycle_ids(self) -> List[int]:
-        """Request ids forming one dependency cycle ([] when acyclic)."""
-        try:
-            cycle_edges = nx.find_cycle(self._graph)
-        except nx.NetworkXNoCycle:
+        """Ids of one dependency cycle, first-added member first ([] if none)."""
+        released = set(self._kahn_order())
+        stuck = [rid for rid in self._requests if rid not in released]
+        if not stuck:
             return []
-        return [edge[0] for edge in cycle_edges]
+        # Every stuck node has a stuck predecessor: walk back until one
+        # repeats, then reverse the loop into edge direction.
+        node, walk = stuck[0], {}
+        while node not in walk:
+            walk[node] = len(walk)
+            node = next(p for p in self._pred[node] if p not in released)
+        cycle = list(walk)[walk[node]:][::-1]
+        start = min(range(len(cycle)), key=lambda i: self._seq[cycle[i]])
+        return cycle[start:] + cycle[:start]
 
     def topological_order(self) -> List[int]:
         """Request ids in one (deterministic) topological order.
 
         Raises:
-            networkx.NetworkXUnfeasible: the graph contains a cycle.
+            ValueError: the graph contains a cycle.
         """
-        return list(nx.topological_sort(self._graph))
+        order = self._kahn_order()
+        if len(order) != len(self._requests):
+            raise ValueError("dependency graph contains a cycle")
+        return order
 
     def critical_path_lengths(self) -> Dict[int, int]:
         """Longest path (in requests) from each node to any sink.
@@ -316,9 +339,8 @@ class RequestDag:
         """
         if self._critical_cache is None:
             lengths: Dict[int, int] = {}
-            for node in reversed(list(nx.topological_sort(self._graph))):
-                succ = list(self._graph.successors(node))
-                lengths[node] = 1 + max((lengths[s] for s in succ), default=0)
+            for node in reversed(self.topological_order()):
+                lengths[node] = 1 + max((lengths[s] for s in self._succ[node]), default=0)
             self._critical_cache = lengths
         return dict(self._critical_cache)
 
@@ -327,6 +349,29 @@ class RequestDag:
         if not self._requests:
             return 0
         return max(self.critical_path_lengths().values())
+
+
+def _ready_state(dag: RequestDag, done: Set[int]) -> Tuple[Dict[int, int], Set[int]]:
+    """Pending-predecessor counters and ready set given ``done``; O(V + E)."""
+    pending = {
+        rid: sum(1 for p in preds if p not in done) for rid, preds in dag._pred.items()
+    }
+    dag.ops.edge_visits += dag._edge_count
+    return pending, {rid for rid, n in pending.items() if n == 0 and rid not in done}
+
+
+def _complete(
+    dag: RequestDag, rid: int, done: Set[int], pending: Dict[int, int], ready: Set[int]
+) -> None:
+    """Mark ``rid`` done, releasing successors whose last dependency it was."""
+    done.add(rid)
+    ready.discard(rid)
+    succs = dag._succ[rid]
+    dag.ops.edge_visits += len(succs)
+    for succ in succs:
+        pending[succ] -= 1
+        if pending[succ] == 0 and succ not in done:
+            ready.add(succ)
 
 
 class ReadySimulation:
@@ -353,20 +398,8 @@ class ReadySimulation:
     def __init__(self, dag: RequestDag, done: Iterable[int] = ()) -> None:
         self._dag = dag
         self._done: Set[int] = set(done)
-        graph = dag._graph
-        self._pending = {
-            rid: sum(1 for p in graph.predecessors(rid) if p not in self._done)
-            for rid in dag._requests
-        }
-        self._ready = {
-            rid
-            for rid, count in self._pending.items()
-            if count == 0 and rid not in self._done
-        }
+        self._pending, self._ready = _ready_state(dag, self._done)
         self._frames: List[List[int]] = []
-        # One O(V + E) pass to build the counters; charged to the DAG's
-        # op counters like RequestDag._rebuild_ready.
-        dag.ops.edge_visits += dag._graph.number_of_edges()
 
     @property
     def dag(self) -> RequestDag:
@@ -400,17 +433,6 @@ class ReadySimulation:
     def is_done(self) -> bool:
         return len(self._done) == len(self._dag._requests)
 
-    def _complete_one(self, rid: int) -> None:
-        self._done.add(rid)
-        self._ready.discard(rid)
-        pending = self._pending
-        ops = self._dag.ops
-        for succ in self._dag._graph.successors(rid):
-            ops.edge_visits += 1
-            pending[succ] -= 1
-            if pending[succ] == 0 and succ not in self._done:
-                self._ready.add(succ)
-
     def complete(self, request_ids: Iterable[int]) -> None:
         """Hypothetically complete ``request_ids``; undoable via :meth:`undo`.
 
@@ -429,7 +451,7 @@ class ReadySimulation:
                 raise ValueError(f"request {rid} already completed in simulation")
             seen.add(rid)
         for rid in frame:
-            self._complete_one(rid)
+            _complete(self._dag, rid, self._done, self._pending, self._ready)
         self._frames.append(frame)
 
     def undo(self) -> None:
@@ -440,10 +462,10 @@ class ReadySimulation:
         """
         frame = self._frames.pop()
         pending = self._pending
-        ops = self._dag.ops
         for rid in reversed(frame):
-            for succ in self._dag._graph.successors(rid):
-                ops.edge_visits += 1
+            succs = self._dag._succ[rid]
+            self._dag.ops.edge_visits += len(succs)
+            for succ in succs:
                 pending[succ] += 1
                 self._ready.discard(succ)
             self._done.discard(rid)
@@ -459,26 +481,4 @@ class ReadySimulation:
         """
         for rid in request_ids:
             if rid not in self._done:
-                self._complete_one(rid)
-
-
-def chain_requests(
-    dag: RequestDag,
-    specs: Sequence[Tuple[str, FlowModCommand, Match, int]],
-) -> List[SwitchRequest]:
-    """Add ``specs`` as a dependency chain (bulk, one final cycle check).
-
-    Each spec is ``(location, command, match, priority)``; request *i*
-    depends on request *i-1*.  Edges follow creation order, so acyclicity
-    holds by construction and the per-edge check is skipped.
-    """
-    requests: List[SwitchRequest] = []
-    previous: Optional[SwitchRequest] = None
-    for location, command, match, priority in specs:
-        request = dag.new_request(location, command, match, priority=priority)
-        if previous is not None:
-            dag.add_dependency(previous, request, check_cycle=False)
-        previous = request
-        requests.append(request)
-    dag.validate_acyclic()
-    return requests
+                _complete(self._dag, rid, self._done, self._pending, self._ready)

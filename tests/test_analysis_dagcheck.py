@@ -38,7 +38,7 @@ def _linear_dag(n=3, location="s1", deadlines=None):
 
 def _force_cycle(dag):
     requests = dag.requests
-    dag._graph.add_edge(requests[-1].request_id, requests[0].request_id)
+    dag.add_dependency(requests[-1], requests[0], check_cycle=False)
 
 
 def test_clean_dag_produces_no_diagnostics():

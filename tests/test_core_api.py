@@ -1,5 +1,11 @@
 """Tests for the Tango controller facade and score database."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.api import Tango
@@ -98,6 +104,36 @@ def test_infer_small_profile_end_to_end():
     assert tango.model(name) is model
     # Inference results land in the shared score database.
     assert tango.scores.has(profile.name, "size_probe")
+
+
+_INFER_SCRIPT = """
+import json
+from repro.core.api import Tango
+from repro.switches.profiles import make_cache_test_profile
+from repro.tables.policies import FIFO
+
+tango = Tango(seed=2)
+name = tango.register_profile(
+    make_cache_test_profile(FIFO, (32, None), layer_means_ms=(0.5, 3.0))
+)
+model = tango.infer(name, size_probe_max_rules=256, latency_batch_sizes=(40, 80))
+print(json.dumps(model.to_dict(), sort_keys=True))
+"""
+
+
+def test_infer_replays_across_processes():
+    """Same seed, same model, whatever Python's per-process hash salt."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    models = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", _INFER_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        models.append(json.loads(completed.stdout))
+    assert models[0] == models[1]
 
 
 def test_schedule_via_facade():

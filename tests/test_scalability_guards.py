@@ -116,6 +116,37 @@ def test_chain_schedule_does_linear_dag_work():
     assert dag.ops.total() <= 2 * (n + (n - 1))
 
 
+def test_serve_shaped_batch_cycle_check_is_one_visit_per_edge():
+    """A serve install batch (D deletes, then A adds each after every
+    delete) must cost at most D*A cycle-check visits: each new edge
+    points at a brand-new sink, so its search stops at that sink."""
+    deletes_n, adds_n = 16, 16
+    dag = RequestDag()
+    deletes = [
+        dag.new_request("sw", FlowModCommand.DELETE, _match(i), priority=1)
+        for i in range(deletes_n)
+    ]
+    for i in range(adds_n):
+        dag.new_request(
+            "sw", FlowModCommand.ADD, _match(deletes_n + i), priority=1, after=deletes
+        )
+    assert len(dag.edge_ids()) == deletes_n * adds_n
+    assert dag.ops.cycle_visits <= deletes_n * adds_n
+    assert dag.ops.total() == 0  # construction stays out of the op gate
+
+
+def test_checked_chain_construction_is_linear():
+    """A 4000-request chain built edge by edge with the cycle check on
+    must stay O(V): the whole-graph check made this O(V^2)."""
+    n = 4000
+    dag = RequestDag()
+    previous = []
+    for i in range(n):
+        previous = [dag.new_request("sw", FlowModCommand.ADD, _match(i), after=previous)]
+    assert dag.ops.cycle_visits <= n - 1
+    assert dag.depth() == n
+
+
 def test_prefix_lookahead_op_growth_is_subquadratic():
     """The incremental tail-cost planner must keep the unlock workload's
     op growth near-linear: doubling n from 1000 to 2000 may grow ops by
