@@ -15,6 +15,7 @@ from repro.openflow.messages import (
     BarrierReply,
     BarrierRequest,
     FlowMod,
+    FlowModCommand,
     FlowStatsReply,
     FlowStatsRequest,
     PacketOut,
@@ -25,6 +26,9 @@ from repro.sim.rng import SeededRng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.switches.base import SimulatedSwitch
+
+#: ChannelRecord kind of each flow_mod command.
+_FLOW_MOD_KINDS = {command: f"flow_mod:{command.value}" for command in FlowModCommand}
 
 
 @dataclass
@@ -96,7 +100,7 @@ class ControlChannel:
         finally:
             self.clock.advance(self._one_way.sample(self._rng))
         record = ChannelRecord(
-            kind=f"flow_mod:{flow_mod.command.value}",
+            kind=_FLOW_MOD_KINDS[flow_mod.command],
             sent_at_ms=sent,
             completed_at_ms=self.clock.now_ms,
         )

@@ -90,18 +90,15 @@ class Match:
     tp_dst: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if all(
-            getattr(self, name) is None
-            for name in (
-                "eth_src",
-                "eth_dst",
-                "eth_type",
-                "ip_src",
-                "ip_dst",
-                "ip_proto",
-                "tp_src",
-                "tp_dst",
-            )
+        if (
+            self.eth_src is None
+            and self.eth_dst is None
+            and self.eth_type is None
+            and self.ip_src is None
+            and self.ip_dst is None
+            and self.ip_proto is None
+            and self.tp_src is None
+            and self.tp_dst is None
         ):
             raise ValueError("a Match must constrain at least one field")
 
@@ -114,21 +111,22 @@ class Match:
         EtherType qualifier, yet the paper's Table 1 counts such rules as
         single-wide L3 entries.
         """
-        return any(f is not None for f in (self.eth_src, self.eth_dst))
+        return self.eth_src is not None or self.eth_dst is not None
 
     @property
     def has_l3(self) -> bool:
-        return any(
-            f is not None
-            for f in (self.ip_src, self.ip_dst, self.ip_proto, self.tp_src, self.tp_dst)
+        return (
+            self.ip_src is not None
+            or self.ip_dst is not None
+            or self.ip_proto is not None
+            or self.tp_src is not None
+            or self.tp_dst is not None
         )
 
     @property
     def kind(self) -> MatchKind:
-        if self.has_l2 and self.has_l3:
-            return MatchKind.L2_L3
         if self.has_l3:
-            return MatchKind.L3
+            return MatchKind.L2_L3 if self.has_l2 else MatchKind.L3
         return MatchKind.L2
 
     # -- packet matching ----------------------------------------------------

@@ -210,31 +210,29 @@ class SimulatedSwitch:
         self._last_command = command
         return discounted
 
-    def _add_cost_ms(self, priority: int) -> float:
+    def _apply_add(self, flow_mod: FlowMod) -> None:
+        priority = flow_mod.priority
+        # Charged at the pre-insert table size, like every other command.
         cost = (
             self._batched_base(FlowModCommand.ADD, self.cost_model.add_base_ms)
             + self._table_size_cost_ms()
         )
-        shifts = self.shift_model.shifts_for_add(priority)
-        cost += self.cost_model.shift_ms * shifts
-        if self._last_add_priority is None or priority != self._last_add_priority:
-            cost += self.cost_model.priority_group_ms
-        self.stats.total_shifts += shifts
-        return cost
-
-    def _apply_add(self, flow_mod: FlowMod) -> None:
-        cost = self._add_cost_ms(flow_mod.priority)
         try:
             self.tables.insert(
-                flow_mod.match, flow_mod.priority, flow_mod.actions, self.clock.now_ms
+                flow_mod.match, priority, flow_mod.actions, self.clock.now_ms
             )
         except Exception:
             self.stats.rejected_adds += 1
             # The switch still spent time discovering the table was full.
             self._advance(self.cost_model.add_base_ms)
             raise
-        self.shift_model.record_add(flow_mod.priority)
-        self._last_add_priority = flow_mod.priority
+        # Only an accepted ADD shifts TCAM entries.
+        shifts = self.shift_model.record_add(priority)
+        cost += self.cost_model.shift_ms * shifts
+        if self._last_add_priority is None or priority != self._last_add_priority:
+            cost += self.cost_model.priority_group_ms
+        self.stats.total_shifts += shifts
+        self._last_add_priority = priority
         self.stats.adds += 1
         self._advance(cost)
 

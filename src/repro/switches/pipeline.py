@@ -170,26 +170,26 @@ class PipelineSwitch:
             self.clock.advance(self._jitter(self.cost_model.del_ms))
 
     def _apply_add(self, table_id: int, flow_mod: FlowMod) -> None:
-        cost = self.cost_model.add_base_ms
-        if table_id == self.hardware_table_id:
-            shifts = self.shift_models[table_id].shifts_for_add(flow_mod.priority)
-            cost += self.cost_model.shift_ms * shifts
-            if (
-                self._last_add_priority[table_id] is None
-                or flow_mod.priority != self._last_add_priority[table_id]
-            ):
-                cost += self.cost_model.priority_group_ms
-            self.stats.total_shifts += shifts
+        priority = flow_mod.priority
         try:
             self.stacks[table_id].insert(
-                flow_mod.match, flow_mod.priority, flow_mod.actions, self.clock.now_ms
+                flow_mod.match, priority, flow_mod.actions, self.clock.now_ms
             )
         except Exception:
             self.stats.rejected_adds += 1
             self.clock.advance(self._jitter(self.cost_model.add_base_ms))
             raise
-        self.shift_models[table_id].record_add(flow_mod.priority)
-        self._last_add_priority[table_id] = flow_mod.priority
+        # Only an accepted ADD shifts entries, and only the hardware
+        # table charges for them.
+        shifts = self.shift_models[table_id].record_add(priority)
+        cost = self.cost_model.add_base_ms
+        if table_id == self.hardware_table_id:
+            cost += self.cost_model.shift_ms * shifts
+            last_priority = self._last_add_priority[table_id]
+            if last_priority is None or priority != last_priority:
+                cost += self.cost_model.priority_group_ms
+            self.stats.total_shifts += shifts
+        self._last_add_priority[table_id] = priority
         self.stats.adds += 1
         self.clock.advance(self._jitter(cost))
 

@@ -20,9 +20,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import ClassVar, Dict, Tuple
 
 from repro.tables.entry import FlowAttribute, FlowEntry
+
+
+#: The FlowEntry field holding each attribute's value (see
+#: :meth:`FlowEntry.attribute_value`).
+_ATTRIBUTE_FIELDS: Dict[FlowAttribute, str] = {
+    FlowAttribute.INSERTION: "inserted_at_ms",
+    FlowAttribute.USE_TIME: "last_used_at_ms",
+    FlowAttribute.TRAFFIC: "traffic_count",
+    FlowAttribute.PRIORITY: "priority",
+}
 
 
 class Direction(enum.Enum):
@@ -52,6 +62,10 @@ class CachePolicy:
 
     terms: Tuple[Tuple[FlowAttribute, Direction], ...]
     name: str = ""
+    # (FlowEntry field, sign) per term, resolved once per instance in
+    # __post_init__: score() runs for every filed rule.  Declared ClassVar
+    # so it is not a dataclass field and eq/hash/repr ignore it.
+    _fields: ClassVar[Tuple[Tuple[str, float], ...]]
 
     def __post_init__(self) -> None:
         if not self.terms:
@@ -59,6 +73,14 @@ class CachePolicy:
         attributes = [attribute for attribute, _ in self.terms]
         if len(set(attributes)) != len(attributes):
             raise ValueError("duplicate attribute in policy terms")
+        object.__setattr__(
+            self,
+            "_fields",
+            tuple(
+                (_ATTRIBUTE_FIELDS[attribute], float(direction.value))
+                for attribute, direction in self.terms
+            ),
+        )
 
     @property
     def primary(self) -> FlowAttribute:
@@ -70,10 +92,7 @@ class CachePolicy:
         The final tie-breaker is the entry id (newer wins), making the
         ordering total, as LEX requires.
         """
-        parts = [
-            direction.value * entry.attribute_value(attribute)
-            for attribute, direction in self.terms
-        ]
+        parts = [sign * getattr(entry, name) for name, sign in self._fields]
         parts.append(float(entry.entry_id))
         return tuple(parts)
 

@@ -13,13 +13,20 @@ rank and the layers' capacities.  Probing a rule updates its use time and
 traffic count, which can move it in the ranking -- this is why the
 paper's probe patterns are carefully constructed not to disturb relative
 order.
+
+Every flow_mod and probe packet of an inference run passes through the
+stack, so each message does only the work its effect needs: an entry's
+rank key is filed once and reused, a touch that leaves the key unchanged
+(any probe under FIFO) moves nothing and keeps the layer boundaries, and
+the admission check's capacity arithmetic is memoised per set of
+resident match kinds.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.openflow.actions import Action
 from repro.openflow.errors import TableFullError
@@ -75,6 +82,12 @@ class RankedTableStack:
         self.layers = list(layers)
         self.policy = policy
         self.hard_limit = hard_limit
+        self._has_unbounded = any(
+            layer.capacity is None and layer.geometry is None for layer in self.layers
+        )
+        # Total entry capacity per set of entry kinds, None when the kinds
+        # cost differently in some TCAM layer (see _fits).
+        self._capacity_memo: Dict[FrozenSet[MatchKind], Optional[int]] = {}
 
         self._entries: Dict[int, FlowEntry] = {}
         self._by_key: Dict[Tuple, List[int]] = {}
@@ -83,6 +96,8 @@ class RankedTableStack:
         self._wildcards: List[int] = []
         # Sorted ascending by score; the best-ranked entry is last.
         self._ranked: List[Tuple[Tuple, int]] = []
+        # entry_id -> the rank key filed in _ranked for that entry.
+        self._keys: Dict[int, Tuple[Tuple, int]] = {}
         self._next_id = 0
         self._boundaries_dirty = True
         self._boundaries: List[int] = []
@@ -125,28 +140,34 @@ class RankedTableStack:
         return None
 
     # -- ranking internals -----------------------------------------------------
-    def _score_key(self, entry: FlowEntry) -> Tuple:
-        return self.policy.score(entry)
+    def _rank_key(self, entry: FlowEntry) -> Tuple[Tuple, int]:
+        return (self.policy.score(entry), entry.entry_id)
 
-    def _ranked_insert(self, entry: FlowEntry) -> None:
-        bisect.insort(self._ranked, (self._score_key(entry), entry.entry_id))
-        self._boundaries_dirty = True
+    def _filed_key(self, entry: FlowEntry) -> Tuple[Tuple, int]:
+        key = self._keys.get(entry.entry_id)
+        if key is None:
+            raise AssertionError("entry missing from ranking")
+        return key
 
-    def _ranked_remove(self, entry: FlowEntry) -> None:
-        key = (self._score_key(entry), entry.entry_id)
+    def _index_of(self, key: Tuple[Tuple, int]) -> int:
         index = bisect.bisect_left(self._ranked, key)
         if index >= len(self._ranked) or self._ranked[index] != key:
             raise AssertionError("ranked index out of sync")
-        del self._ranked[index]
+        return index
+
+    def _ranked_insert(self, entry: FlowEntry, key: Tuple[Tuple, int]) -> None:
+        self._keys[entry.entry_id] = key
+        bisect.insort(self._ranked, key)
+        self._boundaries_dirty = True
+
+    def _ranked_remove(self, entry: FlowEntry) -> None:
+        del self._ranked[self._index_of(self._filed_key(entry))]
+        del self._keys[entry.entry_id]
         self._boundaries_dirty = True
 
     def rank_of(self, entry: FlowEntry) -> int:
         """0-based rank from the best (fastest) position."""
-        key = (self._score_key(entry), entry.entry_id)
-        index = bisect.bisect_left(self._ranked, key)
-        if index >= len(self._ranked) or self._ranked[index] != key:
-            raise AssertionError("entry missing from ranking")
-        return len(self._ranked) - 1 - index
+        return len(self._ranked) - 1 - self._index_of(self._filed_key(entry))
 
     def _layer_cost(self, layer: TableLayer, entry: FlowEntry) -> float:
         if layer.geometry is not None:
@@ -246,33 +267,41 @@ class RankedTableStack:
             previous = boundaries[index]
         return {"total": len(self._entries), "layers": layers}
 
-    def _fits(self, candidate: FlowEntry) -> bool:
-        """Would the stack still hold every entry if ``candidate`` joined?"""
-        if len(self._entries) + 1 > self.hard_limit:
-            return False
-        if any(layer.capacity is None and layer.geometry is None for layer in self.layers):
-            return True
-        # All layers bounded: check that total capacity absorbs the new
-        # entry.  With a homogeneous entry mix (including the candidate)
-        # the capacity is arithmetic; otherwise simulate the boundary walk.
-        kinds = {kind for kind, count in self._kind_counts.items() if count > 0}
-        kinds.add(candidate.match.kind)
+    def _uniform_capacity(self, kinds: FrozenSet[MatchKind]) -> Optional[int]:
+        """Total entries the bounded layers hold when every entry is one
+        of ``kinds``; None if the kinds cost differently in some layer."""
         total_capacity = 0
-        uniform = True
         for layer in self.layers:
             if layer.geometry is None:
                 total_capacity += layer.capacity or 0
                 continue
             costs = {layer.geometry.entry_cost(kind) for kind in kinds}
             if len(costs) > 1:
-                uniform = False
-                break
+                return None
             total_capacity += int(layer.geometry.slot_units // costs.pop())
-        if uniform:
+        return total_capacity
+
+    def _fits(self, candidate: FlowEntry) -> bool:
+        """Would the stack still hold every entry if ``candidate`` joined?"""
+        if len(self._entries) + 1 > self.hard_limit:
+            return False
+        if self._has_unbounded:
+            return True
+        # All layers bounded: check that total capacity absorbs the new
+        # entry.  With a homogeneous entry mix (including the candidate)
+        # the capacity is arithmetic; otherwise simulate the boundary walk.
+        kinds = frozenset(
+            [kind for kind, count in self._kind_counts.items() if count > 0]
+            + [candidate.match.kind]
+        )
+        if kinds not in self._capacity_memo:
+            self._capacity_memo[kinds] = self._uniform_capacity(kinds)
+        total_capacity = self._capacity_memo[kinds]
+        if total_capacity is not None:
             return len(self._entries) + 1 <= total_capacity
 
         ordered = [self._entries[eid] for _, eid in reversed(self._ranked)]
-        candidate_key = (self._score_key(candidate), candidate.entry_id)
+        candidate_key = self._rank_key(candidate)
         insert_at = len(self._ranked) - bisect.bisect_left(self._ranked, candidate_key)
         ordered.insert(insert_at, candidate)
         rank = 0
@@ -317,7 +346,7 @@ class RankedTableStack:
         self._index_for_match(match).append(entry.entry_id)
         kind = match.kind
         self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
-        self._ranked_insert(entry)
+        self._ranked_insert(entry, self._rank_key(entry))
         return entry
 
     def _index_for_match(self, match: Match) -> List[int]:
@@ -341,16 +370,23 @@ class RankedTableStack:
         self._kind_counts[entry.match.kind] -= 1
 
     def touch(self, entry: FlowEntry, now_ms: float, packets: int = 1) -> None:
-        """Update use time / traffic count, preserving ranking invariants."""
-        self._ranked_remove(entry)
+        """Update use time / traffic count, preserving ranking invariants.
+
+        Keys end in the unique entry id, so an unchanged key means an
+        unchanged position: the ranking and layer boundaries stay put.
+        """
+        old_key = self._filed_key(entry)
         entry.touch(now_ms, packets=packets)
-        self._ranked_insert(entry)
+        key = self._rank_key(entry)
+        if key != old_key:
+            self._ranked_remove(entry)
+            self._ranked_insert(entry, key)
 
     def update_priority(self, entry: FlowEntry, priority: int) -> None:
         """Change an entry's priority (flow MODIFY with a new priority)."""
         self._ranked_remove(entry)
         entry.priority = priority
-        self._ranked_insert(entry)
+        self._ranked_insert(entry, self._rank_key(entry))
 
     # -- packet lookup -------------------------------------------------------------
     def match_packet(self, packet: PacketFields) -> Optional[FlowEntry]:
@@ -378,5 +414,6 @@ class RankedTableStack:
         self._by_eth_dst.clear()
         self._wildcards.clear()
         self._ranked.clear()
+        self._keys.clear()
         self._kind_counts.clear()
         self._boundaries_dirty = True

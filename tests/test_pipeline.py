@@ -151,6 +151,18 @@ def test_capacity_enforced_per_table():
     _add(switch, 3, table_id=1)
 
 
+
+def test_rejected_hardware_add_counts_no_shifts():
+    switch = _pipeline(capacities=(2, None, None))
+    _add(switch, 1, table_id=0, priority=30)
+    _add(switch, 2, table_id=0, priority=20)
+    assert switch.stats.total_shifts == 1
+    with pytest.raises(TableFullError):
+        _add(switch, 3, table_id=0, priority=10)
+    assert switch.stats.total_shifts == 1
+    assert switch.stats.rejected_adds == 1
+    assert len(switch.shift_models[0]) == 2
+
 def test_shift_cost_applies_only_to_hardware_table():
     switch = _pipeline()
     start = switch.clock.now_ms

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 from repro.core.requests import RequestDag
 from repro.core.scheduler import BasicTangoScheduler, NetworkExecutor
 from repro.openflow.channel import ControlChannel
-from repro.openflow.match import IpPrefix, Match
+from repro.openflow.match import IpPrefix, Match, PacketFields
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.sim.latency import ConstantLatency
 from repro.switches.base import ControlCostModel, SimulatedSwitch
-from repro.tables.policies import FIFO
+from repro.switches.profiles import SWITCH_1
+from repro.tables.policies import FIFO, CachePolicy
 from repro.tables.stack import TableLayer
 from repro.tables.tcam import PriorityShiftModel, SortedListShiftModel
 
@@ -169,6 +170,52 @@ def test_descending_install_accounting_is_subquadratic():
         total += model.record_add(priority)
     assert total == n * (n - 1) // 2  # every add shifted all residents
     assert model.accounting_ops < 40 * n  # ~n log2(n); quadratic is 12.5M
+
+
+
+# -- table-stack rescoring guards ----------------------------------------------
+# A probe packet under FIFO cannot change any entry's rank, so it must not
+# re-sort the ranking; a removal reuses the filed rank key.
+
+
+def _counting_score(monkeypatch):
+    calls = [0]
+    score = CachePolicy.score
+
+    def counted(self, entry):
+        calls[0] += 1
+        return score(self, entry)
+
+    monkeypatch.setattr(CachePolicy, "score", counted)
+    return calls
+
+
+def test_fifo_probes_rescore_once_and_leave_ranking_alone(monkeypatch):
+    switch = SWITCH_1.build(seed=1)
+    assert switch.tables.policy is FIFO
+    for i in range(4096):
+        switch.apply_flow_mod(FlowMod(FlowModCommand.ADD, _match(i), priority=100))
+    assert switch.tables.layer_occupancy() == [4096, 0]
+    ranked = list(switch.tables._ranked)
+    calls = _counting_score(monkeypatch)
+    probes = 2000
+    for i in range(probes):
+        switch.forward_packet(PacketFields(ip_dst=(i * 7) % 4096))
+    assert calls[0] <= probes
+    assert len(switch.tables._ranked) == len(ranked)
+    assert all(now is before for now, before in zip(switch.tables._ranked, ranked))
+    assert not switch.tables._boundaries_dirty
+
+
+def test_remove_costs_no_score_calls(monkeypatch):
+    switch = SWITCH_1.build(seed=1)
+    for i in range(4096):
+        switch.apply_flow_mod(FlowMod(FlowModCommand.ADD, _match(i), priority=100))
+    calls = _counting_score(monkeypatch)
+    for i in range(0, 4096, 2):
+        switch.apply_flow_mod(FlowMod(FlowModCommand.DELETE, _match(i)))
+    assert calls[0] == 0
+    assert switch.num_flows == 2048
 
 
 # -- Fenwick vs sorted-list differential --------------------------------------

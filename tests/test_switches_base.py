@@ -171,6 +171,21 @@ def test_rejected_add_raises_and_counts():
     assert switch.num_flows == 2
 
 
+
+def test_rejected_add_counts_no_shifts():
+    switch = _switch(capacity=2, unbounded_tail=False)
+    _add(switch, 1, priority=30)
+    _add(switch, 2, priority=20)
+    assert switch.stats.total_shifts == 1
+    before = switch.clock.now_ms
+    with pytest.raises(TableFullError):
+        _add(switch, 3, priority=10)
+    # The rejection costs the base ADD time and shifts nothing.
+    assert switch.stats.total_shifts == 1
+    assert len(switch.shift_model) == 2
+    assert switch.clock.now_ms - before == pytest.approx(COST.add_base_ms)
+
+
 # -- data plane ------------------------------------------------------------------
 def test_forward_fast_path_delay():
     switch = _switch()
