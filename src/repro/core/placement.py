@@ -19,12 +19,11 @@ the hardware fast path.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.inference import InferredSwitchModel
 from repro.core.latency_curves import PriorityPattern
-from repro.core.requests import RequestDag
 from repro.openflow.messages import FlowModCommand
 
 
@@ -150,8 +149,7 @@ class SwitchTier(enum.Enum):
     local to one pod (one tier slice) is embarrassingly parallel, and
     only cross-tier dependencies need synchronisation.  The sharded
     fleet engine's ``tier`` partition strategy keeps same-tier switches
-    on the same worker, and :func:`cut_dag` turns cross-shard request
-    edges into explicit barrier points.
+    on the same worker.
     """
 
     CORE = "core"
@@ -252,79 +250,3 @@ def partition_names(
 #: Partition strategies :func:`partition_names` understands (also the
 #: ``tango-probe infer --partition`` choices).
 PARTITION_STRATEGIES: Tuple[str, ...] = ("round_robin", "tier")
-
-
-@dataclass(frozen=True)
-class DagCut:
-    """A request DAG cut along a switch-to-shard assignment.
-
-    ``request_shard`` maps request id -> shard; ``local_edges`` stay
-    inside one shard and ``barrier_edges`` cross shards -- the explicit
-    synchronisation points a sharded scheduler must honor.  ``waves``
-    maps each request to its barrier depth: requests of wave ``w`` may
-    only be dispatched once every wave ``< w`` predecessor reachable
-    over a barrier edge has completed, while same-wave work is
-    shard-local and embarrassingly parallel.
-    """
-
-    shards: int
-    request_shard: Mapping[int, int]
-    local_edges: Tuple[Tuple[int, int], ...]
-    barrier_edges: Tuple[Tuple[int, int], ...]
-    waves: Mapping[int, int] = field(default_factory=dict)
-
-    @property
-    def barrier_count(self) -> int:
-        return len(self.barrier_edges)
-
-    @property
-    def max_wave(self) -> int:
-        return max(self.waves.values(), default=0)
-
-    def wave_members(self) -> List[List[int]]:
-        """Request ids grouped by wave, each group in id order."""
-        groups: List[List[int]] = [[] for _ in range(self.max_wave + 1)]
-        for request_id in sorted(self.waves):
-            groups[self.waves[request_id]].append(request_id)
-        return groups
-
-
-def cut_dag(dag: RequestDag, shard_of: Mapping[str, int]) -> DagCut:
-    """Cut a request DAG so cross-shard edges become barrier points.
-
-    ``shard_of`` maps switch (location) name -> shard index; every
-    location in the DAG must be assigned.  The wave of a request is the
-    number of barrier edges on its longest dependency path: an edge
-    within one shard never raises the wave (the shard's own scheduler
-    orders it), a cross-shard edge raises it by one.
-    """
-    request_shard: Dict[int, int] = {}
-    for request in dag.requests:
-        shard = shard_of.get(request.location)
-        if shard is None:
-            raise KeyError(
-                f"switch {request.location!r} has no shard assignment"
-            )
-        request_shard[request.request_id] = shard
-    local: List[Tuple[int, int]] = []
-    barriers: List[Tuple[int, int]] = []
-    for parent, child in dag.edge_ids():
-        if request_shard[parent] == request_shard[child]:
-            local.append((parent, child))
-        else:
-            barriers.append((parent, child))
-    waves: Dict[int, int] = {}
-    for request_id in dag.topological_order():
-        wave = 0
-        for parent in dag.predecessor_ids(request_id):
-            crossed = request_shard[parent] != request_shard[request_id]
-            wave = max(wave, waves[parent] + (1 if crossed else 0))
-        waves[request_id] = wave
-    shard_count = max(shard_of.values(), default=-1) + 1
-    return DagCut(
-        shards=shard_count,
-        request_shard=request_shard,
-        local_edges=tuple(local),
-        barrier_edges=tuple(barriers),
-        waves=waves,
-    )

@@ -2,8 +2,9 @@
 
 :class:`TailCostPlanner` replaces the retired recursive planner's
 depth-0 *greedy re-simulation* -- which walked the entire remaining DAG
-once per scheduling round -- with state maintained incrementally on a
-long-lived :class:`~repro.core.requests.ReadySimulation` cursor:
+once per scheduling round -- with state maintained incrementally over
+the pending requests of a :class:`~repro.core.requests.ReadySimulation`
+cursor:
 
 * **Greedy levels.**  With whole-ready-batch (greedy) completion, the
   k-th greedy batch is exactly the set of pending requests at *level* k,
@@ -14,15 +15,18 @@ long-lived :class:`~repro.core.requests.ReadySimulation` cursor:
   estimate.  A depth-0 estimate is therefore O(1), and completing or
   undoing a request patches the levels in O(out-degree) of the touched
   region instead of re-walking the DAG.
-* **Persistent ordering.**  Each rewrite pattern induces a *static*
-  total order over all requests (its ``order_key`` plus the request id
-  tiebreak -- the same key the :class:`_OrderingOracle` sorts by).  The
-  ready set is tracked as a Fenwick presence bitset over that order, so
-  ordering a frontier that changed by k requests costs O(k log n)
-  updates instead of a full re-sort, the first j ordered requests
-  materialise in O(j log n), and candidate prefix cuts (positions of
-  ready requests with successors) come from a second bitset in
-  O(log n) each.
+* **Level member sets.**  Each level also keeps its member set and its
+  per-command counts, patched by the same per-request level moves as
+  its loads.  The ready set is the frontier level's members and the
+  pattern choice reads the frontier's command counts, so completing a
+  whole frontier (every full-batch cut) pops one level and bumps a
+  shift -- no per-request ready-set work.  Once a level is the
+  frontier it also keeps its members' positions in the winning
+  pattern's *static* total order (its ``order_key`` plus the request id
+  tiebreak -- the key the :class:`_OrderingOracle` sorts by): sorted
+  once, then patched by bisection, so a plan node reads its prefixes
+  and candidate cuts off the front of that list instead of re-sorting
+  a wide frontier.
 * **Score-dominance pruning.**  Candidate cuts are explored in
   ascending order while per-switch prefix sums and their running max
   are extended incrementally; a cut whose prefix makespan already
@@ -33,6 +37,11 @@ long-lived :class:`~repro.core.requests.ReadySimulation` cursor:
   fingerprint over the completed set keys a bounded memo of
   ``(cost, cut)`` plans, so re-planning an unchanged frontier (e.g.
   after a round whose requests were all fault-deferred) is O(1).
+
+Hypothetical completions never touch the cursor: a request is complete
+for the planner when it has no level, and each frame saves the
+fingerprint and completed count once.  The cursor is read at
+construction and advanced only by :meth:`TailCostPlanner.commit`.
 
 Decision equivalence: the planner reproduces the retired recursive
 planner's ``(cost, cut)`` decisions bit-for-bit when per-request
@@ -45,14 +54,24 @@ flip a tie between near-equal plans.  The differential suite
 (``tests/test_prefix_planner_differential.py``) pins the equivalence
 against :class:`repro.perf.reference._ReferencePrefixPlanner`.
 
+Float-order invariant: level loads and the tail change only through
+per-request level moves (``_remove_from_level``/``_add_to_level``, in
+batch order, then in relevel-stack order) and whole-level drops, each
+applying ``tail - old + new`` (or ``tail - makespan``); undo restores
+saved values rather than recomputing.  The float results are thus a
+fixed function of the completion history, so plans with non-dyadic
+estimates are reproducible too (pinned by a golden test).
+
 Determinism: no wall clock, no randomness -- the fingerprint mixer is a
 fixed splitmix64 permutation of request ids, and every iteration runs
-over lists/dicts in deterministic order.
+over lists/dicts in deterministic order (member sets are only sorted,
+counted, or consumed whole).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left, insort
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.patterns import RewritePattern
 from repro.core.requests import ReadySimulation, SwitchRequest
@@ -68,81 +87,51 @@ def _mix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-class _PresenceFenwick:
-    """Fenwick-tree bitset over a fixed position space.
-
-    Supports O(log n) membership toggles, prefix counts (the rank of a
-    position among present positions), and k-th-present selection --
-    the three queries the planner's persistent ordering needs.
-    """
-
-    def __init__(self, size: int) -> None:
-        self._size = size
-        self._tree = [0] * (size + 1)
-        self._present = bytearray(size)
-        self.count = 0
-        self._log = size.bit_length()
-
-    def add(self, pos: int) -> None:
-        if self._present[pos]:
-            raise ValueError(f"position {pos} already present")
-        self._present[pos] = 1
-        self.count += 1
-        i = pos + 1
-        tree = self._tree
-        while i <= self._size:
-            tree[i] += 1
-            i += i & (-i)
-
-    def remove(self, pos: int) -> None:
-        if not self._present[pos]:
-            raise ValueError(f"position {pos} not present")
-        self._present[pos] = 0
-        self.count -= 1
-        i = pos + 1
-        tree = self._tree
-        while i <= self._size:
-            tree[i] -= 1
-            i += i & (-i)
-
-    def rank(self, pos: int) -> int:
-        """Number of present positions <= ``pos`` (0-based, inclusive)."""
-        total = 0
-        i = pos + 1
-        tree = self._tree
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
-
-    def select(self, k: int) -> Optional[int]:
-        """The k-th smallest present position (1-based), or None."""
-        if k < 1 or k > self.count:
-            return None
-        pos = 0
-        remaining = k
-        tree = self._tree
-        step = 1 << self._log
-        while step > 0:
-            nxt = pos + step
-            if nxt <= self._size and tree[nxt] < remaining:
-                pos = nxt
-                remaining -= tree[nxt]
-            step >>= 1
-        return pos  # 0-based position
-
-
 #: Bound on memoized plans; old entries are evicted FIFO.
 _MEMO_LIMIT = 8192
+
+
+#: A pattern's static order: request -> position, and position -> request.
+_Order = Tuple[Dict[int, int], List[int]]
+
+
+class _Level:
+    """One greedy level: members, command counts, per-switch loads."""
+
+    __slots__ = (
+        "members",
+        "ordered",
+        "order",
+        "commands",
+        "loads",
+        "counts",
+        "makespan",
+        "unlocking",
+    )
+
+    def __init__(self, n_commands: int = 0) -> None:
+        self.members: Set[int] = set()
+        # The members' positions in ``order`` (a pattern's static order),
+        # sorted; built when the level is first ordered as the frontier
+        # and kept in sync with ``members`` from then on.
+        self.ordered: Optional[List[int]] = None
+        self.order: Optional[_Order] = None
+        self.commands = [0] * n_commands  # member count per command slot
+        self.loads: Dict[str, float] = {}  # per-switch duration sums
+        self.counts: Dict[str, int] = {}  # per-switch member counts
+        self.makespan = 0.0  # max(loads), 0.0 when empty
+        self.unlocking = 0  # members with successors
+
+
+_NO_LEVEL = _Level()  # read-only stand-in for an absent level
 
 
 class TailCostPlanner:
     """Incremental prefix-lookahead planner over a completion cursor.
 
-    The planner owns its cursor's planning view: callers complete/undo
-    hypothetical prefixes and commit issued batches *through the
-    planner*, which forwards to the :class:`ReadySimulation` and patches
-    its own level/ordering state in the same pass.
+    Hypothetical prefixes are completed and undone on the planner's own
+    level state; issued batches are committed *through the planner*,
+    which forwards them to the :class:`ReadySimulation`.
 
     Args:
         sim: the long-lived completion cursor (exclusively owned by this
@@ -176,11 +165,13 @@ class TailCostPlanner:
         # -- static per-request facts -------------------------------------
         self._est: Dict[int, float] = {}
         self._loc: Dict[int, str] = {}
-        self._cmd: Dict[int, object] = {}
+        self._commands: List[object] = []  # distinct commands, by slot
+        self._cmd: Dict[int, int] = {}  # request -> command slot
         self._pri: Dict[int, int] = {}
         self._succ: Dict[int, Tuple[int, ...]] = {}
         self._pred: Dict[int, Tuple[int, ...]] = {}
         self._has_succ: Dict[int, bool] = {}
+        self._zobrist: Dict[int, int] = {}
         dag = self._dag
         for request in dag.requests:
             rid = request.request_id
@@ -191,31 +182,30 @@ class TailCostPlanner:
                 )
             self._est[rid] = value
             self._loc[rid] = request.location
-            self._cmd[rid] = request.command
+            if request.command not in self._commands:
+                self._commands.append(request.command)
+            self._cmd[rid] = self._commands.index(request.command)
             self._pri[rid] = request.priority
             succ = tuple(dag.successor_ids(rid))
             self._succ[rid] = succ
             self._pred[rid] = tuple(dag.predecessor_ids(rid))
             self._has_succ[rid] = bool(succ)
+            self._zobrist[rid] = _mix64(rid)
         # One structural O(V + E) pass, charged like a ready rebuild.
         dag.ops.edge_visits += sum(len(s) for s in self._succ.values())
 
         # -- greedy levels and tail cost ----------------------------------
-        # level[rid] (pending requests only); per-level per-switch duration
-        # sums + member counts; per-level makespans; their total (tail).
+        # level[rid] for pending requests only (completed = no level);
+        # per-level state in _levels; the total of level makespans (tail).
         # Levels are stored *raw*: true level = raw - self._shift.  When a
         # complete consumes the entire frontier, every remaining level
         # drops by exactly one (the longest pending chain to any node
         # loses exactly its head), so bumping the shift replaces an
         # O(remaining-DAG) releveling cascade -- which made chain-shaped
-        # DAGs quadratic -- with an O(frontier) wholesale level drop.
+        # DAGs quadratic -- with popping one level.
         self._shift = 0
         self._level: Dict[int, int] = {}
-        self._loads: Dict[int, Dict[str, float]] = {}
-        self._lcounts: Dict[int, Dict[str, int]] = {}
-        self._lmax: Dict[int, float] = {}
-        self._lsize: Dict[int, int] = {}
-        self._lunlock: Dict[int, int] = {}
+        self._levels: Dict[int, _Level] = {}
         self._tail = 0.0
         seed_journal: List[tuple] = []
         for rid in dag.topological_order():
@@ -224,43 +214,28 @@ class TailCostPlanner:
             level = 0
             for p in self._pred[rid]:
                 dag.ops.edge_visits += 1
-                if sim.is_completed(p):
-                    continue
-                candidate = self._level[p] + 1
-                if candidate > level:
-                    level = candidate
-            self._level[rid] = level
+                p_level = self._level.get(p)
+                if p_level is not None and p_level + 1 > level:
+                    level = p_level + 1
             self._add_to_level(rid, level, seed_journal)
         del seed_journal  # construction is the base state; nothing to undo
 
-        # -- ready-set command counts (drives the pattern choice) ---------
-        self._counts: Dict[object, int] = {}
-        ready_count = 0
-        for rid, level in self._level.items():
-            if level == self._shift:
-                cmd = self._cmd[rid]
-                self._counts[cmd] = self._counts.get(cmd, 0) + 1
-                ready_count += 1
-        self._ready_count = ready_count
-
-        # -- persistent pattern ordering (Fenwick bitsets) ----------------
-        # Per-pattern static position maps are built lazily; with the
-        # default pattern set the winner never changes (ASCEND dominates
-        # for any pure-ADD batch), so rebuilds are rare by construction.
-        self._positions: Dict[int, Tuple[Dict[int, int], List[int]]] = {}
+        # -- pattern ordering ----------------------------------------------
+        # Per-pattern static orders are built lazily; with the default
+        # pattern set the winner never changes (ASCEND dominates for any
+        # pure-ADD batch), so rebuilds are rare by construction.
+        self._orders: Dict[int, _Order] = {}
         self._pattern: Optional[RewritePattern] = None
-        self._pos: Dict[int, int] = {}
-        self._by_pos: List[int] = []
-        self._present = _PresenceFenwick(0)
-        self._unlock = _PresenceFenwick(0)
-        self._rebuild_order(self.current_pattern())
+        self._order: Optional[_Order] = None
+        self._ensure_order()
         self.order_rebuilds = 0  # the constructor's build is not a rebuild
 
         # -- fingerprint + plan memo --------------------------------------
-        self._zobrist: Dict[int, int] = {}
         self._fingerprint = 0
+        self._completed = sim.completed_count
         self._memo: Dict[Tuple[int, int, int], Tuple[float, Optional[int]]] = {}
-        self._frames: List[List[tuple]] = []
+        # One (fingerprint, completed, journal) per open complete().
+        self._frames: List[Tuple[int, int, List[tuple]]] = []
 
         # -- stats ---------------------------------------------------------
         self.plan_calls = 0
@@ -272,7 +247,7 @@ class TailCostPlanner:
     # -- public read API -------------------------------------------------
     @property
     def ready_count(self) -> int:
-        return self._ready_count
+        return len(self._frontier().members)
 
     @property
     def fingerprint(self) -> int:
@@ -281,14 +256,17 @@ class TailCostPlanner:
 
     def current_pattern(self) -> RewritePattern:
         """The oracle's pattern choice for the current ready set."""
-        counts = self._counts
+        counts = {
+            command: count
+            for command, count in zip(self._commands, self._frontier().commands)
+            if count
+        }
         return max(self._patterns, key=lambda p: p.score_counts(counts))
 
     def head_requests(self, k: int) -> List[SwitchRequest]:
         """The first ``k`` ready requests in the winning pattern's order."""
-        self._ensure_order()
         requests = self._dag._requests
-        return [requests[rid] for rid in self._head_ids(k)]
+        return [requests[rid] for rid in self._head_ids(self._ensure_order(), k)]
 
     def stats(self) -> Dict[str, int]:
         """Planner work counters for bench trajectories."""
@@ -307,32 +285,26 @@ class TailCostPlanner:
 
         Raises:
             ValueError: a request is not ready, already complete, or
-                duplicated; the planner and cursor are left untouched.
+                duplicated; the planner is left untouched.
         """
         rids = list(request_ids)
         self._check_ready(rids)
-        self._sim.complete(rids)  # validates duplicates, pushes one frame
-        journal: List[tuple] = []
-        self._apply_complete(rids, journal)
-        self._frames.append(journal)
+        self._push(rids)
 
     def undo(self) -> None:
         """Revert the most recent :meth:`complete` frame exactly."""
-        journal = self._frames.pop()
-        self._replay_inverse(journal)
-        self._sim.undo()
+        self._pop()
 
     def commit(self, request_ids: Iterable[int]) -> None:
         """Permanently complete issued requests (no undo frame).
 
         Requests already complete in the cursor are skipped, mirroring
-        :meth:`ReadySimulation.commit`.
+        :meth:`ReadySimulation.commit`; the rest are forwarded to it.
         """
         rids = [rid for rid in request_ids if not self._sim.is_completed(rid)]
         self._check_ready(rids)
         self._sim.commit(rids)
-        discard: List[tuple] = []
-        self._apply_complete(rids, discard)
+        self._apply_complete(rids, [])
 
     # -- planning --------------------------------------------------------
     def plan(self, depth: int) -> Tuple[float, Optional[int]]:
@@ -341,17 +313,18 @@ class TailCostPlanner:
         Returns ``(0.0, None)`` on an empty frontier; otherwise the cut
         is in ``[1, ready_count]``.  Decision-identical to the retired
         recursive planner (see the module docstring for the float
-        caveat); the cursor is left exactly as found.
+        caveat); the planner's state is left exactly as found.
         """
         self.plan_calls += 1
-        if self._ready_count == 0:
+        ready_count = len(self._frontier().members)
+        if ready_count == 0:
             return 0.0, None
         if depth <= 0:
             # The greedy-to-completion estimate, maintained incrementally:
             # sum over levels of the level's per-switch-serial makespan.
-            return self._tail, self._ready_count
-        self._ensure_order()
-        key = (self._fingerprint, self._sim.completed_count, depth)
+            return self._tail, ready_count
+        frontier = self._ensure_order()
+        key = (self._fingerprint, self._completed, depth)
         memoized = self._memo.get(key)
         if memoized is not None:
             self.memo_hits += 1
@@ -360,9 +333,9 @@ class TailCostPlanner:
 
         best_cost = float("inf")
         best_cut: Optional[int] = None
-        cuts = self._candidate_cuts()
+        cuts = self._candidate_cuts(frontier)
         if cuts:
-            prefix_ids = self._head_ids(cuts[-1])
+            prefix_ids = self._head_ids(frontier, cuts[-1])
             per_switch: Dict[str, float] = {}
             run_max = 0.0
             consumed = 0
@@ -382,16 +355,16 @@ class TailCostPlanner:
                     # beat the incumbent.  Skipping it is decision-free.
                     self.dominance_prunes += 1
                     continue
-                self.complete(prefix_ids[:cut])
+                self._push(prefix_ids[:cut])
                 rest, _ = self.plan(depth - 1)
-                self.undo()
+                self._pop()
                 cost = run_max + rest
                 if cost < best_cost:
                     best_cost = cost
                     best_cut = cut
         # The full-batch cut: its estimate is level 0's makespan, and the
         # remainder recurses over whole levels in closed form.
-        full_est = self._lmax.get(self._shift, 0.0)
+        full_est = frontier.makespan
         if full_est >= best_cost:
             self.dominance_prunes += 1
         else:
@@ -399,7 +372,7 @@ class TailCostPlanner:
             cost = full_est + rest
             if cost < best_cost:
                 best_cost = cost
-                best_cut = self._ready_count
+                best_cut = ready_count
         if len(self._memo) >= _MEMO_LIMIT:
             self._memo.pop(next(iter(self._memo)))
         self._memo[key] = (best_cost, best_cut)
@@ -417,74 +390,67 @@ class TailCostPlanner:
         really completing the skipped levels -- at most ``depth`` of
         them -- and planning from there.
         """
-        raw = self._shift + skip
-        if self._lsize.get(raw, 0) == 0:
+        level = self._levels.get(self._shift + skip, _NO_LEVEL)
+        if not level.members:
             return 0.0
         if depth <= 0:
             return self._tail - consumed
-        if self._lunlock.get(raw, 0) == 0:
-            level_max = self._lmax.get(raw, 0.0)
-            return level_max + self._virtual_rest(
-                depth - 1, skip + 1, consumed + level_max
+        if level.unlocking == 0:
+            return level.makespan + self._virtual_rest(
+                depth - 1, skip + 1, consumed + level.makespan
             )
-        frames = 0
         for _ in range(skip):
-            self.complete(self._sim.ready_ids())
+            self._push(self._frontier().members)
             self.realized_levels += 1
-            frames += 1
         cost, _ = self.plan(depth)
-        for _ in range(frames):
-            self.undo()
+        for _ in range(skip):
+            self._pop()
         return cost
 
     # -- ordering --------------------------------------------------------
-    def _ensure_order(self) -> None:
+    def _frontier(self) -> _Level:
+        return self._levels.get(self._shift, _NO_LEVEL)
+
+    def _ensure_order(self) -> _Level:
+        """The frontier, ordered by the current pattern's static order."""
         pattern = self.current_pattern()
         if pattern is not self._pattern:
-            self._rebuild_order(pattern)
-            self.order_rebuilds += 1
+            if self._pattern is not None:
+                self.order_rebuilds += 1
+            index = next(i for i, p in enumerate(self._patterns) if p is pattern)
+            order = self._orders.get(index)
+            if order is None:
+                by_pos = sorted(
+                    self._est,
+                    key=lambda rid: pattern.order_key(
+                        self._commands[self._cmd[rid]], self._pri[rid]
+                    )
+                    + (rid,),
+                )
+                order = ({rid: pos for pos, rid in enumerate(by_pos)}, by_pos)
+                self._orders[index] = order
+            self._order = order
+            self._pattern = pattern
+        frontier = self._frontier()
+        if frontier.order is not self._order and frontier.members:
+            pos = self._order[0]
+            frontier.ordered = sorted(pos[rid] for rid in frontier.members)
+            frontier.order = self._order
+        return frontier
 
-    def _rebuild_order(self, pattern: RewritePattern) -> None:
-        """(Re)build the Fenwick bitsets over ``pattern``'s static order."""
-        index = next(i for i, p in enumerate(self._patterns) if p is pattern)
-        cached = self._positions.get(index)
-        if cached is None:
-            order = sorted(
-                self._est,
-                key=lambda rid: pattern.order_key(self._cmd[rid], self._pri[rid])
-                + (rid,),
-            )
-            cached = ({rid: pos for pos, rid in enumerate(order)}, order)
-            self._positions[index] = cached
-        self._pos, self._by_pos = cached
-        size = len(self._by_pos)
-        self._present = _PresenceFenwick(size)
-        self._unlock = _PresenceFenwick(size)
-        frontier = self._shift
-        for rid, level in self._level.items():
-            if level == frontier:
-                pos = self._pos[rid]
-                self._present.add(pos)
-                if self._has_succ[rid]:
-                    self._unlock.add(pos)
-        self._pattern = pattern
-
-    def _head_ids(self, k: int) -> List[int]:
-        """First ``k`` ready request ids in the current pattern order."""
-        select = self._present.select
-        by_pos = self._by_pos
-        out = []
-        for i in range(1, k + 1):
-            pos = select(i)
-            if pos is None:
-                raise ValueError(f"cut {k} exceeds ready count {i - 1}")
-            out.append(by_pos[pos])
+    def _head_ids(self, frontier: _Level, k: int) -> List[int]:
+        """The first ``k`` ids of an ordered frontier."""
+        if k > len(frontier.members):
+            raise ValueError(f"cut {k} exceeds ready count {len(frontier.members)}")
         self._dag.ops.ready_yields += k
         if self._oracle is not None:
             self._oracle.note_incremental_order(k)
-        return out
+        if k == 0:
+            return []
+        by_pos = frontier.order[1]
+        return [by_pos[pos] for pos in frontier.ordered[:k]]
 
-    def _candidate_cuts(self) -> List[int]:
+    def _candidate_cuts(self, frontier: _Level) -> List[int]:
         """Prefix lengths ending at an unlocking request, ascending.
 
         Matches the retired planner: a request is *unlocking* when it has
@@ -492,15 +458,19 @@ class TailCostPlanner:
         is excluded.  At most ``max_prefixes`` cuts are returned.
         """
         cuts: List[int] = []
-        k = 1
-        while len(cuts) < self._max_prefixes:
-            pos = self._unlock.select(k)
-            if pos is None:
-                break
-            cut = self._present.rank(pos)
-            if cut < self._ready_count:
-                cuts.append(cut)
-            k += 1
+        # Stopping at the last wanted unlocking member bounds the scan by
+        # the prefix the plan node sums over anyway.
+        wanted = min(self._max_prefixes, frontier.unlocking)
+        if wanted <= 0:
+            return cuts
+        has_succ = self._has_succ
+        by_pos = frontier.order[1]
+        ordered = frontier.ordered
+        for index in range(len(ordered) - 1):
+            if has_succ[by_pos[ordered[index]]]:
+                cuts.append(index + 1)
+                if len(cuts) == wanted:
+                    break
         return cuts
 
     # -- incremental state maintenance ------------------------------------
@@ -509,97 +479,83 @@ class TailCostPlanner:
         for rid in rids:
             if self._level.get(rid) != frontier:
                 raise ValueError(f"request {rid} is not ready in the planner")
+        if len(set(rids)) != len(rids):
+            raise ValueError("duplicate request ids in one completion")
 
-    def _apply_complete(self, rids: Sequence[int], journal: List[tuple]) -> None:
-        """Patch levels/ordering/tail after the cursor completed ``rids``."""
-        if rids and len(rids) == self._ready_count:
-            self._apply_full_frontier(rids, journal)
-            return
-        sim = self._sim
+    def _push(self, rids: Collection[int]) -> None:
+        """Complete ready ``rids`` (unchecked) in a new undo frame."""
+        journal: List[tuple] = []
+        self._frames.append((self._fingerprint, self._completed, journal))
+        self._apply_complete(rids, journal)
+
+    def _pop(self) -> None:
+        self._fingerprint, self._completed, journal = self._frames.pop()
+        self._replay_inverse(journal)
+
+    def _apply_complete(self, rids: Collection[int], journal: List[tuple]) -> None:
+        """Complete the ready ``rids``: fingerprint, levels and tail."""
+        zobrist = self._zobrist
+        fingerprint = self._fingerprint
+        for rid in rids:
+            fingerprint ^= zobrist[rid]
+        self._fingerprint = fingerprint
+        self._completed += len(rids)
         frontier = self._shift
+        if rids and len(rids) == len(self._frontier().members):
+            self._drop_frontier(journal)
+            return
+        level = self._level
         stack: List[int] = []
         for rid in rids:
             self._remove_from_level(rid, frontier, journal)
-            self._remove_ready(rid, journal)
-            journal.append(("level", rid, frontier))
-            del self._level[rid]
-            self._toggle_fingerprint(rid, journal)
-            for succ in self._succ[rid]:
-                if not sim.is_completed(succ):
-                    stack.append(succ)
+            stack.extend(self._succ[rid])
         # Relevel downward: a completed dependency can only lower its
         # successors' levels, and each drop propagates along out-edges.
         ops = self._dag.ops
         while stack:
             rid = stack.pop()
-            old = self._level.get(rid)
+            old = level.get(rid)
             if old is None:
-                continue  # completed concurrently within this batch
+                continue  # completed already
             new = frontier
             for p in self._pred[rid]:
                 ops.edge_visits += 1
-                if sim.is_completed(p):
-                    continue
-                candidate = self._level[p] + 1
-                if candidate > new:
-                    new = candidate
+                p_level = level.get(p)
+                if p_level is not None and p_level + 1 > new:
+                    new = p_level + 1
             if new == old:
                 continue
             self._remove_from_level(rid, old, journal)
             self._add_to_level(rid, new, journal)
-            journal.append(("level", rid, old))
-            self._level[rid] = new
-            if old > frontier and new == frontier:
-                self._add_ready(rid, journal)
-            for succ in self._succ[rid]:
-                if succ in self._level:
-                    stack.append(succ)
+            stack.extend(self._succ[rid])
 
-    def _apply_full_frontier(self, rids: Sequence[int], journal: List[tuple]) -> None:
-        """Whole-frontier completion: drop level 0 and bump the shift.
+    def _drop_frontier(self, journal: List[tuple]) -> None:
+        """Whole-frontier completion: pop level 0 and bump the shift.
 
         After completing *all* ready requests, every remaining pending
         request's level drops by exactly one (its longest pending
         dependency chain loses exactly its ready head), so the per-level
-        maps stay valid under ``shift + 1`` -- no releveling cascade.
-        Cost: O(|frontier| + |new frontier|) structure updates.
+        state stays valid under ``shift + 1`` -- no releveling cascade.
         """
         frontier = self._shift
-        for rid in rids:
-            self._remove_ready(rid, journal)
-            journal.append(("level", rid, frontier))
-            del self._level[rid]
-            self._toggle_fingerprint(rid, journal)
-        journal.append(
-            (
-                "drop_level",
-                frontier,
-                self._loads.pop(frontier, None),
-                self._lcounts.pop(frontier, None),
-                self._lmax.get(frontier),
-                self._lsize.get(frontier, 0),
-                self._lunlock.get(frontier, 0),
-            )
-        )
-        journal.append(("tail", self._tail))
-        self._tail -= self._lmax.get(frontier, 0.0)
-        self._lmax.pop(frontier, None)
-        self._lsize.pop(frontier, None)
-        self._lunlock.pop(frontier, None)
-        journal.append(("shift", frontier))
+        dropped = self._levels.pop(frontier)
+        level = self._level
+        for rid in dropped.members:
+            del level[rid]
+        journal.append(("drop", frontier, dropped, self._tail))
+        self._tail -= dropped.makespan
         self._shift = frontier + 1
-        # The unlocked requests (the new frontier) join the ready set;
-        # ready_ids() also charges the yields honestly.
-        for rid in self._sim.ready_ids():
-            self._add_ready(rid, journal)
 
-    def _remove_from_level(self, rid: int, level: int, journal: List[tuple]) -> None:
+    def _remove_from_level(self, rid: int, raw: int, journal: List[tuple]) -> None:
+        level = self._levels[raw]
         loc = self._loc[rid]
-        loads = self._loads[level]
-        counts = self._lcounts[level]
+        loads = level.loads
+        counts = level.counts
         old_sum = loads[loc]
         old_cnt = counts[loc]
-        journal.append(("load", level, loc, old_sum, old_cnt))
+        journal.append(
+            ("remove", rid, raw, old_sum, old_cnt, level.makespan, self._tail)
+        )
         if old_cnt == 1:
             # Deleting the emptied cell restores an exact zero, keeping
             # incremental sums bit-identical to fresh summation for
@@ -609,128 +565,69 @@ class TailCostPlanner:
         else:
             loads[loc] = old_sum - self._est[rid]
             counts[loc] = old_cnt - 1
-        self._update_level_max(level, journal)
-        journal.append(("lsize", level, self._lsize[level]))
-        self._lsize[level] -= 1
-        if self._has_succ[rid]:
-            journal.append(("lunlock", level, self._lunlock[level]))
-            self._lunlock[level] -= 1
+        self._update_makespan(level)
+        self._leave(level, rid)
 
-    def _add_to_level(self, rid: int, level: int, journal: List[tuple]) -> None:
-        loads = self._loads.setdefault(level, {})
-        counts = self._lcounts.setdefault(level, {})
+    def _add_to_level(self, rid: int, raw: int, journal: List[tuple]) -> None:
+        level = self._levels.get(raw)
+        if level is None:
+            level = self._levels[raw] = _Level(len(self._commands))
         loc = self._loc[rid]
+        loads = level.loads
+        counts = level.counts
         old_sum = loads.get(loc)
         old_cnt = counts.get(loc)
-        journal.append(("load", level, loc, old_sum, old_cnt))
+        journal.append(("add", rid, raw, old_sum, old_cnt, level.makespan, self._tail))
         loads[loc] = (old_sum if old_sum is not None else 0.0) + self._est[rid]
         counts[loc] = (old_cnt if old_cnt is not None else 0) + 1
-        self._update_level_max(level, journal)
-        journal.append(("lsize", level, self._lsize.get(level, 0)))
-        self._lsize[level] = self._lsize.get(level, 0) + 1
-        if self._has_succ[rid]:
-            journal.append(("lunlock", level, self._lunlock.get(level, 0)))
-            self._lunlock[level] = self._lunlock.get(level, 0) + 1
+        self._update_makespan(level)
+        self._join(level, raw, rid)
 
-    def _update_level_max(self, level: int, journal: List[tuple]) -> None:
-        old = self._lmax.get(level)
-        journal.append(("lmax", level, old))
-        journal.append(("tail", self._tail))
-        loads = self._loads.get(level)
+    def _update_makespan(self, level: _Level) -> None:
+        loads = level.loads
         new = max(loads.values()) if loads else 0.0
-        if loads:
-            self._lmax[level] = new
-        else:
-            self._lmax.pop(level, None)
-        self._tail = self._tail - (old if old is not None else 0.0) + new
+        self._tail = self._tail - level.makespan + new
+        level.makespan = new
 
-    def _remove_ready(self, rid: int, journal: List[tuple]) -> None:
-        pos = self._pos[rid]
-        self._present.remove(pos)
-        if self._has_succ[rid]:
-            self._unlock.remove(pos)
-        cmd = self._cmd[rid]
-        self._counts[cmd] = self._counts.get(cmd, 0) - 1
-        self._ready_count -= 1
-        journal.append(("ready_add", rid))
+    def _join(self, level: _Level, raw: int, rid: int) -> None:
+        level.members.add(rid)
+        level.commands[self._cmd[rid]] += 1
+        level.unlocking += self._has_succ[rid]
+        if level.ordered is not None:
+            insort(level.ordered, level.order[0][rid])
+        self._level[rid] = raw
 
-    def _add_ready(self, rid: int, journal: List[tuple]) -> None:
-        pos = self._pos[rid]
-        self._present.add(pos)
-        if self._has_succ[rid]:
-            self._unlock.add(pos)
-        cmd = self._cmd[rid]
-        self._counts[cmd] = self._counts.get(cmd, 0) + 1
-        self._ready_count += 1
-        journal.append(("ready_del", rid))
-
-    def _toggle_fingerprint(self, rid: int, journal: List[tuple]) -> None:
-        z = self._zobrist.get(rid)
-        if z is None:
-            z = _mix64(rid)
-            self._zobrist[rid] = z
-        self._fingerprint ^= z
-        journal.append(("fp", rid))
+    def _leave(self, level: _Level, rid: int) -> None:
+        level.members.remove(rid)
+        level.commands[self._cmd[rid]] -= 1
+        level.unlocking -= self._has_succ[rid]
+        ordered = level.ordered
+        if ordered is not None:
+            del ordered[bisect_left(ordered, level.order[0][rid])]
+        del self._level[rid]
 
     def _replay_inverse(self, journal: List[tuple]) -> None:
         """Apply a frame's journal in reverse, restoring exact old values."""
         for entry in reversed(journal):
-            kind = entry[0]
-            if kind == "load":
-                _, level, loc, old_sum, old_cnt = entry
-                loads = self._loads.setdefault(level, {})
-                counts = self._lcounts.setdefault(level, {})
-                if old_sum is None:
-                    loads.pop(loc, None)
-                    counts.pop(loc, None)
-                else:
-                    loads[loc] = old_sum
-                    counts[loc] = old_cnt
-            elif kind == "lmax":
-                _, level, old = entry
-                if old is None:
-                    self._lmax.pop(level, None)
-                else:
-                    self._lmax[level] = old
-            elif kind == "tail":
-                self._tail = entry[1]
-            elif kind == "drop_level":
-                _, raw, loads, counts, lmax, lsize, lunlock = entry
-                if loads is not None:
-                    self._loads[raw] = loads
-                if counts is not None:
-                    self._lcounts[raw] = counts
-                if lmax is not None:
-                    self._lmax[raw] = lmax
-                self._lsize[raw] = lsize
-                self._lunlock[raw] = lunlock
-            elif kind == "shift":
-                self._shift = entry[1]
-            elif kind == "lsize":
-                self._lsize[entry[1]] = entry[2]
-            elif kind == "lunlock":
-                self._lunlock[entry[1]] = entry[2]
-            elif kind == "level":
-                self._level[entry[1]] = entry[2]
-            elif kind == "ready_add":
-                rid = entry[1]
-                pos = self._pos[rid]
-                self._present.add(pos)
-                if self._has_succ[rid]:
-                    self._unlock.add(pos)
-                cmd = self._cmd[rid]
-                self._counts[cmd] = self._counts.get(cmd, 0) + 1
-                self._ready_count += 1
-            elif kind == "ready_del":
-                rid = entry[1]
-                pos = self._pos[rid]
-                self._present.remove(pos)
-                if self._has_succ[rid]:
-                    self._unlock.remove(pos)
-                cmd = self._cmd[rid]
-                self._counts[cmd] = self._counts.get(cmd, 0) - 1
-                self._ready_count -= 1
-            elif kind == "fp":
-                self._fingerprint ^= self._zobrist[entry[1]]
-            else:  # pragma: no cover - journal kinds are closed
-                raise AssertionError(f"unknown journal entry {kind!r}")
+            if entry[0] == "drop":
+                _, raw, dropped, self._tail = entry
+                self._levels[raw] = dropped
+                level = self._level
+                for rid in dropped.members:
+                    level[rid] = raw
+                self._shift = raw
+                continue
+            kind, rid, raw, old_sum, old_cnt, makespan, self._tail = entry
+            level = self._levels[raw]
+            level.makespan = makespan
+            loc = self._loc[rid]
+            if old_sum is None:
+                del level.loads[loc]
+                del level.counts[loc]
+            else:
+                level.loads[loc] = old_sum
+                level.counts[loc] = old_cnt
+            if kind == "remove":
+                self._join(level, raw, rid)
+            else:  # "add"
+                self._leave(level, rid)

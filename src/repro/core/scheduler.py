@@ -577,9 +577,10 @@ class PrefixTangoScheduler(BasicTangoScheduler):
 
     Planning is incremental (:class:`~repro.core.planner.TailCostPlanner`):
     one planner lives for the whole schedule, maintaining the
-    greedy-to-completion tail cost, the pattern ordering (Fenwick
-    bitsets), and a frontier-fingerprint plan memo on the long-lived
-    completion cursor, patched in O(out-degree) per issued batch.  The
+    greedy-to-completion tail cost, per-level member sets (the ready set
+    is the frontier level, in pattern order), and a frontier-fingerprint
+    plan memo, patched in O(out-degree) per issued batch and committed
+    to the long-lived completion cursor.  The
     retired recursive planner survives as
     :class:`repro.perf.reference._ReferencePrefixPlanner`, and the
     differential suite pins both to identical decisions and schedules.
@@ -628,28 +629,6 @@ class PrefixTangoScheduler(BasicTangoScheduler):
 
     def _strict_estimate(self) -> Optional[DurationEstimator]:
         return self.estimate
-
-    def _estimate_batch_ms(self, ordered: Sequence[SwitchRequest]) -> float:
-        """Estimated makespan of a batch (per-switch serial, cross parallel)."""
-        per_switch: Dict[str, float] = defaultdict(float)
-        for request in ordered:
-            per_switch[request.location] += self.estimate(request)
-        return max(per_switch.values(), default=0.0)
-
-    def _ready(self, dag: RequestDag, done: frozenset) -> List[SwitchRequest]:
-        """Requests whose dependencies are all in ``done`` (one-shot)."""
-        return dag.ready_after(done)
-
-    def _candidate_cuts(
-        self, dag: RequestDag, ordered: Sequence[SwitchRequest]
-    ) -> List[int]:
-        """Prefix lengths whose completion unlocks new requests."""
-        unlocking = set()
-        for index, request in enumerate(ordered):
-            if dag.successor_ids(request.request_id):
-                unlocking.add(index + 1)
-        cuts = sorted(c for c in unlocking if c < len(ordered))
-        return cuts[: self.max_prefixes]
 
     def _make_planner(self, sim: ReadySimulation) -> TailCostPlanner:
         """An incremental tail-cost planner owning ``sim`` from here on."""

@@ -26,7 +26,8 @@ asserts the results are bit-for-bit identical.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from collections import defaultdict
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.requests import ReadySimulation, RequestDag, SwitchRequest
 from repro.core.scheduler import (
@@ -121,7 +122,7 @@ class _ReferencePrefixPlanner:
     estimates from scratch for every candidate cut.
     """
 
-    def __init__(self, scheduler: "PrefixTangoScheduler") -> None:
+    def __init__(self, scheduler: "ReferencePrefixTangoScheduler") -> None:
         self._scheduler = scheduler
 
     def plan(
@@ -181,6 +182,24 @@ class ReferencePrefixTangoScheduler(PrefixTangoScheduler):
         self, sim: ReadySimulation, depth: int
     ) -> Tuple[float, Optional[int]]:
         return _ReferencePrefixPlanner(self).plan(sim, depth)
+
+    def _estimate_batch_ms(self, ordered: Sequence[SwitchRequest]) -> float:
+        """Estimated makespan of a batch (per-switch serial, cross parallel)."""
+        per_switch: Dict[str, float] = defaultdict(float)
+        for request in ordered:
+            per_switch[request.location] += self.estimate(request)
+        return max(per_switch.values(), default=0.0)
+
+    def _candidate_cuts(
+        self, dag: RequestDag, ordered: Sequence[SwitchRequest]
+    ) -> List[int]:
+        """Prefix lengths whose completion unlocks new requests."""
+        unlocking = set()
+        for index, request in enumerate(ordered):
+            if dag.successor_ids(request.request_id):
+                unlocking.add(index + 1)
+        cuts = sorted(c for c in unlocking if c < len(ordered))
+        return cuts[: self.max_prefixes]
 
     def schedule(self, dag: RequestDag) -> ScheduleResult:
         result = self._begin_schedule(dag)

@@ -193,53 +193,3 @@ def test_partition_names_tier_is_balanced_ascending_and_deterministic():
         "core"
     }
     assert partition_names(names, 3, strategy="tier") == groups
-
-
-def test_cut_dag_splits_local_and_barrier_edges_into_waves():
-    from repro.core.placement import cut_dag
-    from repro.core.requests import RequestDag
-    from repro.openflow.match import IpPrefix, Match
-    from repro.openflow.messages import FlowModCommand
-
-    def match(index):
-        return Match(eth_type=0x0800, ip_dst=IpPrefix(index, 32))
-
-    dag = RequestDag()
-    a = dag.new_request("core-0", FlowModCommand.ADD, match(1), priority=1)
-    b = dag.new_request("core-0", FlowModCommand.ADD, match(2), priority=2)
-    c = dag.new_request("edge-0", FlowModCommand.ADD, match(3), priority=3)
-    d = dag.new_request("edge-0", FlowModCommand.ADD, match(4), priority=4)
-    dag.add_dependency(a, b)  # local: same shard
-    dag.add_dependency(b, c)  # barrier: core shard -> edge shard
-    dag.add_dependency(c, d)  # local again
-    cut = cut_dag(dag, {"core-0": 0, "edge-0": 1})
-    assert cut.shards == 2
-    assert cut.local_edges == (
-        (a.request_id, b.request_id),
-        (c.request_id, d.request_id),
-    )
-    assert cut.barrier_edges == ((b.request_id, c.request_id),)
-    assert cut.barrier_count == 1
-    # Waves: only the barrier edge raises the depth.
-    assert cut.waves[a.request_id] == cut.waves[b.request_id] == 0
-    assert cut.waves[c.request_id] == cut.waves[d.request_id] == 1
-    assert cut.max_wave == 1
-    assert cut.wave_members() == [
-        [a.request_id, b.request_id],
-        [c.request_id, d.request_id],
-    ]
-
-
-def test_cut_dag_rejects_unassigned_locations():
-    from repro.core.placement import cut_dag
-    from repro.core.requests import RequestDag
-    from repro.openflow.match import IpPrefix, Match
-    from repro.openflow.messages import FlowModCommand
-
-    dag = RequestDag()
-    dag.new_request(
-        "mystery", FlowModCommand.ADD,
-        Match(eth_type=0x0800, ip_dst=IpPrefix(1, 32)), priority=1,
-    )
-    with pytest.raises(KeyError, match="no shard assignment"):
-        cut_dag(dag, {"core-0": 0})

@@ -6,13 +6,18 @@ decisions and byte-identical schedules (issue order, per-request
 timings, rounds, pattern choices) -- on random DAGs, under fault
 injection, and with tracing attached.  Estimates are kept dyadic
 (multiples of 0.25) so incremental float sums are bit-exact against the
-reference's from-scratch sums.
+reference's from-scratch sums; one golden test pins a schedule under
+non-dyadic estimates, where the planner's float summation order shows.
 """
 
+import hashlib
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.planner import TailCostPlanner
+from repro.core.priorities import assign_topological_priorities
 from repro.core.requests import RequestDag
 from repro.core.scheduler import PrefixTangoScheduler
 from repro.faults import DisconnectWindow, FaultInjector, FaultPlan
@@ -28,6 +33,7 @@ from repro.perf.workloads import (
     layered_dag,
     unlock_groups_dag,
 )
+from repro.workloads.classbench import classbench_preset
 
 COMMANDS = (FlowModCommand.ADD, FlowModCommand.MODIFY, FlowModCommand.DELETE)
 LOCATIONS = ("a", "b", "c")
@@ -196,6 +202,34 @@ def test_bench_workloads_schedule_byte_identical():
         assert _signature(new) == _signature(ref), build.__name__
 
 
+def test_non_dyadic_estimates_schedule_is_pinned():
+    """Golden schedule with non-dyadic estimates, where float summation
+    order matters: the planner's level/tail updates must keep their
+    exact sequence of float operations.  The pinned values are those of
+    the Fenwick-ordered planner this one replaced."""
+    ruleset = classbench_preset(3)
+    priorities = assign_topological_priorities(ruleset.dependencies)
+    dag = RequestDag()
+    requests = [
+        dag.new_request("sw", FlowModCommand.ADD, rule, priority=priorities[i])
+        for i, rule in enumerate(ruleset.rules)
+    ]
+    for first, then in ruleset.dependencies.edges():
+        dag.add_dependency(requests[first], requests[then], check_cycle=False)
+    dag.validate_acyclic()
+    result = PrefixTangoScheduler(
+        fast_executor("sw"),
+        estimate=lambda request: 0.1 * (1 + request.priority % 7),
+    ).schedule(dag)
+    issue_order = ",".join(str(r.request.request_id) for r in result.records)
+    assert result.makespan_ms == 194.3999999999975
+    assert result.rounds == 85
+    assert result.pattern_choices == ["DEL MOD ASCEND_ADD"] * 85
+    assert hashlib.sha256(issue_order.encode()).hexdigest()[:16] == (
+        "a33bbc8fda9ba269"
+    )
+
+
 def test_planner_restores_cursor_and_reports_stats():
     dag = unlock_groups_dag(60)
     sim = dag.simulation()
@@ -212,6 +246,34 @@ def test_planner_restores_cursor_and_reports_stats():
     stats = planner.stats()
     assert stats["plan_calls"] > 0
     assert stats["memo_misses"] >= 1
+
+
+def test_planner_complete_validates_before_mutating():
+    """A not-ready or duplicated request is rejected with the planner
+    untouched; a valid complete is undone exactly."""
+    dag = unlock_groups_dag(40)
+    planner = TailCostPlanner(
+        dag.simulation(),
+        estimate=_unlock_estimate,
+        patterns=PrefixTangoScheduler(
+            fast_executor("a", "b"), estimate=_unlock_estimate
+        ).oracle.patterns,
+    )
+    ready = [r.request_id for r in planner.head_requests(planner.ready_count)]
+    blocked = next(r.request_id for r in dag.requests if r.request_id not in ready)
+
+    def state():
+        return planner.ready_count, planner.fingerprint, planner.plan(0)
+
+    before = state()
+    for bad in ([ready[1], blocked], [ready[0], ready[0]]):
+        with pytest.raises(ValueError):
+            planner.complete(bad)
+        assert state() == before
+    planner.complete(ready[:1])
+    assert state() != before
+    planner.undo()
+    assert state() == before
 
 
 # -- the falsy-cut regression -------------------------------------------------

@@ -160,6 +160,33 @@ def test_prefix_lookahead_op_growth_is_subquadratic():
     assert large.ops / small.ops < 2.5
 
 
+def test_prefix_planning_never_drives_the_cursor(monkeypatch):
+    """Hypothetical completions stay inside the planner: scheduling the
+    unlock workload never calls the cursor's complete/undo/ready_ids
+    (only commit, once per issued batch)."""
+    from repro.core.requests import ReadySimulation
+    from repro.core.scheduler import PrefixTangoScheduler
+    from repro.perf.workloads import UNLOCK_ESTIMATES, fast_executor, unlock_groups_dag
+
+    calls = {"complete": 0, "undo": 0, "ready_ids": 0, "commit": 0}
+    for name in calls:
+        original = getattr(ReadySimulation, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(ReadySimulation, name, counted)
+    result = PrefixTangoScheduler(
+        fast_executor("a", "b"),
+        estimate=lambda request: UNLOCK_ESTIMATES[request.location],
+        lookahead_depth=2,
+    ).schedule(unlock_groups_dag(1000))
+    assert result.total_requests == 1000
+    assert (calls["complete"], calls["undo"], calls["ready_ids"]) == (0, 0, 0)
+    assert calls["commit"] == result.rounds
+
+
 def test_descending_install_accounting_is_subquadratic():
     """5000 descending-priority adds: the Fenwick tree must do
     O(n log n) accounting work where the sorted list did O(n^2)."""
