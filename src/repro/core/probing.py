@@ -17,7 +17,8 @@ byte-for-byte for a fixed (seed, fault plan) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.retry import RetryGiveUpError, RetryPolicy, TRANSIENT_FAULTS
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
@@ -36,8 +37,13 @@ class ProbeHandle:
 
     index: int
     match: Match
-    packet: PacketFields
+    packet_out: PacketOut
     priority: int
+
+    @property
+    def packet(self) -> PacketFields:
+        """The data packet matching this flow's rule."""
+        return self.packet_out.packet
 
     def flow_mod(self, command: FlowModCommand = FlowModCommand.ADD) -> FlowMod:
         return FlowMod(command=command, match=self.match, priority=self.priority)
@@ -61,6 +67,18 @@ def probe_packet(index: int, base: int = 0x0A00_0000) -> PacketFields:
     """The data packet matching :func:`probe_match` for the same index."""
     address = base + index
     return PacketFields(eth_dst=address, eth_type=0x0800, ip_dst=address)
+
+
+@lru_cache(maxsize=1 << 14)
+def _probe_flow(index: int, kind: MatchKind, base: int) -> Tuple[Match, PacketOut]:
+    """Probe flow ``index``'s match and packet, built once per process.
+
+    Both are frozen and a pure function of the arguments, and every
+    fresh probing engine restarts at index 0.  The bound covers the
+    default 8192-rule size probe, while a long-running prober's growing
+    indices cannot grow the cache.
+    """
+    return probe_match(index, kind, base), PacketOut(packet=probe_packet(index, base))
 
 
 class ProbingEngine:
@@ -191,12 +209,8 @@ class ProbingEngine:
     def new_handle(self, priority: int = 100) -> ProbeHandle:
         index = self._next_index
         self._next_index += 1
-        return ProbeHandle(
-            index=index,
-            match=probe_match(index, self.match_kind, self.address_base),
-            packet=probe_packet(index, self.address_base),
-            priority=priority,
-        )
+        match, packet_out = _probe_flow(index, self.match_kind, self.address_base)
+        return ProbeHandle(index, match, packet_out, priority)
 
     def install_flow(self, handle: ProbeHandle) -> None:
         """Install the probe flow (raises TableFullError when rejected)."""
@@ -237,7 +251,7 @@ class ProbingEngine:
     def send_probe_packet(self, handle: ProbeHandle) -> float:
         """Send one packet matching the handle's rule; returns RTT (ms)."""
         self._m_packets.inc()
-        return self.channel.send_packet_out(PacketOut(packet=handle.packet))
+        return self.channel.send_packet_out(handle.packet_out)
 
     def measure_rtt(self, handle: ProbeHandle, retries: int = 3) -> float:
         """The paper's MEASURE_RTT, with retransmission on probe loss.

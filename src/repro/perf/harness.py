@@ -5,7 +5,7 @@ and, where tractable, a *reference* arm (the retired pre-optimization
 implementation from :mod:`repro.perf.reference`), then
 
 1. asserts both arms produced bit-for-bit identical results (makespan,
-   rounds, pattern choices, shift totals),
+   rounds, pattern choices, issue records),
 2. reports wall time and a deterministic operation count for each arm,
 3. gates on op counts: a case regresses when its optimized op count
    exceeds the checked-in baseline (``benchmarks/perf_baseline.json``)
@@ -14,18 +14,18 @@ implementation from :mod:`repro.perf.reference`), then
 Wall time is reported for humans (``speedup_wall``); the gate never
 looks at it, so CI cannot flake with machine load.  Op counts are exact
 functions of the workload: DAG edge visits + ready yields for the
-schedulers (:class:`repro.core.requests.DagOpCounters`), accounting ops
-for the shift models.  Note the shift case's wall speedup understates
-the asymptotic win: the reference list's O(n) element moves run as one
-C-level ``memmove``, while its op count grows quadratically -- which is
-exactly why the gate uses ops.
+schedulers (:class:`repro.core.requests.DagOpCounters`), list element
+moves for the shift model.
 
 Cases (``n`` is the suite size knob):
 
 * ``chain_schedule``     -- n-request dependency chain, Basic scheduler.
 * ``layered_schedule``   -- n requests in width-50 layers, Basic scheduler.
 * ``descending_shifts``  -- n rule installs at descending priority
-  through the shift model (every add shifts all residents).
+  through the shift model (every add shifts all residents);
+  trajectory-only.  Its ops are the sorted list's element moves,
+  n(n+1)/2: quadratic in count, but each insert is one C-level
+  ``memmove``, which is why this model beat a Fenwick tree on the clock.
 * ``prefix_lookahead``   -- Prefix scheduler (depth 2) on the two-switch
   unlock workload.  The optimized arm is the incremental
   :class:`repro.core.planner.TailCostPlanner`; the reference arm is the
@@ -78,7 +78,6 @@ from repro.perf.reference import (
     PREFIX_REFERENCE_CAP,
     ReferenceBasicTangoScheduler,
     ReferencePrefixTangoScheduler,
-    SortedListShiftModel,
 )
 from repro.perf.workloads import (
     FLEET_BENCH_KNOBS,
@@ -188,16 +187,17 @@ def bench_layered_schedule(n: int, with_reference: bool = True) -> BenchRecord:
 
 
 def bench_descending_shifts(n: int, with_reference: bool = True) -> BenchRecord:
+    del with_reference  # trajectory-only; the shift model has one implementation
     priorities = descending_priorities(n)
 
-    def run_fenwick():
+    def run_shift_model():
         model = PriorityShiftModel()
         total = 0
         for priority in priorities:
             total += model.record_add(priority)
         return model, total
 
-    wall_ms, (model, shifts) = _timed(run_fenwick)
+    wall_ms, (model, shifts) = _timed(run_shift_model)
     record = BenchRecord(
         case="descending_shifts", n=n, wall_ms=wall_ms, ops=model.accounting_ops
     )
@@ -205,18 +205,6 @@ def bench_descending_shifts(n: int, with_reference: bool = True) -> BenchRecord:
     registry.counter("tcam.shift_model_queries").inc(len(priorities))
     registry.counter("tcam.shift_accounting_ops").inc(model.accounting_ops)
     record.detail = {"total_shifts": shifts, "attribution": registry.snapshot()}
-    if with_reference and n <= REFERENCE_CAP:
-
-        def run_sorted_list():
-            reference = SortedListShiftModel()
-            total = 0
-            for priority in priorities:
-                total += reference.record_add(priority)
-            return reference, total
-
-        ref_wall_ms, (reference, ref_shifts) = _timed(run_sorted_list)
-        _with_reference(record, ref_wall_ms, reference.accounting_ops)
-        record.identical = shifts == ref_shifts and len(model) == len(reference)
     return record
 
 

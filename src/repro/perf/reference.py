@@ -19,9 +19,6 @@ asserts the results are bit-for-bit identical.
   :class:`~repro.core.planner.TailCostPlanner` replaced it; the
   differential suite pins both to byte-identical decisions and
   schedules.
-* :class:`SortedListShiftModel` (re-exported from
-  :mod:`repro.tables.tcam`) -- the O(n)-per-op priority-sorted list the
-  Fenwick tree replaced.
 """
 
 from __future__ import annotations
@@ -36,13 +33,11 @@ from repro.core.scheduler import (
     ScheduleResult,
     _count_deadline_misses,
 )
-from repro.tables.tcam import SortedListShiftModel
 
 __all__ = [
     "ReferenceBasicTangoScheduler",
     "ReferencePrefixTangoScheduler",
     "_ReferencePrefixPlanner",
-    "SortedListShiftModel",
 ]
 
 #: The quadratic reference prefix arm is not run beyond this size.
@@ -114,8 +109,7 @@ class ReferenceBasicTangoScheduler(BasicTangoScheduler):
 class _ReferencePrefixPlanner:
     """The retired recursive prefix planner (pre tail-cost-cache).
 
-    Kept verbatim as the differential oracle, mirroring the
-    ``SortedListShiftModel`` pattern: its depth-0 branch batches
+    Kept verbatim as the differential oracle: its depth-0 branch batches
     greedily to completion by *walking the whole remaining DAG* --
     re-deriving and re-sorting every successive ready set -- once per
     plan node, and its depth>0 branch rebuilds per-prefix makespan

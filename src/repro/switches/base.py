@@ -21,7 +21,7 @@ that makes naive probing disturb cache state (Section 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.openflow.actions import ControllerAction
 from repro.openflow.errors import FlowNotFoundError
@@ -37,6 +37,7 @@ from repro.openflow.messages import (
 from repro.sim.clock import VirtualClock
 from repro.sim.latency import LatencyModel
 from repro.sim.rng import SeededRng
+from repro.tables.entry import FlowEntry
 from repro.tables.policies import CachePolicy
 from repro.tables.stack import RankedTableStack, TableLayer
 from repro.tables.tcam import PriorityShiftModel
@@ -274,8 +275,8 @@ class SimulatedSwitch:
         """Finish pending work (the sequential model has none queued)."""
 
     # -- data plane ------------------------------------------------------------
-    def forward_packet_detailed(self, packet: PacketFields) -> "ForwardingResult":
-        """Forward one packet, reporting delay and the applied actions.
+    def _forward(self, packet: PacketFields) -> Tuple[float, Optional[FlowEntry], bool]:
+        """The forwarding core: ``(delay_ms, matched entry or None, punted)``.
 
         Matching a rule updates its use time and traffic count *after* the
         forwarding tier is decided, mirroring real counter updates.
@@ -283,12 +284,7 @@ class SimulatedSwitch:
         entry = self.tables.match_packet(packet)
         if entry is None:
             self.stats.packets_to_controller += 1
-            return ForwardingResult(
-                delay_ms=self.control_path_delay.sample(self.rng),
-                actions=(),
-                matched=False,
-                punted=True,
-            )
+            return self.control_path_delay.sample(self.rng), None, True
         punted = any(isinstance(a, ControllerAction) for a in entry.actions)
         if punted:
             delay = self.control_path_delay.sample(self.rng)
@@ -298,13 +294,18 @@ class SimulatedSwitch:
             delay = self.layer_delays[layer].sample(self.rng)
             self.stats.packets_by_layer[layer] += 1
         self.tables.touch(entry, self.clock.now_ms)
-        return ForwardingResult(
-            delay_ms=delay, actions=entry.actions, matched=True, punted=punted
-        )
+        return delay, entry, punted
+
+    def forward_packet_detailed(self, packet: PacketFields) -> ForwardingResult:
+        """Forward one packet, reporting delay and the applied actions."""
+        delay, entry, punted = self._forward(packet)
+        if entry is None:
+            return ForwardingResult(delay, (), matched=False, punted=True)
+        return ForwardingResult(delay, entry.actions, matched=True, punted=punted)
 
     def forward_packet(self, packet: PacketFields) -> float:
         """Forward one packet; returns the data-path delay in ms."""
-        return self.forward_packet_detailed(packet).delay_ms
+        return self._forward(packet)[0]
 
     def layer_of_match(self, match: Match, priority: Optional[int] = None) -> int:
         """Current layer of the rule with this match (for test assertions)."""

@@ -16,14 +16,14 @@ OVS differs from the hardware switches in two ways the paper measures:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.openflow.actions import ControllerAction
 from repro.openflow.match import PacketFields
 from repro.sim.clock import VirtualClock
 from repro.sim.latency import LatencyModel
 from repro.sim.rng import SeededRng
-from repro.switches.base import ControlCostModel, ForwardingResult, SimulatedSwitch
+from repro.switches.base import ControlCostModel, SimulatedSwitch
+from repro.tables.entry import FlowEntry
 from repro.tables.policies import FIFO
 from repro.tables.stack import TableLayer
 
@@ -85,7 +85,7 @@ class OvsSwitch(SimulatedSwitch):
             packet.tp_dst,
         )
 
-    def forward_packet_detailed(self, packet: PacketFields) -> ForwardingResult:
+    def _forward(self, packet: PacketFields) -> Tuple[float, Optional[FlowEntry], bool]:
         key = self._packet_key(packet)
         entry_id = self._kernel_cache.get(key)
         if entry_id is not None:
@@ -93,48 +93,18 @@ class OvsSwitch(SimulatedSwitch):
             if entry is not None:
                 self.kernel_hits += 1
                 self.tables.touch(entry, self.clock.now_ms)
-                return ForwardingResult(
-                    delay_ms=self.kernel_delay.sample(self.rng),
-                    actions=entry.actions,
-                    matched=True,
-                    punted=False,
-                )
+                return self.kernel_delay.sample(self.rng), entry, False
             # Covering rule was removed; invalidate the stale microflow.
             del self._kernel_cache[key]
-
-        entry = self.tables.match_packet(packet)
-        if entry is None:
-            self.stats.packets_to_controller += 1
-            return ForwardingResult(
-                delay_ms=self.control_path_delay.sample(self.rng),
-                actions=(),
-                matched=False,
-                punted=True,
-            )
-        if any(isinstance(a, ControllerAction) for a in entry.actions):
-            self.stats.packets_to_controller += 1
-            self.tables.touch(entry, self.clock.now_ms)
-            return ForwardingResult(
-                delay_ms=self.control_path_delay.sample(self.rng),
-                actions=entry.actions,
-                matched=True,
-                punted=True,
-            )
-
-        # Slow path: userspace lookup installs a kernel microflow so the
-        # flow's subsequent packets take the fast path (1-to-N mapping).
-        self.stats.packets_by_layer[0] += 1
-        self.tables.touch(entry, self.clock.now_ms)
-        if len(self._kernel_cache) >= self.kernel_capacity:
-            oldest = next(iter(self._kernel_cache))
-            del self._kernel_cache[oldest]
-        self._kernel_cache[key] = entry.entry_id
-        return ForwardingResult(
-            delay_ms=self.layer_delays[0].sample(self.rng),
-            actions=entry.actions,
-            matched=True,
-            punted=False,
-        )
+        delay, entry, punted = super()._forward(packet)
+        if entry is not None and not punted:
+            # Slow path: the userspace lookup installs a kernel microflow
+            # so the flow's later packets take the fast path (1-to-N).
+            if len(self._kernel_cache) >= self.kernel_capacity:
+                oldest = next(iter(self._kernel_cache))
+                del self._kernel_cache[oldest]
+            self._kernel_cache[key] = entry.entry_id
+        return delay, entry, punted
 
     def reset_rules(self) -> None:
         super().reset_rules()

@@ -16,7 +16,8 @@ Install cost (paper Figures 3b/3c): TCAM entries must stay sorted by
 priority, so adding a rule shifts every resident entry of *higher*
 priority.  Adding in ascending priority order appends (no shifts) while
 descending order shifts everything each time -- the asymmetry the Tango
-scheduler exploits.
+scheduler exploits.  :class:`PriorityShiftModel` does the accounting
+with a priority-sorted list.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass
-from typing import Dict
+from typing import List
 
 from repro.openflow.match import MatchKind
 
@@ -74,72 +75,6 @@ class TcamGeometry:
         return int(self.slot_units // self.entry_cost(kind))
 
 
-class _SparseFenwick:
-    """A sparse binary indexed tree counting non-negative integer keys.
-
-    Coordinates are 1-based.  The universe is a power of two that doubles
-    (with an O(distinct * log U) rebuild) when a larger key arrives, so
-    the per-operation cost is O(log max_key) while memory stays
-    O(distinct * log U) -- the tree never materialises the full universe.
-    """
-
-    __slots__ = ("size", "total", "ops", "_tree", "_counts")
-
-    def __init__(self) -> None:
-        self.size = 1  # universe size (power of two); valid coords 1..size
-        self.total = 0
-        self.ops = 0  # tree nodes touched; the bench's work metric
-        self._tree: Dict[int, int] = {}
-        self._counts: Dict[int, int] = {}  # coord -> multiplicity
-
-    def _grow(self, coord: int) -> None:
-        size = self.size
-        while coord > size:
-            size <<= 1
-        self.size = size
-        self._tree = {}
-        for existing, count in self._counts.items():
-            self._walk_add(existing, count)
-
-    def _walk_add(self, coord: int, delta: int) -> None:
-        tree = self._tree
-        size = self.size
-        while coord <= size:
-            self.ops += 1
-            tree[coord] = tree.get(coord, 0) + delta
-            coord += coord & -coord
-
-    def add(self, coord: int, delta: int) -> None:
-        if coord > self.size:
-            self._grow(coord)
-        count = self._counts.get(coord, 0) + delta
-        if count < 0:
-            raise ValueError(f"count for coordinate {coord} would go negative")
-        if count:
-            self._counts[coord] = count
-        else:
-            self._counts.pop(coord, None)
-        self.total += delta
-        self._walk_add(coord, delta)
-
-    def count_le(self, coord: int) -> int:
-        """Number of stored keys with coordinate <= ``coord``."""
-        if coord >= self.size:
-            return self.total
-        if coord <= 0:
-            return 0
-        tree = self._tree
-        acc = 0
-        while coord > 0:
-            self.ops += 1
-            acc += tree.get(coord, 0)
-            coord -= coord & -coord
-        return acc
-
-    def count_of(self, coord: int) -> int:
-        return self._counts.get(coord, 0)
-
-
 class PriorityShiftModel:
     """Counts how many TCAM entries an add must shift.
 
@@ -151,83 +86,49 @@ class PriorityShiftModel:
     installed rules (consistent with the superlinear growth through
     5000 rules in paper Figure 3c).
 
-    Accounting is a Fenwick tree over the (compressed, sparse) priority
-    space: ``shifts_for_add`` / ``record_add`` / ``record_delete`` are
-    all O(log max_priority) instead of the O(n) list insert the model
-    originally performed per flow_mod.  Shift counts are bit-for-bit
-    identical to :class:`SortedListShiftModel`, the retired
-    implementation kept below for differential tests and ``tango-bench``
-    comparisons.
+    Accounting is a priority-sorted Python list: ``shifts_for_add`` is a
+    bisect, ``record_add`` / ``record_delete`` a bisect plus one list
+    insert/delete.  The insert is O(n) element moves, but they run as one
+    C-level ``memmove``; at every real TCAM size that beats an O(log n)
+    tree walked in Python.  :attr:`accounting_ops` reports those element
+    moves.
     """
 
     def __init__(self) -> None:
-        self._fenwick = _SparseFenwick()
-
-    def __len__(self) -> int:
-        return self._fenwick.total
-
-    @property
-    def accounting_ops(self) -> int:
-        """Work units (tree nodes touched) spent on shift accounting."""
-        return self._fenwick.ops
-
-    def shifts_for_add(self, priority: int) -> int:
-        """Entries that would shift if a rule at ``priority`` is added."""
-        if priority < 0:
-            raise ValueError(f"priority must be non-negative, got {priority}")
-        fenwick = self._fenwick
-        return fenwick.total - fenwick.count_le(priority + 1)
-
-    def record_add(self, priority: int) -> int:
-        """Record the add and return the number of shifted entries."""
-        shifted = self.shifts_for_add(priority)
-        self._fenwick.add(priority + 1, 1)
-        return shifted
-
-    def record_delete(self, priority: int) -> None:
-        if priority < 0 or self._fenwick.count_of(priority + 1) == 0:
-            raise ValueError(f"priority {priority} not present")
-        self._fenwick.add(priority + 1, -1)
-
-    def clear(self) -> None:
-        self._fenwick = _SparseFenwick()
-
-
-class SortedListShiftModel:
-    """The pre-Fenwick shift model: a priority-sorted Python list.
-
-    Kept as the differential-testing oracle and the ``tango-bench``
-    reference arm: every operation must return exactly the same shift
-    counts as :class:`PriorityShiftModel`, while ``record_add`` /
-    ``record_delete`` pay an O(n) list insert/delete whose element moves
-    are reported in :attr:`accounting_ops`.
-    """
-
-    def __init__(self) -> None:
-        self._priorities: list = []
-        self.accounting_ops = 0  # elements shifted by list inserts/deletes
+        self._priorities: List[int] = []
+        self.accounting_ops = 0  # elements moved by list inserts/deletes
 
     def __len__(self) -> int:
         return len(self._priorities)
 
     def shifts_for_add(self, priority: int) -> int:
         """Entries that would shift if a rule at ``priority`` is added."""
+        if priority < 0:
+            raise ValueError(f"priority must be non-negative, got {priority}")
         return len(self._priorities) - bisect.bisect_right(self._priorities, priority)
 
     def record_add(self, priority: int) -> int:
         """Insert the priority and return the number of shifted entries."""
-        index = bisect.bisect_right(self._priorities, priority)
-        shifted = len(self._priorities) - index
-        self._priorities.insert(index, priority)
+        shifted = self.shifts_for_add(priority)
+        self._priorities.insert(len(self._priorities) - shifted, priority)
         self.accounting_ops += shifted + 1
         return shifted
 
     def record_delete(self, priority: int) -> None:
-        index = bisect.bisect_left(self._priorities, priority)
-        if index >= len(self._priorities) or self._priorities[index] != priority:
+        priorities = self._priorities
+        index = bisect.bisect_left(priorities, priority)
+        if index >= len(priorities) or priorities[index] != priority:
             raise ValueError(f"priority {priority} not present")
-        self.accounting_ops += len(self._priorities) - index
-        del self._priorities[index]
+        self.accounting_ops += len(priorities) - index
+        del priorities[index]
 
     def clear(self) -> None:
         self._priorities.clear()
+
+
+class SortedListShiftModel(PriorityShiftModel):
+    """The sorted-list model's former name, kept importable.
+
+    A subclass rather than an alias, so code that instruments both
+    names wraps each method once.
+    """

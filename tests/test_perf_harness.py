@@ -75,10 +75,9 @@ def test_chain_case_verifies_equivalence_and_speedup():
 def test_shift_case_counts_quadratic_reference_work():
     n = 200
     record = _shifts_case(n)
-    assert record.identical is True
     assert record.detail["total_shifts"] == n * (n - 1) // 2
-    assert record.ref_ops == n * (n + 1) // 2  # list element moves
-    assert record.speedup_ops > 1.0
+    assert record.ops == n * (n + 1) // 2  # list element moves
+    assert record.ref_ops is None and record.identical is None  # one model
 
 
 def test_lookahead_case_verifies_reference_identity():
@@ -273,7 +272,7 @@ def test_shift_wall_time_note_is_honest():
     record carries both metrics separately."""
     record = _shifts_case(100)
     assert record.wall_ms >= 0.0
-    assert record.speedup_ops is not None
+    assert record.ops == 100 * 101 // 2
     with pytest.raises(AttributeError):
         record.speedup  # no ambiguous single "speedup" field
 
