@@ -201,9 +201,24 @@ class SwitchInferenceEngine:
         self._build_count = 0
         #: Every probing engine built so far (one per probe stage round);
         #: the fleet driver reads these to charge virtual time and ops.
+        #: Finished ones hold no rules: see :meth:`_retire_probe`.
         self.probe_engines: List[ProbingEngine] = []
 
+    def _retire_probe(self) -> None:
+        """Drop the newest probe switch's rules once its measurement is over.
+
+        A finished probe engine keeps its clock, counters, switch stats
+        and channel history -- everything the accounting reads -- but
+        not its flow table or probe handles, so inference holds one
+        live probe switch rather than every one it ever built.
+        """
+        if self.probe_engines:
+            engine = self.probe_engines[-1]
+            engine.channel.switch.reset_rules()
+            engine.flows.clear()
+
     def _fresh_engine(self) -> ProbingEngine:
+        self._retire_probe()
         self._build_count += 1
         switch = self.profile.build(seed=self.seed + self._build_count)
         channel = ControlChannel(switch)
@@ -249,11 +264,17 @@ class SwitchInferenceEngine:
             max_rules=self.size_probe_max_rules,
             accuracy_target=self.size_accuracy_target,
         )
-        return prober.probe()
+        try:
+            return prober.probe()
+        finally:
+            self._retire_probe()
 
     def infer_policy(self, cache_size: int) -> PolicyProbeResult:
         prober = PolicyProber(self._fresh_engine(), cache_size=cache_size)
-        return prober.probe()
+        try:
+            return prober.probe()
+        finally:
+            self._retire_probe()
 
     def infer_latency_curves(
         self,
@@ -263,10 +284,17 @@ class SwitchInferenceEngine:
             batch_sizes=self.latency_batch_sizes,
             scores=self.scores,
         )
-        return prober.probe()
+        try:
+            return prober.probe()
+        finally:
+            self._retire_probe()
 
     def infer_behavior(self) -> BehaviorProbeResult:
-        return BehaviorProber(self._fresh_engine()).probe()
+        prober = BehaviorProber(self._fresh_engine())
+        try:
+            return prober.probe()
+        finally:
+            self._retire_probe()
 
     # -- full inference ------------------------------------------------------------
     def infer_steps(

@@ -71,13 +71,12 @@ class RewritePattern:
         return self.score(counts)
 
 
-def _command_rank(command: FlowModCommand) -> int:
-    """DEL before MOD before ADD, as in the paper's pattern examples."""
-    return {
-        FlowModCommand.DELETE: 0,
-        FlowModCommand.MODIFY: 1,
-        FlowModCommand.ADD: 2,
-    }[command]
+#: DEL before MOD before ADD, as in the paper's pattern examples.
+_COMMAND_RANK = {
+    FlowModCommand.DELETE: 0,
+    FlowModCommand.MODIFY: 1,
+    FlowModCommand.ADD: 2,
+}
 
 
 def make_del_mod_add_pattern(
@@ -104,7 +103,7 @@ def make_del_mod_add_pattern(
     direction = 1 if ascending_adds else -1
 
     def order_key(command: FlowModCommand, priority: int) -> Tuple:
-        return (_command_rank(command), direction * priority)
+        return (_COMMAND_RANK[command], direction * priority)
 
     return RewritePattern(
         name=name,
@@ -137,7 +136,7 @@ def make_type_only_pattern(
         return -(del_weight * dels + mod_weight * mods + add_weight * adds * adds)
 
     def order_key(command: FlowModCommand, priority: int) -> Tuple:
-        return (_command_rank(command),)
+        return (_COMMAND_RANK[command],)
 
     return RewritePattern(
         name=name,
