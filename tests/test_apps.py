@@ -1,5 +1,7 @@
 """Tests for the controller applications layer."""
 
+import hashlib
+
 import pytest
 
 from repro.apps import AclApplication, RouteRequest, RoutingApplication, StaticFlowPusher
@@ -15,7 +17,7 @@ from repro.openflow.actions import DropAction, OutputAction
 from repro.openflow.match import IpPrefix, Match
 from repro.openflow.messages import FlowModCommand
 from repro.switches.profiles import OVS_PROFILE
-from repro.workloads.classbench import ClassbenchLikeGenerator
+from repro.workloads.classbench import ClassbenchLikeGenerator, classbench_preset
 from repro.workloads.dependencies import build_dependency_graph
 
 
@@ -129,6 +131,17 @@ def test_acl_compiles_and_schedules_classbench():
     result = BasicTangoScheduler(network.executor()).schedule(dag)
     assert result.total_requests == 80
     assert network.switches["sw"].num_flows == 80
+
+
+def test_acl_compile_classbench1_golden():
+    """Priorities and install-DAG edges of ClassBench 1, pinned from the
+    all-pairs overlap scan (order included)."""
+    dag, requests = AclApplication("sw").compile(classbench_preset(1).rules)
+    priorities = [requests[i].priority for i in sorted(requests)]
+    edges = dag.edge_ids()
+    assert len(edges) == 3294
+    digest = hashlib.sha256(repr((priorities, edges)).encode()).hexdigest()
+    assert digest == "ebdf46e22f2e398577be5e51a46fdab244d791d755450b30dbffca1156af9171"
 
 
 def _single_node_topology(name):

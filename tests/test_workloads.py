@@ -1,5 +1,7 @@
 """Tests for the ClassBench-like workload generator (Table 2)."""
 
+import hashlib
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +89,24 @@ def test_presets_match_table2(index):
     assert distinct_priority_count(r) == expected_rules
     assert check_priorities(ruleset.dependencies, topo) == []
     assert check_priorities(ruleset.dependencies, r) == []
+
+
+#: sha256 of ``repr(list(classbench_preset(i).dependencies.edges()))``,
+#: taken from the all-pairs overlap scan: the overlap index must reproduce
+#: every edge in the same insertion order.
+PRESET_EDGE_DIGESTS = {
+    1: (3294, "2e640f11c6bce3358bf6eff794f905b7df0cf262ddfca782a35c265a1d0eb5cc"),
+    2: (2325, "c2c8edab29364ee124a79f57055d16420404f1cceda6c06396e1447314f3e29b"),
+    3: (1990, "adfd3e8f39fc2288341efdcdc0d06e255373c3a9b21feb6171495b23067db50b"),
+}
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_preset_dependency_edges_golden(index):
+    edges = list(classbench_preset(index).dependencies.edges())
+    count, digest = PRESET_EDGE_DIGESTS[index]
+    assert len(edges) == count
+    assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
 
 
 def test_preset_index_validated():
