@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import DiagnosticReport, Severity
-from repro.openflow.match import Match
+from repro.openflow.match import Match, overlapping_pairs
 from repro.openflow.messages import FlowMod, FlowModCommand
 
 #: A rule already resident on the switch: (match, priority).
@@ -55,7 +55,7 @@ def check_rules(
         report: optional report to append to (a fresh one is created
             otherwise).
         location: switch name recorded on every diagnostic.
-        pairwise_limit: above this many ADDs the O(n^2) pairwise checks
+        pairwise_limit: above this many ADDs the pairwise checks
             (TNG001-TNG003) are skipped; TNG004 still runs.
 
     Returns:
@@ -78,46 +78,46 @@ def check_rules(
 def _check_pairwise(
     adds: Sequence[Tuple[int, FlowMod]], report: DiagnosticReport, location: str
 ) -> None:
-    for a_pos, (a_index, a) in enumerate(adds):
-        for b_index, b in adds[a_pos + 1 :]:
-            same_match = a.match.key() == b.match.key()
-            if same_match and a.priority == b.priority:
-                if a.actions != b.actions:
-                    report.add(
-                        "TNG001",
-                        Severity.ERROR,
-                        f"ADD #{b_index} duplicates ADD #{a_index} "
-                        f"(match {a.match.key()}, priority {a.priority}) "
-                        "with different actions",
-                        location=location,
-                        hint="drop one rule or give them distinct priorities",
-                    )
-                continue
-            if not a.match.overlaps(b.match):
-                continue
-            high, low = (a, b) if a.priority > b.priority else (b, a)
-            high_index, low_index = (
-                (a_index, b_index) if a.priority > b.priority else (b_index, a_index)
-            )
-            if high.priority != low.priority and high.match.covers(low.match):
+    # Only overlapping pairs can be findings; identical matches always
+    # overlap, so duplicates are among them.
+    for a_pos, b_pos in overlapping_pairs([fm.match for _, fm in adds]):
+        a_index, a = adds[a_pos]
+        b_index, b = adds[b_pos]
+        if a.match.key() == b.match.key() and a.priority == b.priority:
+            if a.actions != b.actions:
                 report.add(
-                    "TNG002",
+                    "TNG001",
                     Severity.ERROR,
-                    f"ADD #{low_index} (priority {low.priority}) is fully "
-                    f"shadowed by ADD #{high_index} (priority {high.priority})",
+                    f"ADD #{b_index} duplicates ADD #{a_index} "
+                    f"(match {a.match.key()}, priority {a.priority}) "
+                    "with different actions",
                     location=location,
-                    hint="remove the dead rule or raise its priority above "
-                    "the covering rule",
+                    hint="drop one rule or give them distinct priorities",
                 )
-            elif a.priority == b.priority and a.actions != b.actions:
-                report.add(
-                    "TNG003",
-                    Severity.WARNING,
-                    f"ADD #{a_index} and ADD #{b_index} overlap at equal "
-                    f"priority {a.priority} with different actions",
-                    location=location,
-                    hint="separate the priorities so the intended rule wins",
-                )
+            continue
+        high, low = (a, b) if a.priority > b.priority else (b, a)
+        high_index, low_index = (
+            (a_index, b_index) if a.priority > b.priority else (b_index, a_index)
+        )
+        if high.priority != low.priority and high.match.covers(low.match):
+            report.add(
+                "TNG002",
+                Severity.ERROR,
+                f"ADD #{low_index} (priority {low.priority}) is fully "
+                f"shadowed by ADD #{high_index} (priority {high.priority})",
+                location=location,
+                hint="remove the dead rule or raise its priority above "
+                "the covering rule",
+            )
+        elif a.priority == b.priority and a.actions != b.actions:
+            report.add(
+                "TNG003",
+                Severity.WARNING,
+                f"ADD #{a_index} and ADD #{b_index} overlap at equal "
+                f"priority {a.priority} with different actions",
+                location=location,
+                hint="separate the priorities so the intended rule wins",
+            )
 
 
 def _check_dangling(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.openflow.match import Match
+from repro.openflow.match import Match, OverlapIndex
 
 
 @dataclass
@@ -45,16 +45,20 @@ def minimize_acl(rules: Sequence[Match]) -> MinimizationResult:
         The surviving rules (in original order) plus bookkeeping about
         what was removed and why.
     """
+    # A covering rule overlaps what it covers, so the kept rules that are
+    # overlap candidates of a rule are the only ones to test.
+    kept_index = OverlapIndex(rules)
     kept: List[int] = []
     removed: List[int] = []
     shadowed_by = {}
     for index, rule in enumerate(rules):
         shadow: Optional[int] = None
-        for earlier in kept:
+        for earlier in kept_index.candidates(index):
             if rules[earlier].covers(rule):
                 shadow = earlier
                 break
         if shadow is None:
+            kept_index.add(index)
             kept.append(index)
         else:
             removed.append(index)

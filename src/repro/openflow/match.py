@@ -8,13 +8,15 @@ addresses, EtherType) and L3 fields (IPv4 prefixes, protocol); its
 
 Matches also support overlap and subsumption tests, which the ClassBench
 workload generator uses to build rule dependency DAGs.
+:class:`OverlapIndex` and :func:`overlapping_pairs` find the overlapping
+pairs of a rule list without comparing every pair.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class MatchKind(enum.Enum):
@@ -203,6 +205,80 @@ class Match:
             self.tp_src,
             self.tp_dst,
         )
+
+
+#: Exact-match fields :class:`OverlapIndex` may bucket on, in tie-break
+#: order.
+_BUCKET_FIELDS = ("eth_src", "eth_dst", "eth_type", "ip_proto", "tp_src", "tp_dst")
+
+
+def _bucket_field(matches: Sequence[Match]) -> str:
+    """The exact field with the most distinct non-wildcard values (the
+    first such field on a tie)."""
+
+    def distinct_values(name: str) -> int:
+        values = dict.fromkeys(getattr(m, name) for m in matches)
+        values.pop(None, None)
+        return len(values)
+
+    return max(_BUCKET_FIELDS, key=distinct_values)
+
+
+class OverlapIndex:
+    """Files rules of one list by an exact-match field, to list the filed
+    rules that may overlap another rule of that list.
+
+    The field is the one of ``eth_src``, ``eth_dst``, ``eth_type``,
+    ``ip_proto``, ``tp_src``, ``tp_dst`` with the most distinct values in
+    ``matches``.  Rules holding different values there cannot overlap, so
+    a rule's candidates are the filed rules sharing its value or
+    wildcarding the field; a rule wildcarding it has every filed rule as
+    a candidate.  No candidate is tested here: callers apply
+    :meth:`Match.overlaps` (or :meth:`Match.covers`, which implies it).
+    """
+
+    def __init__(self, matches: Sequence[Match]) -> None:
+        self._matches = matches
+        self._field = _bucket_field(matches)
+        self._filed: List[int] = []
+        self._buckets: Dict[object, List[int]] = {}
+        self._wildcards: List[int] = []
+
+    def add(self, index: int) -> None:
+        """File ``matches[index]``; indices are filed in ascending order."""
+        value = getattr(self._matches[index], self._field)
+        self._filed.append(index)
+        if value is None:
+            self._wildcards.append(index)
+        else:
+            self._buckets.setdefault(value, []).append(index)
+
+    def candidates(self, index: int) -> List[int]:
+        """Filed indices, ascending, whose rules may overlap ``matches[index]``."""
+        value = getattr(self._matches[index], self._field)
+        if value is None:
+            return list(self._filed)
+        bucket = self._buckets.get(value, [])
+        return sorted(bucket + self._wildcards) if self._wildcards else list(bucket)
+
+
+def overlapping_pairs(matches: Sequence[Match]) -> List[Tuple[int, int]]:
+    """Every ``(i, j)`` with ``i < j`` and ``matches[i].overlaps(matches[j])``,
+    in lexicographic order.
+
+    Each rule is tested only against its :class:`OverlapIndex` candidates
+    among the earlier rules, so the pairs are exactly those of the
+    all-pairs scan at a cost of one overlap test per candidate.
+    """
+    index = OverlapIndex(matches)
+    pairs: List[Tuple[int, int]] = []
+    for j, later in enumerate(matches):
+        for i in index.candidates(j):
+            if matches[i].overlaps(later):
+                pairs.append((i, j))
+        index.add(j)
+    pairs.sort()
+    return pairs
 
 
 @dataclass(frozen=True)

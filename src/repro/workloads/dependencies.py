@@ -12,7 +12,7 @@ from typing import Sequence
 
 import networkx as nx
 
-from repro.openflow.match import Match
+from repro.openflow.match import Match, overlapping_pairs
 
 
 def build_dependency_graph(rules: Sequence[Match]) -> nx.DiGraph:
@@ -23,21 +23,13 @@ def build_dependency_graph(rules: Sequence[Match]) -> nx.DiGraph:
     rule ``i`` must receive the higher priority.
 
     The graph is acyclic by construction (edges always point from lower
-    to higher index).
+    to higher index).  Edges come from :func:`overlapping_pairs`, so only
+    rules sharing a bucket value (or wildcarding it) are compared.
     """
     graph = nx.DiGraph()
     graph.add_nodes_from(range(len(rules)))
-    for i in range(len(rules)):
-        rule_i = rules[i]
-        for j in range(i + 1, len(rules)):
-            if rule_i.overlaps(rules[j]):
-                graph.add_edge(i, j)
+    graph.add_edges_from(overlapping_pairs(rules))
     return graph
-
-
-def transitive_reduction_size(graph: nx.DiGraph) -> int:
-    """Edge count of the transitive reduction (the essential constraints)."""
-    return nx.transitive_reduction(graph).number_of_edges()
 
 
 def dag_depth(graph: nx.DiGraph) -> int:

@@ -1,7 +1,7 @@
 """Tests for ACL shadowed-rule elimination."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps import AclApplication
 from repro.apps.minimize import minimize_acl
@@ -67,29 +67,70 @@ def test_port_wildcard_shadows_port_specific():
     assert result.rules == [wide]
 
 
-@settings(max_examples=40, deadline=None)
+def _reference_minimize(rules):
+    """The all-pairs loop ``minimize_acl`` replaced: every kept rule is
+    tried as a cover, earliest first."""
+    kept, removed, shadowed_by = [], [], {}
+    for index, rule in enumerate(rules):
+        shadow = next((k for k in kept if rules[k].covers(rule)), None)
+        if shadow is None:
+            kept.append(index)
+        else:
+            removed.append(index)
+            shadowed_by[index] = shadow
+    return kept, removed, shadowed_by
+
+
+# Exact fields are a wildcard or one of two values, so the overlap index's
+# bucket field is sometimes wildcarded and sometimes tied with another.
+_ETH_SRC = st.one_of(st.none(), st.sampled_from([1, 2]))
+_TP_DST = st.one_of(st.none(), st.sampled_from([80, 443]))
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=3),  # /8 block
             st.integers(min_value=8, max_value=32),
+            _ETH_SRC,
+            _TP_DST,
         ),
         max_size=25,
     )
 )
+# Rule 2 is covered by a wildcard-eth_src rule and by a later rule in its
+# own eth_src bucket: the earlier one must be reported.
+@example([(0, 16, None, None), (0, 8, 1, None), (0, 24, 1, None)])
 def test_minimisation_preserves_first_match_semantics(specs):
     """Property: for any probe packet, the first matching rule index maps
-    to the same *kept* rule before and after minimisation."""
+    to the same *kept* rule before and after minimisation; and the result
+    equals the all-pairs reference loop's."""
     def masked(value, length):
         mask = 0 if length == 0 else (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
         return value & mask
 
     rules = [
-        _rule(masked((block << 24) | 0x10000, length), length)
-        for block, length in specs
+        Match(
+            eth_src=eth_src,
+            eth_type=0x0800,
+            ip_dst=IpPrefix(masked((block << 24) | 0x10000, length), length),
+            tp_dst=port,
+        )
+        for block, length, eth_src, port in specs
     ]
     result = minimize_acl(rules)
-    probes = [PacketFields(ip_dst=(block << 24) | 0x10000) for block in range(4)]
+    assert (
+        result.kept_indices,
+        result.removed_indices,
+        result.shadowed_by,
+    ) == _reference_minimize(rules)
+    probes = [
+        PacketFields(eth_src=eth_src, ip_dst=(block << 24) | 0x10000, tp_dst=port)
+        for block in range(4)
+        for eth_src in (1, 2, 3)
+        for port in (80, 443, 22)
+    ]
     for packet in probes:
         first_original = next(
             (i for i, rule in enumerate(rules) if rule.matches_packet(packet)), None

@@ -19,6 +19,7 @@ from repro.switches.profiles import SWITCH_1
 from repro.tables.policies import FIFO, CachePolicy
 from repro.tables.stack import TableLayer
 from repro.tables.tcam import PriorityShiftModel
+from repro.workloads.classbench import classbench_preset
 
 
 def _fast_switch(name="sw"):
@@ -241,3 +242,19 @@ def test_remove_costs_no_score_calls(monkeypatch):
         switch.apply_flow_mod(FlowMod(FlowModCommand.DELETE, _match(i)))
     assert calls[0] == 0
     assert switch.num_flows == 2048
+
+
+def test_classbench_dag_overlap_tests_scale_with_rules(monkeypatch):
+    """Building ClassBench 2's dependency DAG may test only overlap-index
+    candidates: at most 10 overlap tests per rule, where comparing every
+    pair made 488,566."""
+    calls = [0]
+    original = Match.overlaps
+
+    def counting(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Match, "overlaps", counting)
+    ruleset = classbench_preset(2)
+    assert calls[0] <= 10 * len(ruleset.rules)
