@@ -83,9 +83,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 from repro.analysis.diagnostics import DiagnosticReport, Severity
 
 #: Module paths (relative, forward-slash) exempt from a given rule.
-#: ``perf/`` measures *host* wall time by design (tango-bench reports
-#: it for humans; its regression gate uses deterministic op counts).
-WALL_CLOCK_ALLOWED = ("sim/", "perf/")
+WALL_CLOCK_ALLOWED = ("sim/",)
 RANDOM_ALLOWED = ("sim/rng.py",)
 
 #: Module paths where TNG041 (module-level mutable state) applies: the

@@ -52,7 +52,7 @@ then exact.  With arbitrary floats the prefix-cut costs are still exact
 sums could differ in the last ulp from a fresh summation, which can
 flip a tie between near-equal plans.  The differential suite
 (``tests/test_prefix_planner_differential.py``) pins the equivalence
-against :class:`repro.perf.reference._ReferencePrefixPlanner`.
+against the retired planner, kept there as ``_ReferencePrefixPlanner``.
 
 Float-order invariant: level loads and the tail change only through
 per-request level moves (``_remove_from_level``/``_add_to_level``, in

@@ -581,9 +581,9 @@ class PrefixTangoScheduler(BasicTangoScheduler):
     is the frontier level, in pattern order), and a frontier-fingerprint
     plan memo, patched in O(out-degree) per issued batch and committed
     to the long-lived completion cursor.  The
-    retired recursive planner survives as
-    :class:`repro.perf.reference._ReferencePrefixPlanner`, and the
-    differential suite pins both to identical decisions and schedules.
+    retired recursive planner survives as the reference planner in
+    ``tests/test_prefix_planner_differential.py``, which pins both to
+    identical decisions and schedules.
 
     After :meth:`schedule` returns, ``last_planner`` exposes the run's
     planner (memo/pruning/rebuild counters) for bench trajectories.

@@ -1,16 +1,11 @@
-"""Micro-benchmark harness for the scheduler/TCAM hot paths.
+"""Deterministic op-count gate for the scheduler/TCAM hot paths.
 
-``tango-bench`` (also ``tango-probe bench``) times the code paths this
-reproduction leans on at scale -- incremental DAG scheduling, Fenwick
-shift accounting, prefix lookahead -- against the retired
-pre-optimization implementations, verifies that both arms produce
-bit-for-bit identical results, and gates CI on deterministic operation
-counts (see :mod:`repro.perf.harness`).
-
-This is the one package (besides the simulation substrate ``sim/``)
-allowed to read the host wall clock: measured wall time is reported for
-humans, while the regression gate uses op counters so it cannot flake
-with machine load.
+``tango-bench`` runs the code paths this reproduction leans on at scale
+-- incremental DAG scheduling, shift accounting, prefix lookahead,
+fleet inference, serving -- counts each one's deterministic operations,
+and gates CI on them against ``benchmarks/perf_baseline.json`` (see
+:mod:`repro.perf.harness`).  Nothing here reads the host clock; wall
+time is measured by ``tangobench/``.
 """
 
 from repro.perf.harness import (

@@ -1,9 +1,8 @@
 """The ``tango-bench`` command-line tool.
 
 Runs the hot-path micro-benchmark suite (:mod:`repro.perf.harness`),
-prints a speedup table, writes ``BENCH_scheduler.json``, and exits 1 on
-an op-count regression against ``benchmarks/perf_baseline.json`` or on
-any optimized-vs-reference result mismatch.
+prints an op-count table, writes ``BENCH_scheduler.json``, and exits 1
+on an op-count regression against ``benchmarks/perf_baseline.json``.
 
 Usage::
 
@@ -11,9 +10,6 @@ Usage::
     tango-bench --quick              # CI smoke: 1k only
     tango-bench --update-baseline    # refresh the checked-in op counts
     python -m repro.perf.cli --quick --output BENCH_scheduler.json
-
-Also mounted as ``tango-probe bench`` alongside the other operator
-subcommands.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from typing import List, Optional
 from repro.perf.harness import (
     CASE_NAMES,
     baseline_from_records,
-    collect_fleet_scaling,
     compare_to_baseline,
     records_to_report,
     run_suite,
@@ -37,7 +32,11 @@ DEFAULT_BASELINE = Path("benchmarks") / "perf_baseline.json"
 DEFAULT_OUTPUT = "BENCH_scheduler.json"
 
 
-def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tango-bench",
+        description="Count and gate the ops of the scheduler/TCAM hot paths.",
+    )
     parser.add_argument(
         "--quick",
         action="store_true",
@@ -67,11 +66,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         help="write this run's op counts to the baseline and exit 0",
     )
     parser.add_argument(
-        "--no-reference",
-        action="store_true",
-        help="skip the slow pre-optimization reference arms",
-    )
-    parser.add_argument(
         "--cases",
         nargs="+",
         default=None,
@@ -79,63 +73,19 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="CASE",
         help=f"run only these cases (default: all of {sorted(CASE_NAMES)})",
     )
-    parser.add_argument(
-        "--fleet-scaling",
-        default=None,
-        metavar="PATH",
-        help=(
-            "also run the ungated sharded-fleet wall-clock scaling block "
-            "(1024 members over worker processes by default) and write it "
-            "to PATH, e.g. BENCH_fleet_scaling.json"
-        ),
-    )
-    parser.add_argument(
-        "--fleet-scaling-members",
-        type=int,
-        default=1024,
-        metavar="N",
-        help="fleet size of the --fleet-scaling run (default: 1024)",
-    )
-    parser.add_argument(
-        "--fleet-scaling-shards",
-        type=int,
-        nargs="+",
-        default=(1, 2, 4),
-        metavar="S",
-        help="shard counts of the --fleet-scaling run (default: 1 2 4)",
-    )
-
-
-def _fmt_speedup(value) -> str:
-    return f"{value:8.1f}x" if value is not None else "       --"
+    return parser
 
 
 def _print_table(records, out) -> None:
-    header = (
-        f"{'case':<20} {'n':>6} {'wall_ms':>10} {'ops':>12} "
-        f"{'ref_wall':>10} {'ref_ops':>12} {'x_wall':>9} {'x_ops':>9}  same"
-    )
+    header = f"{'case':<20} {'n':>6} {'ops':>12}"
     print(header, file=out)
     print("-" * len(header), file=out)
     for r in records:
-        ref_wall = f"{r.ref_wall_ms:10.1f}" if r.ref_wall_ms is not None else "        --"
-        ref_ops = f"{r.ref_ops:12d}" if r.ref_ops is not None else "          --"
-        same = {True: "yes", False: "NO", None: "--"}[r.identical]
-        print(
-            f"{r.case:<20} {r.n:>6} {r.wall_ms:10.1f} {r.ops:>12} "
-            f"{ref_wall} {ref_ops} {_fmt_speedup(r.speedup_wall)} "
-            f"{_fmt_speedup(r.speedup_ops)}  {same}",
-            file=out,
-        )
+        print(f"{r.case:<20} {r.n:>6} {r.ops:>12}", file=out)
 
 
 def run_bench(args, out) -> int:
-    records = run_suite(
-        sizes=args.sizes,
-        quick=args.quick,
-        with_reference=not args.no_reference,
-        cases=args.cases,
-    )
+    records = run_suite(sizes=args.sizes, quick=args.quick, cases=args.cases)
 
     baseline_path = Path(args.baseline)
     if args.update_baseline:
@@ -161,30 +111,6 @@ def run_bench(args, out) -> int:
     )
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
 
-    if getattr(args, "fleet_scaling", None):
-        scaling = collect_fleet_scaling(
-            members=args.fleet_scaling_members,
-            shard_counts=tuple(args.fleet_scaling_shards),
-        )
-        Path(args.fleet_scaling).write_text(json.dumps(scaling, indent=2) + "\n")
-        print(f"fleet scaling written: {args.fleet_scaling}", file=out)
-        fastest = max(
-            scaling["runs"], key=lambda run: run["speedup_wall_vs_1shard"] or 0.0
-        )
-        print(
-            f"fleet scaling: {scaling['members']} members, best "
-            f"{fastest['speedup_wall_vs_1shard']}x at {fastest['shards']} shards "
-            f"(cpu_count={scaling['cpu_count']}, ungated)",
-            file=out,
-        )
-        if not scaling["summaries_identical"]:
-            print(
-                "MISMATCH fleet_scaling: shard counts produced different "
-                "summaries",
-                file=out,
-            )
-            return 1
-
     _print_table(records, out)
     print(f"\ntrajectory written: {args.output}", file=out)
     if not gated:
@@ -197,22 +123,10 @@ def run_bench(args, out) -> int:
             f"baseline {regression['baseline_ops']} ({detail})",
             file=out,
         )
-    mismatched = [r.key for r in records if r.identical is False]
-    for key in mismatched:
-        print(f"MISMATCH {key}: reference arm produced different results", file=out)
-    if regressions or mismatched:
+    if regressions:
         return 1
     print("perf gate ok", file=out)
     return 0
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tango-bench",
-        description="Micro-benchmark the scheduler/TCAM hot paths.",
-    )
-    add_bench_arguments(parser)
-    return parser
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:

@@ -1,65 +1,49 @@
 """Hot-path micro-benchmarks with a deterministic regression gate.
 
-Each bench case runs an *optimized* arm (the shipping implementation)
-and, where tractable, a *reference* arm (the retired pre-optimization
-implementation from :mod:`repro.perf.reference`), then
-
-1. asserts both arms produced bit-for-bit identical results (makespan,
-   rounds, pattern choices, issue records),
-2. reports wall time and a deterministic operation count for each arm,
-3. gates on op counts: a case regresses when its optimized op count
-   exceeds the checked-in baseline (``benchmarks/perf_baseline.json``)
-   by more than :data:`REGRESSION_THRESHOLD`.
-
-Wall time is reported for humans (``speedup_wall``); the gate never
-looks at it, so CI cannot flake with machine load.  Op counts are exact
-functions of the workload: DAG edge visits + ready yields for the
-schedulers (:class:`repro.core.requests.DagOpCounters`), list element
-moves for the shift model.
+Each bench case runs the shipping implementation on a deterministic
+workload and counts its operations.  A case regresses when its op count
+exceeds the checked-in baseline (``benchmarks/perf_baseline.json``) by
+more than :data:`REGRESSION_THRESHOLD`.  Op counts are exact functions
+of the workload: DAG edge visits + ready yields for the schedulers
+(:class:`repro.core.requests.DagOpCounters`), list element moves for
+the shift model, probe operations for the fleets, and the serve loop's
+lookup + DAG + issue-record total.  Nothing here reads the host clock,
+so the gate cannot flake with machine load; wall-clock measurement
+lives in ``tangobench/``.
 
 Cases (``n`` is the suite size knob):
 
 * ``chain_schedule``     -- n-request dependency chain, Basic scheduler.
 * ``layered_schedule``   -- n requests in width-50 layers, Basic scheduler.
 * ``descending_shifts``  -- n rule installs at descending priority
-  through the shift model (every add shifts all residents);
-  trajectory-only.  Its ops are the sorted list's element moves,
-  n(n+1)/2: quadratic in count, but each insert is one C-level
-  ``memmove``, which is why this model beat a Fenwick tree on the clock.
+  through the shift model (every add shifts all residents).  Its ops
+  are the sorted list's element moves, n(n+1)/2.
 * ``prefix_lookahead``   -- Prefix scheduler (depth 2) on the two-switch
-  unlock workload.  The optimized arm is the incremental
-  :class:`repro.core.planner.TailCostPlanner`; the reference arm is the
-  retired recursive planner
-  (:class:`repro.perf.reference.ReferencePrefixTangoScheduler`, capped
-  at :data:`repro.perf.reference.PREFIX_REFERENCE_CAP` requests since it
-  is ~O(n^2)).  Identity here is the strictest in the suite: the full
-  per-request issue record list must match byte-for-byte, not just the
-  summary signature.
+  unlock workload, planned by the incremental
+  :class:`repro.core.planner.TailCostPlanner`; the planner's stats land
+  in the detail.
 * ``faulted_schedule``   -- the layered workload under a seeded fault
-  plan (5% control loss + one early disconnect window); trajectory-only.
-  Gates the cost of fault-deferral bookkeeping: re-enqueued requests
-  revisit DAG edges, so a fault-handling change that loops instead of
-  deferring shows up as an op-count blowup.
+  plan (5% control loss + one early disconnect window).  Gates the cost
+  of fault-deferral bookkeeping: re-enqueued requests revisit DAG
+  edges, so a fault-handling change that loops instead of deferring
+  shows up as an op-count blowup.
+* ``fleet_infer``        -- concurrent fleet inference over 3 tiny
+  distinct profiles, at most :data:`FLEET_MEMBER_CAP` members.
 * ``sharded_fleet``      -- fleet inference through
   :class:`repro.core.shard.ShardedFleetEngine` (4 shards, tier
-  partition, inline backend) over distinct-fingerprint tier-named
-  profiles; the reference arm is the single-queue
-  :class:`repro.core.fleet.FleetInferenceEngine` and identity covers
-  summaries, models, and full TangoDB contents.  Wall-clock scaling
-  over real worker processes is the separate ungated
-  :func:`collect_fleet_scaling` block.
+  partition, inline backend) over at most :data:`SHARDED_MEMBER_CAP`
+  distinct-fingerprint tier-named profiles.
 * ``serve_churn``        -- n churning flow arrivals served by
   :class:`repro.serve.ServeLoop` against a 96-rule budget (FDRC
-  admission, policy-ranked eviction, wildcard aggregation);
-  trajectory-only, op-count-gated via the loop's deterministic
-  lookup + DAG + issue-record total.
+  admission, policy-ranked eviction, wildcard aggregation).
+
+The optimized implementations' identity with the retired ones they
+replaced is pinned by the tier-1 differential tests, not here.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -74,11 +58,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.core.fleet import FleetInferenceEngine, build_fleet
 from repro.core.scores import TangoScoreDatabase
 from repro.core.shard import ShardedFleetEngine
-from repro.perf.reference import (
-    PREFIX_REFERENCE_CAP,
-    ReferenceBasicTangoScheduler,
-    ReferencePrefixTangoScheduler,
-)
 from repro.perf.workloads import (
     FLEET_BENCH_KNOBS,
     SHARDED_BENCH_KNOBS,
@@ -103,43 +82,27 @@ REGRESSION_THRESHOLD = 1.5
 FULL_SIZES: Tuple[int, ...] = (1000, 5000, 20000)
 QUICK_SIZES: Tuple[int, ...] = (1000,)
 
-#: The quadratic reference arms are not run beyond this size.
-REFERENCE_CAP = 5000
+#: Member cap of the single-queue ``fleet_infer`` case (its gate was
+#: calibrated at 12 members; see ``fleet_infer:12``).
+FLEET_MEMBER_CAP = 12
+
+#: Member cap of the ``sharded_fleet`` case: enough members for every
+#: one of its 4 shards to do real work, cross-shard coalescing included.
+SHARDED_MEMBER_CAP = 64
 
 
 @dataclass
 class BenchRecord:
-    """One (case, n) measurement."""
+    """One (case, n) op count."""
 
     case: str
     n: int
-    wall_ms: float
     ops: int
-    ref_wall_ms: Optional[float] = None
-    ref_ops: Optional[int] = None
-    speedup_wall: Optional[float] = None
-    speedup_ops: Optional[float] = None
-    identical: Optional[bool] = None  # reference results bit-for-bit equal
     detail: Dict[str, object] = field(default_factory=dict)
 
     @property
     def key(self) -> str:
         return f"{self.case}:{self.n}"
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return (time.perf_counter() - start) * 1000.0, value
-
-
-def _with_reference(record: BenchRecord, ref_wall_ms: float, ref_ops: int) -> None:
-    record.ref_wall_ms = ref_wall_ms
-    record.ref_ops = ref_ops
-    if record.wall_ms > 0.0:
-        record.speedup_wall = ref_wall_ms / record.wall_ms
-    if record.ops > 0:
-        record.speedup_ops = ref_ops / record.ops
 
 
 def _schedule_signature(result) -> Tuple[float, int, Tuple[str, ...], int]:
@@ -151,56 +114,43 @@ def _schedule_signature(result) -> Tuple[float, int, Tuple[str, ...], int]:
     )
 
 
-def _bench_schedule(case: str, build_dag, n: int, with_reference: bool) -> BenchRecord:
+def _bench_schedule(case: str, build_dag, n: int) -> BenchRecord:
     dag = build_dag(n)
     dag.ops.clear()
-    # The gated arm runs with a live metrics registry attached: the op
+    # The case runs with a live metrics registry attached: the op
     # attribution lands in the report, and -- because the op-count gate
     # compares against the uninstrumented baseline -- any instrumentation
     # cost that leaked into the hot path would trip the 1.5x threshold.
     registry = MetricsRegistry()
     scheduler = BasicTangoScheduler(fast_executor(), metrics=registry)
-    wall_ms, result = _timed(lambda: scheduler.schedule(dag))
-    record = BenchRecord(case=case, n=n, wall_ms=wall_ms, ops=dag.ops.total())
-    record.detail = {
-        "makespan_ms": result.makespan_ms,
-        "rounds": result.rounds,
-        "attribution": registry.snapshot(),
-    }
-    if with_reference and n <= REFERENCE_CAP:
-        ref_dag = build_dag(n)
-        reference = ReferenceBasicTangoScheduler(fast_executor())
-        ref_wall_ms, ref_result = _timed(lambda: reference.schedule(ref_dag))
-        _with_reference(record, ref_wall_ms, reference.scan_ops)
-        record.identical = _schedule_signature(result) == _schedule_signature(
-            ref_result
-        )
-    return record
-
-
-def bench_chain_schedule(n: int, with_reference: bool = True) -> BenchRecord:
-    return _bench_schedule("chain_schedule", chain_dag, n, with_reference)
-
-
-def bench_layered_schedule(n: int, with_reference: bool = True) -> BenchRecord:
-    return _bench_schedule("layered_schedule", layered_dag, n, with_reference)
-
-
-def bench_descending_shifts(n: int, with_reference: bool = True) -> BenchRecord:
-    del with_reference  # trajectory-only; the shift model has one implementation
-    priorities = descending_priorities(n)
-
-    def run_shift_model():
-        model = PriorityShiftModel()
-        total = 0
-        for priority in priorities:
-            total += model.record_add(priority)
-        return model, total
-
-    wall_ms, (model, shifts) = _timed(run_shift_model)
-    record = BenchRecord(
-        case="descending_shifts", n=n, wall_ms=wall_ms, ops=model.accounting_ops
+    result = scheduler.schedule(dag)
+    return BenchRecord(
+        case=case,
+        n=n,
+        ops=dag.ops.total(),
+        detail={
+            "makespan_ms": result.makespan_ms,
+            "rounds": result.rounds,
+            "attribution": registry.snapshot(),
+        },
     )
+
+
+def bench_chain_schedule(n: int) -> BenchRecord:
+    return _bench_schedule("chain_schedule", chain_dag, n)
+
+
+def bench_layered_schedule(n: int) -> BenchRecord:
+    return _bench_schedule("layered_schedule", layered_dag, n)
+
+
+def bench_descending_shifts(n: int) -> BenchRecord:
+    priorities = descending_priorities(n)
+    model = PriorityShiftModel()
+    shifts = 0
+    for priority in priorities:
+        shifts += model.record_add(priority)
+    record = BenchRecord(case="descending_shifts", n=n, ops=model.accounting_ops)
     registry = MetricsRegistry()
     registry.counter("tcam.shift_model_queries").inc(len(priorities))
     registry.counter("tcam.shift_accounting_ops").inc(model.accounting_ops)
@@ -220,7 +170,7 @@ def _unlock_estimate(request) -> float:
     return UNLOCK_ESTIMATES[request.location]
 
 
-def bench_prefix_lookahead(n: int, with_reference: bool = True) -> BenchRecord:
+def bench_prefix_lookahead(n: int) -> BenchRecord:
     dag = unlock_groups_dag(n)
     dag.ops.clear()
     registry = MetricsRegistry()
@@ -230,31 +180,19 @@ def bench_prefix_lookahead(n: int, with_reference: bool = True) -> BenchRecord:
         lookahead_depth=2,
         metrics=registry,
     )
-    wall_ms, result = _timed(lambda: scheduler.schedule(dag))
-    record = BenchRecord(
-        case="prefix_lookahead", n=n, wall_ms=wall_ms, ops=dag.ops.total()
-    )
+    result = scheduler.schedule(dag)
     planner = scheduler.last_planner
-    record.detail = {
-        "makespan_ms": result.makespan_ms,
-        "rounds": result.rounds,
-        "planner": planner.stats() if planner is not None else {},
-        "attribution": registry.snapshot(),
-    }
-    if with_reference and n <= PREFIX_REFERENCE_CAP:
-        ref_dag = unlock_groups_dag(n)
-        ref_dag.ops.clear()
-        reference = ReferencePrefixTangoScheduler(
-            fast_executor("a", "b"),
-            estimate=_unlock_estimate,
-            lookahead_depth=2,
-        )
-        ref_wall_ms, ref_result = _timed(lambda: reference.schedule(ref_dag))
-        _with_reference(record, ref_wall_ms, ref_dag.ops.total())
-        record.identical = _schedule_signature(result) == _schedule_signature(
-            ref_result
-        ) and _record_signature(result) == _record_signature(ref_result)
-    return record
+    return BenchRecord(
+        case="prefix_lookahead",
+        n=n,
+        ops=dag.ops.total(),
+        detail={
+            "makespan_ms": result.makespan_ms,
+            "rounds": result.rounds,
+            "planner": planner.stats() if planner is not None else {},
+            "attribution": registry.snapshot(),
+        },
+    )
 
 
 #: The faulted case's plan: enough churn to exercise deferral paths at
@@ -266,8 +204,7 @@ FAULTED_PLAN = FaultPlan(
 )
 
 
-def bench_faulted_schedule(n: int, with_reference: bool = True) -> BenchRecord:
-    del with_reference  # trajectory-only; faults have no pre-PR arm
+def bench_faulted_schedule(n: int) -> BenchRecord:
     dag = layered_dag(n)
     dag.ops.clear()
     registry = MetricsRegistry()
@@ -275,55 +212,34 @@ def bench_faulted_schedule(n: int, with_reference: bool = True) -> BenchRecord:
     scheduler = BasicTangoScheduler(
         fast_executor(fault_injector=injector), metrics=registry
     )
-    wall_ms, result = _timed(lambda: scheduler.schedule(dag))
-    record = BenchRecord(
-        case="faulted_schedule", n=n, wall_ms=wall_ms, ops=dag.ops.total()
+    result = scheduler.schedule(dag)
+    return BenchRecord(
+        case="faulted_schedule",
+        n=n,
+        ops=dag.ops.total(),
+        detail={
+            "makespan_ms": result.makespan_ms,
+            "rounds": result.rounds,
+            "fault_retries": result.fault_retries,
+            "faulted_requests": len(result.faulted_request_ids),
+            "injected": injector.injection_counts(),
+            "attribution": registry.snapshot(),
+        },
     )
-    record.detail = {
+
+
+def _fleet_detail(result) -> Dict[str, object]:
+    return {
         "makespan_ms": result.makespan_ms,
-        "rounds": result.rounds,
-        "fault_retries": result.fault_retries,
-        "faulted_requests": len(result.faulted_request_ids),
-        "injected": injector.injection_counts(),
-        "attribution": registry.snapshot(),
+        "sequential_sum_ms": result.sequential_sum_ms,
+        "speedup_virtual": round(result.speedup, 3),
+        "full_probe_runs": result.full_probe_runs,
+        "cache_hits": result.cache_hits,
+        "coalesced_joins": result.coalesced_joins,
     }
-    return record
 
 
-@dataclass(frozen=True)
-class BenchCaseConfig:
-    """Per-case knobs the bench cases read instead of module globals.
-
-    The fleet cases run full (if tiny) probe pipelines, so their member
-    counts are capped independently of the suite size knob; the sharded
-    case's shard geometry lives here too so callers (tests, the scaling
-    collector) can rescale a case without mutating module state.
-    """
-
-    #: Member cap of the single-queue ``fleet_infer`` case (its gate
-    #: was calibrated at 12 members; see ``fleet_infer:12``).
-    fleet_member_cap: int = 12
-    #: Member cap of the gated ``sharded_fleet`` case.  The engine
-    #: itself scales to 1024+ (see the ungated fleet-scaling block);
-    #: the gate just needs enough members for every shard to do real
-    #: work, cross-shard coalescing included.
-    sharded_member_cap: int = 64
-    #: Shard count / partition / backend of the gated sharded case.
-    #: ``inline`` keeps the gated op count free of process-pool noise.
-    sharded_shards: int = 4
-    sharded_partition: str = "tier"
-    sharded_backend: str = "inline"
-
-
-#: Default knobs for every case; frozen, so safe as a module constant.
-DEFAULT_CASE_CONFIG = BenchCaseConfig()
-
-
-def bench_fleet_infer(
-    n: int,
-    with_reference: bool = True,
-    config: BenchCaseConfig = DEFAULT_CASE_CONFIG,
-) -> BenchRecord:
+def bench_fleet_infer(n: int) -> BenchRecord:
     """Concurrent fleet inference over 3 distinct tiny profiles.
 
     Ops are the fleet's deterministic probe-operation total (flow
@@ -334,8 +250,7 @@ def bench_fleet_infer(
     virtual makespan/sequential-sum ratio lands in the detail for the
     BENCH trajectory.
     """
-    del with_reference  # trajectory-only; inference had no sequential-fleet arm
-    size = min(n, config.fleet_member_cap)
+    size = min(n, FLEET_MEMBER_CAP)
     registry = MetricsRegistry()
     engine = FleetInferenceEngine(
         build_fleet(fleet_bench_profiles(), size),
@@ -343,23 +258,16 @@ def bench_fleet_infer(
         metrics=registry,
         **FLEET_BENCH_KNOBS,
     )
-    wall_ms, result = _timed(lambda: engine.infer_fleet(include_policy=False))
-    record = BenchRecord(
-        case="fleet_infer", n=size, wall_ms=wall_ms, ops=result.probe_ops
+    result = engine.infer_fleet(include_policy=False)
+    return BenchRecord(
+        case="fleet_infer",
+        n=size,
+        ops=result.probe_ops,
+        detail={**_fleet_detail(result), "attribution": registry.snapshot()},
     )
-    record.detail = {
-        "makespan_ms": result.makespan_ms,
-        "sequential_sum_ms": result.sequential_sum_ms,
-        "speedup_virtual": round(result.speedup, 3),
-        "full_probe_runs": result.full_probe_runs,
-        "cache_hits": result.cache_hits,
-        "coalesced_joins": result.coalesced_joins,
-        "attribution": registry.snapshot(),
-    }
-    return record
 
 
-def bench_serve_churn(n: int, with_reference: bool = True) -> BenchRecord:
+def bench_serve_churn(n: int) -> BenchRecord:
     """Sustained serving under flow churn against a 96-rule budget.
 
     Runs :class:`repro.serve.ServeLoop` over ``n`` Zipf/churn arrivals
@@ -373,164 +281,52 @@ def bench_serve_churn(n: int, with_reference: bool = True) -> BenchRecord:
     latency, hit/evict/aggregate counters, final occupancy) — the
     ``serve_churn`` BENCH block EXPERIMENTS.md interprets.
     """
-    del with_reference  # trajectory-only; serving is a new subsystem
     from repro.serve import ServeLoop
 
     registry = MetricsRegistry()
     loop = ServeLoop(serve_churn_config(n), serve_bench_profile(), metrics=registry)
-    wall_ms, result = _timed(loop.run)
-    record = BenchRecord(case="serve_churn", n=n, wall_ms=wall_ms, ops=result.op_count)
-    record.detail = {
-        "serve": result.to_dict(),
-        "attribution": registry.snapshot(),
-    }
-    return record
+    result = loop.run()
+    return BenchRecord(
+        case="serve_churn",
+        n=n,
+        ops=result.op_count,
+        detail={"serve": result.to_dict(), "attribution": registry.snapshot()},
+    )
 
 
-def bench_sharded_fleet(
-    n: int,
-    with_reference: bool = True,
-    config: BenchCaseConfig = DEFAULT_CASE_CONFIG,
-) -> BenchRecord:
+def bench_sharded_fleet(n: int) -> BenchRecord:
     """Sharded fleet inference over tier-named, distinct-fingerprint
     profiles, merged back into the global record order.
 
     Ops are the merged fleet's deterministic probe-operation total, a
-    pure function of (profiles, seed, knobs, shard count) -- identical
-    to a single-queue run by the merge protocol's byte-identity
-    guarantee, which the reference arm checks outright: the legacy
-    :class:`FleetInferenceEngine` runs the same fleet and the record
-    asserts equal summaries, models, and TangoDB contents
-    (``detail["identical"]``).  The gate therefore catches both classic
-    op blowups (defeated cache/coalescing) and merge bugs that drop or
-    duplicate shard journals.  Runs the ``inline`` backend so gated
-    numbers carry no process-pool noise; wall-clock scaling across real
-    worker processes is the separate ungated fleet-scaling block.
+    pure function of (profiles, seed, knobs, shard count), so the gate
+    catches both classic op blowups (defeated cache/coalescing) and
+    merge bugs that drop or duplicate shard journals.  The merge's
+    byte-identity with the single-queue engine at this exact geometry
+    is pinned by ``tests/test_core_shard.py``.  Runs the ``inline``
+    backend so gated numbers carry no process-pool noise.
     """
-    size = min(n, config.sharded_member_cap)
-    profiles = sharded_fleet_profiles(size)
+    size = min(n, SHARDED_MEMBER_CAP)
     engine = ShardedFleetEngine(
-        build_fleet(profiles, size),
+        build_fleet(sharded_fleet_profiles(size), size),
         seed=3,
-        shards=config.sharded_shards,
-        partition=config.sharded_partition,
-        backend=config.sharded_backend,
+        shards=4,
+        partition="tier",
+        backend="inline",
         **SHARDED_BENCH_KNOBS,
     )
-    wall_ms, result = _timed(lambda: engine.infer_fleet(include_policy=False))
-    record = BenchRecord(
-        case="sharded_fleet", n=size, wall_ms=wall_ms, ops=result.probe_ops
+    result = engine.infer_fleet(include_policy=False)
+    return BenchRecord(
+        case="sharded_fleet",
+        n=size,
+        ops=result.probe_ops,
+        detail={**_fleet_detail(result), "shards": engine.shard_stats},
     )
-    stats = engine.shard_stats
-    record.detail = {
-        "makespan_ms": result.makespan_ms,
-        "sequential_sum_ms": result.sequential_sum_ms,
-        "speedup_virtual": round(result.speedup, 3),
-        "full_probe_runs": result.full_probe_runs,
-        "cache_hits": result.cache_hits,
-        "coalesced_joins": result.coalesced_joins,
-        "shards": stats,
-    }
-    if with_reference:
-        reference = FleetInferenceEngine(
-            build_fleet(profiles, size),
-            seed=3,
-            **SHARDED_BENCH_KNOBS,
-        )
-        ref_wall_ms, ref_result = _timed(
-            lambda: reference.infer_fleet(include_policy=False)
-        )
-        _with_reference(record, ref_wall_ms, ref_result.probe_ops)
-        record.identical = _fleet_signature(result) == _fleet_signature(
-            ref_result
-        ) and _db_signature(engine.scores) == _db_signature(reference.scores)
-    return record
 
 
-def collect_fleet_scaling(
-    members: int = 1024,
-    shard_counts: Sequence[int] = (1, 2, 4),
-    backend: str = "process",
-    partition: str = "tier",
-) -> Dict[str, object]:
-    """The ungated wall-clock scaling block for the bench report.
-
-    Runs the same ``members``-switch fleet (every member a distinct
-    fingerprint, so no coalescing collapses the work) at each shard
-    count over real worker processes and reports wall-clock speedup
-    versus the 1-shard arm.  Wall time is machine-dependent, so this
-    never gates: the honest context (``cpu_count``) rides along, and
-    the deterministic cross-check — every arm's summary must be
-    byte-identical JSON — is what a regression in the merge protocol
-    would trip.  Target: >=2x at 4 shards on a 4-core runner.
-    """
-    profiles = sharded_fleet_profiles(members)
-    runs: List[Dict[str, object]] = []
-    baseline_wall: Optional[float] = None
-    baseline_summary: Optional[str] = None
-    summaries_identical = True
-    for shards in shard_counts:
-        engine = ShardedFleetEngine(
-            build_fleet(profiles, members),
-            scores=TangoScoreDatabase(),
-            seed=3,
-            shards=shards,
-            partition=partition,
-            backend=backend,
-            **SHARDED_BENCH_KNOBS,
-        )
-        wall_ms, result = _timed(
-            lambda engine=engine: engine.infer_fleet(include_policy=False)
-        )
-        summary = json.dumps(result.summary(), sort_keys=True)
-        if baseline_wall is None:
-            baseline_wall = wall_ms
-            baseline_summary = summary
-        elif summary != baseline_summary:
-            summaries_identical = False
-        stats = engine.shard_stats
-        runs.append(
-            {
-                "shards": shards,
-                "workers": stats.get("workers"),
-                "wall_ms": round(wall_ms, 3),
-                "makespan_ms": result.makespan_ms,
-                "probe_ops": result.probe_ops,
-                "cross_shard_coalesced": stats.get("cross_shard_coalesced"),
-                "speedup_wall_vs_1shard": round(baseline_wall / wall_ms, 3)
-                if wall_ms
-                else None,
-            }
-        )
-    return {
-        "gated": False,
-        "note": (
-            "wall-clock scaling over worker processes; machine-dependent, "
-            "never gated — speedup tracks min(shards, cpu_count)"
-        ),
-        "members": members,
-        "backend": backend,
-        "partition": partition,
-        "cpu_count": os.cpu_count(),
-        "target_speedup_at_4_shards": 2.0,
-        "summaries_identical": summaries_identical,
-        "runs": runs,
-    }
-
-
-_CASES = (
-    bench_chain_schedule,
-    bench_layered_schedule,
-    bench_descending_shifts,
-    bench_prefix_lookahead,
-    bench_faulted_schedule,
-    bench_fleet_infer,
-    bench_sharded_fleet,
-    bench_serve_churn,
-)
-
-#: Case-name -> bench function, for ``run_suite(cases=...)`` / ``--cases``.
-CASE_NAMES: Dict[str, Callable[..., BenchRecord]] = {
+#: Case-name -> bench function, in suite order, for
+#: ``run_suite(cases=...)`` / ``--cases``.
+CASE_NAMES: Dict[str, Callable[[int], BenchRecord]] = {
     "chain_schedule": bench_chain_schedule,
     "layered_schedule": bench_layered_schedule,
     "descending_shifts": bench_descending_shifts,
@@ -544,8 +340,6 @@ CASE_NAMES: Dict[str, Callable[..., BenchRecord]] = {
 
 def _fleet_signature(result) -> Tuple:
     """Byte-comparable digest of a fleet run (models, timing, ops)."""
-    import json
-
     return tuple(
         (
             member.name,
@@ -610,7 +404,6 @@ def verify_noop_instrumentation(n: int = 1000) -> Dict[str, object]:
     byte-identical telemetry JSONL.  Raises :class:`AssertionError` on
     any divergence; returns the comparison payload for reporting.
     """
-    from repro.core.scores import TangoScoreDatabase
     from repro.obs.telemetry import telemetry_jsonl_lines
     from repro.obs.trace import Tracer
 
@@ -737,7 +530,6 @@ def verify_noop_instrumentation(n: int = 1000) -> Dict[str, object]:
 def run_suite(
     sizes: Optional[Sequence[int]] = None,
     quick: bool = False,
-    with_reference: bool = True,
     cases: Optional[Sequence[str]] = None,
 ) -> List[BenchRecord]:
     """Run the selected cases at every size; dedupe (case, n) collisions.
@@ -748,7 +540,7 @@ def run_suite(
     if sizes is None:
         sizes = QUICK_SIZES if quick else FULL_SIZES
     if cases is None:
-        selected = list(_CASES)
+        selected = list(CASE_NAMES.values())
     else:
         unknown = [name for name in cases if name not in CASE_NAMES]
         if unknown:
@@ -766,7 +558,7 @@ def run_suite(
     seen = set()
     for n in sizes:
         for case in selected:
-            record = case(n, with_reference=with_reference)
+            record = case(n)
             if record.key in seen:
                 continue  # e.g. fleet_infer capped to the same size
             seen.add(record.key)
@@ -817,84 +609,19 @@ def baseline_from_records(records: Sequence[BenchRecord]) -> Dict[str, int]:
     return {record.key: record.ops for record in records}
 
 
-def collect_suite_telemetry(n: int = 1000) -> Dict[str, object]:
-    """The ungated ``telemetry`` block for ``BENCH_scheduler.json``.
-
-    Runs the layered workload once with a continuous
-    :class:`~repro.obs.telemetry.TelemetryCollector` attached and
-    reports the collector's counter roll-up.  Like the ``wall_clock``
-    block this is informational only: the regression gate never reads
-    it, and :func:`verify_noop_instrumentation` has already proven the
-    collector cannot change the gated op counts.
-    """
-    from repro.obs.telemetry import summarize_telemetry
-
-    dag = layered_dag(n)
-    collector = _bench_collector()
-    executor = fast_executor(telemetry=collector)
-    BasicTangoScheduler(executor).schedule(dag)
-    collector.finish(executor.now_ms())
-    summary = summarize_telemetry(collector.samples)
-    return {
-        "gated": False,
-        "note": (
-            "continuous-telemetry counters are informational only; "
-            "verify_noop_instrumentation proves the attached collector "
-            "never changes the gated op counts"
-        ),
-        "workload": f"layered_schedule:{n}",
-        "stats": collector.stats(),
-        "span_ms": summary["span_ms"],
-        "series": summary["series"],
-    }
-
-
 def records_to_report(
     records: Sequence[BenchRecord],
     regressions: Sequence[Dict[str, object]],
     quick: bool,
     baseline_path: Optional[str],
-    telemetry: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """The ``BENCH_scheduler.json`` document.
-
-    ``telemetry`` is the ungated continuous-telemetry block; when
-    ``None`` it is produced by :func:`collect_suite_telemetry`.
-    """
-    if telemetry is None:
-        telemetry = collect_suite_telemetry()
-    mismatched = [r.key for r in records if r.identical is False]
-    wall_clock = {
-        "gated": False,
-        "note": (
-            "wall-clock trajectories are informational only; the gate "
-            "compares deterministic op counts, which cannot flake with "
-            "machine load"
-        ),
-        "total_wall_ms": round(sum(r.wall_ms for r in records), 3),
-        "per_case": [
-            {
-                "key": r.key,
-                "wall_ms": round(r.wall_ms, 3),
-                "ref_wall_ms": (
-                    round(r.ref_wall_ms, 3) if r.ref_wall_ms is not None else None
-                ),
-                "speedup_wall": (
-                    round(r.speedup_wall, 3) if r.speedup_wall is not None else None
-                ),
-            }
-            for r in records
-        ],
-    }
+    """The ``BENCH_scheduler.json`` document."""
     return {
         "suite": "scheduler-hot-paths",
         "quick": quick,
         "threshold": REGRESSION_THRESHOLD,
         "baseline_path": baseline_path,
         "results": [asdict(record) for record in records],
-        "wall_clock": wall_clock,
-        "telemetry": telemetry,
         "regressions": list(regressions),
-        "mismatched": mismatched,
-        "ok": not regressions and not mismatched,
+        "ok": not regressions,
     }

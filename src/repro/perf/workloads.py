@@ -4,7 +4,8 @@ Every builder is a pure function of its arguments: same ``n`` -> same
 DAG, same priorities, same request ids.  The executor is a single
 simulated switch with zero jitter and flat per-op costs, so schedule
 results (makespan, rounds, pattern choices) are exactly reproducible and
-comparable between the optimized and reference scheduler arms.
+comparable between the optimized schedulers and the retired ones the
+differential tests keep.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def fast_executor(
     the faulted bench case and the no-op injection check.  ``telemetry``
     (a :class:`repro.obs.telemetry.TelemetryCollector`) attaches a
     continuous-telemetry collector to the executor — used by the no-op
-    instrumentation check and the bench report's telemetry block.
+    instrumentation check.
     """
     channels = {}
     for offset, location in enumerate(locations or ("sw",)):
@@ -209,10 +210,10 @@ def serve_churn_config(n: int):
     )
 
 
-#: Engine knobs for the sharded-fleet bench and scaling block: the
-#: smallest layer/batch geometry that still runs every probe stage, so
-#: a 1024-member fleet stays tractable (one full probe is ~300 virtual
-#: ops instead of the fleet case's ~800).
+#: Engine knobs for the sharded-fleet bench: the smallest layer/batch
+#: geometry that still runs every probe stage, so a large fleet stays
+#: tractable (one full probe is ~300 virtual ops instead of the fleet
+#: case's ~800).
 SHARDED_BENCH_KNOBS = {
     "size_probe_max_rules": 16,
     "latency_batch_sizes": (4, 8),
@@ -224,9 +225,8 @@ def sharded_fleet_profiles(count: int) -> List[SwitchProfile]:
 
     Each profile's first-layer mean delay carries a per-index epsilon,
     so every member fingerprints uniquely and a cold sharded run does
-    ``count`` genuinely independent probes -- the honest workload for
-    wall-clock scaling (shared fingerprints would let single-flight
-    coalescing collapse the work).  Names follow the fat-tree tiers
+    ``count`` genuinely independent probes (shared fingerprints would
+    let single-flight coalescing collapse the work).  Names follow the fat-tree tiers
     :func:`repro.core.placement.assign_tier` recognises (1/8 core, 3/8
     aggregation, the rest edge), so the ``tier`` partition strategy has
     real structure to keep pod-local.

@@ -169,14 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "PATH.chrome.json, and PATH.prom",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="micro-benchmark the scheduler/TCAM hot paths (tango-bench)",
-    )
-    from repro.perf.cli import add_bench_arguments
-
-    add_bench_arguments(bench)
-
     from repro.netem.scenarios import FAULT_SCENARIOS
 
     faults = sub.add_parser(
@@ -779,11 +771,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
 
     if args.command == "faults":
         return _run_faults(args, out)
-
-    if args.command == "bench":
-        from repro.perf.cli import run_bench
-
-        return run_bench(args, out)
 
     if args.command == "profiles":
         for name, profile in sorted(VENDOR_PROFILES.items()):

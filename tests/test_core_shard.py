@@ -19,6 +19,7 @@ from repro.core.scores import TangoScoreDatabase
 from repro.core.shard import SHARD_BACKENDS, ShardedFleetEngine
 from repro.faults import FaultInjector, RetryPolicy
 from repro.faults.plan import FaultPlan
+from repro.perf.workloads import SHARDED_BENCH_KNOBS, sharded_fleet_profiles
 from repro.switches.profiles import make_cache_test_profile
 from repro.tables.policies import FIFO, LIFO, LRU, PRIORITY_CACHE
 
@@ -52,19 +53,21 @@ def _db_signature(db):
     )
 
 
-def _run_legacy(members, scores=None, **kwargs):
+def _run_legacy(members, scores=None, seed=7, knobs=FAST, **kwargs):
     engine = FleetInferenceEngine(
         members, scores=scores if scores is not None else TangoScoreDatabase(),
-        seed=7, **FAST, **kwargs,
+        seed=seed, **knobs, **kwargs,
     )
     result = engine.infer_fleet(include_policy=False)
     return engine, result
 
 
-def _run_sharded(members, scores=None, shards=1, backend="inline", **kwargs):
+def _run_sharded(
+    members, scores=None, shards=1, backend="inline", seed=7, knobs=FAST, **kwargs
+):
     engine = ShardedFleetEngine(
         members, scores=scores if scores is not None else TangoScoreDatabase(),
-        seed=7, shards=shards, backend=backend, **FAST, **kwargs,
+        seed=seed, shards=shards, backend=backend, **knobs, **kwargs,
     )
     result = engine.infer_fleet(include_policy=False)
     return engine, result
@@ -105,6 +108,17 @@ def test_every_shard_count_and_partition_merges_identically(shards, partition):
     _assert_identical(
         _run_sharded(members, shards=shards, partition=partition),
         _run_legacy(members),
+    )
+
+
+def test_bench_geometry_matches_single_queue_engine():
+    """The ``sharded_fleet`` gate's own fleet and geometry: 64
+    distinct-fingerprint tier-named members over 4 tier shards."""
+    members = build_fleet(sharded_fleet_profiles(64), 64)
+    bench = {"seed": 3, "knobs": SHARDED_BENCH_KNOBS}
+    _assert_identical(
+        _run_sharded(members, shards=4, partition="tier", **bench),
+        _run_legacy(members, **bench),
     )
 
 

@@ -8,9 +8,14 @@ injection, and with tracing attached.  Estimates are kept dyadic
 (multiples of 0.25) so incremental float sums are bit-exact against the
 reference's from-scratch sums; one golden test pins a schedule under
 non-dyadic estimates, where the planner's float summation order shows.
+
+The retired planner and scheduling loop live here, as the oracle these
+tests compare against.
 """
 
 import hashlib
+from collections import defaultdict
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -18,14 +23,13 @@ from hypothesis import strategies as st
 
 from repro.core.planner import TailCostPlanner
 from repro.core.priorities import assign_topological_priorities
-from repro.core.requests import RequestDag
-from repro.core.scheduler import PrefixTangoScheduler
+from repro.core.requests import ReadySimulation, RequestDag, SwitchRequest
+from repro.core.scheduler import PrefixTangoScheduler, ScheduleResult
 from repro.faults import DisconnectWindow, FaultInjector, FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.openflow.match import IpPrefix, Match
 from repro.openflow.messages import FlowModCommand
-from repro.perf.reference import ReferencePrefixTangoScheduler
 from repro.perf.workloads import (
     UNLOCK_ESTIMATES,
     chain_dag,
@@ -34,6 +38,134 @@ from repro.perf.workloads import (
     unlock_groups_dag,
 )
 from repro.workloads.classbench import classbench_preset
+
+class _ReferencePrefixPlanner:
+    """The retired recursive prefix planner (pre tail-cost-cache).
+
+    Its depth-0 branch batches greedily to completion by *walking the
+    whole remaining DAG* -- re-deriving and re-sorting every successive
+    ready set -- once per plan node, and its depth>0 branch rebuilds
+    per-prefix makespan estimates from scratch for every candidate cut,
+    making the unlock workload ~O(n^2).
+    """
+
+    def __init__(self, scheduler: "ReferencePrefixTangoScheduler") -> None:
+        self._scheduler = scheduler
+
+    def plan(
+        self, sim: ReadySimulation, depth: int
+    ) -> Tuple[float, Optional[int]]:
+        scheduler = self._scheduler
+        dag = sim.dag
+        ready = sim.ready()
+        if not ready:
+            return 0.0, None
+        _, ordered = scheduler.oracle.choose(ready)
+
+        if depth <= 0:
+            # Greedy full batches to completion, iteratively (a deep
+            # recursion here would overflow on chain-shaped DAGs).
+            first_cut = len(ordered)
+            total = 0.0
+            frames = 0
+            while ready:
+                total += scheduler._estimate_batch_ms(ordered)
+                sim.complete([r.request_id for r in ordered])
+                frames += 1
+                ready = sim.ready()
+                if ready:
+                    _, ordered = scheduler.oracle.choose(ready)
+            for _ in range(frames):
+                sim.undo()
+            return total, first_cut
+
+        best_cost = float("inf")
+        best_cut: Optional[int] = None
+        for cut in scheduler._candidate_cuts(dag, ordered) + [len(ordered)]:
+            prefix = ordered[:cut]
+            sim.complete([r.request_id for r in prefix])
+            rest, _ = self.plan(sim, depth - 1)
+            sim.undo()
+            cost = scheduler._estimate_batch_ms(prefix) + rest
+            if cost < best_cost:
+                best_cost = cost
+                best_cut = cut
+        return best_cost, best_cut
+
+
+class ReferencePrefixTangoScheduler(PrefixTangoScheduler):
+    """Prefix scheduling with the retired recursive planner.
+
+    Identical schedules (issue order, timings, rounds, pattern choices)
+    to :class:`~repro.core.scheduler.PrefixTangoScheduler`; only the
+    planning machinery differs.  The scheduling loop is the retired one
+    too: every round pays a full ``independent_requests`` +
+    ``oracle.choose`` pass on top of the planner's greedy re-walks, so
+    ``dag.ops`` counts the quadratic work the incremental planner
+    eliminated.
+    """
+
+    def _plan(
+        self, sim: ReadySimulation, depth: int
+    ) -> Tuple[float, Optional[int]]:
+        return _ReferencePrefixPlanner(self).plan(sim, depth)
+
+    def _estimate_batch_ms(self, ordered: Sequence[SwitchRequest]) -> float:
+        """Estimated makespan of a batch (per-switch serial, cross parallel)."""
+        per_switch: Dict[str, float] = defaultdict(float)
+        for request in ordered:
+            per_switch[request.location] += self.estimate(request)
+        return max(per_switch.values(), default=0.0)
+
+    def _candidate_cuts(
+        self, dag: RequestDag, ordered: Sequence[SwitchRequest]
+    ) -> List[int]:
+        """Prefix lengths whose completion unlocks new requests."""
+        unlocking = set()
+        for index, request in enumerate(ordered):
+            if dag.successor_ids(request.request_id):
+                unlocking.add(index + 1)
+        cuts = sorted(c for c in unlocking if c < len(ordered))
+        return cuts[: self.max_prefixes]
+
+    def schedule(self, dag: RequestDag) -> ScheduleResult:
+        result = self._begin_schedule(dag)
+        finish_times: Dict[int, float] = {}
+        makespan = self.executor.epoch_ms
+        sim = dag.simulation(dag.done_ids)
+        while not dag.is_done():
+            independent = dag.independent_requests()
+            if not independent:
+                raise RuntimeError("DAG not done but no independent requests")
+            pattern, ordered = self.oracle.choose(independent)
+
+            _, cut = self._plan(sim, self.lookahead_depth)
+            issue_now = ordered[: self._resolve_cut(cut, len(ordered))]
+
+            result.pattern_choices.append(pattern.name)
+            span = self._open_batch_span(pattern.name, issue_now, result.rounds)
+            if self.tracer.enabled:
+                span.set(ready=len(ordered), cut=len(issue_now))
+            batch_start = len(result.records)
+            batch_start_ms = self.executor.now_ms() if self.tracer.enabled else 0.0
+            issued: List[SwitchRequest] = []
+            for request in issue_now:
+                dep_finish = self._dep_finish(dag, request, finish_times)
+                record = self._issue_or_defer(
+                    dag, request, dep_finish, finish_times, result
+                )
+                if record is not None:
+                    issued.append(request)
+                    makespan = max(makespan, record.finished_ms)
+            self._close_batch_span(
+                span, batch_start_ms, result.records[batch_start:]
+            )
+            self._m_batches.inc()
+            self._m_requests.inc(len(issue_now))
+            sim.commit(r.request_id for r in issued)
+            result.rounds += 1
+        return self._finalize_schedule(result, makespan)
+
 
 COMMANDS = (FlowModCommand.ADD, FlowModCommand.MODIFY, FlowModCommand.DELETE)
 LOCATIONS = ("a", "b", "c")
@@ -187,8 +319,11 @@ def _unlock_estimate(request):
 
 
 def test_bench_workloads_schedule_byte_identical():
+    """The bench workloads, including ``prefix_lookahead``'s unlock
+    workload at the gate's own size (n=1000)."""
     cases = [
         (unlock_groups_dag, 95, ("a", "b"), _unlock_estimate),
+        (unlock_groups_dag, 1000, ("a", "b"), _unlock_estimate),
         (chain_dag, 120, ("sw",), lambda request: 1.0),
         (layered_dag, 150, ("sw",), lambda request: 1.0),
     ]
@@ -199,7 +334,7 @@ def test_bench_workloads_schedule_byte_identical():
         ref = ReferencePrefixTangoScheduler(
             fast_executor(*locations), estimate=estimate, lookahead_depth=2
         ).schedule(build(n))
-        assert _signature(new) == _signature(ref), build.__name__
+        assert _signature(new) == _signature(ref), (build.__name__, n)
 
 
 def test_non_dyadic_estimates_schedule_is_pinned():

@@ -151,8 +151,8 @@ def test_prefix_lookahead_op_growth_is_subquadratic():
     at most 2.5x (the retired recursive planner's ratio was ~3.9x)."""
     from repro.perf.harness import bench_prefix_lookahead
 
-    small = bench_prefix_lookahead(1000, with_reference=False)
-    large = bench_prefix_lookahead(2000, with_reference=False)
+    small = bench_prefix_lookahead(1000)
+    large = bench_prefix_lookahead(2000)
     assert small.ops > 0
     assert large.ops / small.ops < 2.5
 
