@@ -1,0 +1,138 @@
+"""Golden pins for every instrumentation artifact the CI's traced runs write.
+
+Each case runs one console command as a subprocess in a scratch
+directory and compares the sha256 of every file it writes (trace JSONL,
+Chrome trace, Prometheus text, telemetry and alerts JSONL) and, for
+``--json`` runs, of its stdout.  Reworking how components reach the
+tracer, the metrics registry or the telemetry collector must leave
+every digest unchanged; only a deliberate change to what is recorded
+may re-pin them.
+
+The sanitized fleet run also pins the race sanitizer's access count,
+so metric traffic that stops reaching the sanitizer shows up even when
+the metrics themselves are off.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
+
+PROBE = ("-m", "repro.tools.cli")
+SERVE = ("-m", "repro.serve.cli")
+
+#: (case id, argv after the interpreter, {artifact: sha256}); ``stdout``
+#: names the command's standard output.
+CASES = [
+    (
+        "schedule-lf",
+        PROBE + ("schedule", "--scenario", "lf", "--flows", "40", "--trace", "P"),
+        {
+            "P.jsonl": "6ee3327f426c100a43b6d0660075ab03c94a2191d53fb7d823178a9a4838ccc9",
+            "P.chrome.json": "16f622e8e882f671f950aebf4ca4de9817d071e9c63ad7adec99820ae6d382be",
+            "P.prom": "fda607bdaa504b001feac6f521bf1c8c37c60fb91ae6a998f28f69f2a6cacedf",
+        },
+    ),
+    (
+        "faults-disconnect",
+        PROBE
+        + (
+            "faults", "--scenario", "disconnect", "--seed", "7", "--flows", "40",
+            "--trace", "P", "--telemetry", "P",
+        ),
+        {
+            "P.jsonl": "89af618bec5987b01b4f61c37a8d68487b4ae52ae7fe83592aaa740dd3a50a39",
+            "P.chrome.json": "644e5680512dc4f225264e6f7b59989c31d9bcabefcd86c26aea7f5269c30801",
+            "P.prom": "befdcab908d13c362fdb6380d78ccf71804068eba34c8d9d7467a8298c4da374",
+            "P.telemetry.jsonl": "149797a8e374bd8d33f676bf726bd0af65ccb49b5684c7186ea2f42886cee7d4",
+            "P.alerts.jsonl": "c255f1e45d27affcc256851ca3641cd38583fb088ba144db4f21e244a6dfb95d",
+        },
+    ),
+    (
+        "infer-fleet",
+        PROBE
+        + (
+            "infer", "--profile", "switch3", "--fleet", "6",
+            "--fleet-profiles", "switch3,switch1", "--max-in-flight", "4",
+            "--max-rules", "1024", "--trace", "P",
+        ),
+        {
+            "P.jsonl": "94c4c99cfb6d10ed236e432b595732d09f4f0c1dd095acb52c20708329262313",
+            "P.chrome.json": "2f4a101c10dc6da2e9a5589213709aa08af1fb2b93f27a79c0277fdcdf675935",
+            "P.prom": "65477dca7bc17ab5f2e693ebdaa38e95f0f588f61003c7d7fc5831f96f926b81",
+        },
+    ),
+    (
+        "infer-sanitized-chaos",
+        PROBE
+        + (
+            "infer", "--profile", "switch1", "--fleet", "4",
+            "--fleet-profiles", "switch1,switch2", "--max-rules", "256",
+            "--fault-scenario", "chaos", "--sanitize", "--json",
+        ),
+        {"stdout": "e47fde1f6df30cdef7222c3e569c39de5e9819c94ad4546cc9d7882269c4167f"},
+    ),
+    (
+        "serve-churn",
+        SERVE
+        + (
+            "--arrivals", "20000", "--seed", "7", "--tenants", "16",
+            "--destinations", "64", "--churn-interval", "200", "--capacity", "96",
+            "--admission-threshold", "2", "--idle-timeout", "400", "--sanitize",
+            "--telemetry", "P", "--json",
+        ),
+        {
+            "stdout": "637fbfff88167c8cd691bf54802272bedc525d041681466c705d6dc331a14bdd",
+            "P.telemetry.jsonl": "3efc4d78e1fddacaf4cbf5bff7aaad63a4987fbb41fb46bf926e54c3ac8d88e4",
+            "P.alerts.jsonl": "e9d0006b7f9165d1c2f1aed711fa3af7c11c8637bccf017b0421e133c9ad4c6c",
+        },
+    ),
+]
+
+#: Sanitizer log entries of the chaos fleet run (``races.accesses``).
+SANITIZED_ACCESSES = 77134
+
+
+def _run(argv, cwd: Path) -> bytes:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    completed = subprocess.run(
+        (sys.executable,) + tuple(argv),
+        cwd=cwd,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr.decode()
+    return completed.stdout
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, expected", [case[1:] for case in CASES], ids=[case[0] for case in CASES]
+)
+def test_artifact_digests_are_pinned(tmp_path, argv, expected):
+    stdout = _run(argv, tmp_path)
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(name for name in expected if name != "stdout")
+    actual = {
+        name: _sha256(stdout if name == "stdout" else (tmp_path / name).read_bytes())
+        for name in expected
+    }
+    assert actual == expected
+    if "--sanitize" in argv and argv[:2] == PROBE:
+        assert json.loads(stdout)["races"]["accesses"] == SANITIZED_ACCESSES
