@@ -12,7 +12,7 @@ renders a "Sustained serving" section for it.
 
 from __future__ import annotations
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import Instruments, MetricsRegistry
 from repro.perf.workloads import (
     SERVE_CHURN_CAPACITY,
     serve_bench_profile,
@@ -30,7 +30,7 @@ def bench_serve_churn(benchmark):
         loop = ServeLoop(
             serve_churn_config(ARRIVALS),
             serve_bench_profile(),
-            metrics=MetricsRegistry(),
+            instruments=Instruments(metrics=MetricsRegistry()),
         )
         return loop.run()
 

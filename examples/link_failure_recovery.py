@@ -25,7 +25,7 @@ from repro.baselines import DionysusScheduler
 from repro.core.patterns import make_type_only_pattern
 from repro.core.scheduler import BasicTangoScheduler
 from repro.netem import EmulatedNetwork, LinkFailureScenario, triangle_topology
-from repro.obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
+from repro.obs import NULL_INSTRUMENTS, Instruments, MetricsRegistry, Tracer
 from repro.obs.export import prometheus_text, write_chrome_trace, write_jsonl
 from repro.sim.rng import SeededRng
 from repro.switches import SWITCH_1, SWITCH_3
@@ -47,13 +47,14 @@ def build_network() -> EmulatedNetwork:
     return network
 
 
-def run(label, scheduler_factory, tracer, metrics) -> float:
+def run(label, scheduler_factory, instruments) -> float:
     network = build_network()
     scenario = LinkFailureScenario(network, ("s1", "s2"))
     result = scenario.build_dag()
-    tracer.event("schedule.arm", category="example", arm=label)
-    executor = network.executor(metrics=metrics, tracer=tracer)
-    outcome = scheduler_factory(executor, tracer, metrics).schedule(result.dag)
+    instruments.event("schedule.arm", category="example", arm=label)
+    # Schedulers inherit the executor's instruments.
+    executor = network.executor(instruments=instruments)
+    outcome = scheduler_factory(executor).schedule(result.dag)
     print(
         f"  {label:<24}: {outcome.makespan_ms / 1000:6.2f} s "
         f"({result.adds} adds on the detour switch, {result.mods} mods at the ingress)"
@@ -69,41 +70,31 @@ def main() -> None:
         help="write PATH.jsonl, PATH.chrome.json, and PATH.prom telemetry",
     )
     args = parser.parse_args()
-    tracer = Tracer() if args.trace else NULL_TRACER
-    metrics = MetricsRegistry() if args.trace else NULL_METRICS
+    instruments = (
+        Instruments(tracer=Tracer(), metrics=MetricsRegistry())
+        if args.trace
+        else NULL_INSTRUMENTS
+    )
 
     print(f"Failing link s1-s2 with {FLOWS} flows crossing it ...")
-    dionysus = run(
-        "Dionysus",
-        lambda ex, tr, mr: DionysusScheduler(ex, tracer=tr, metrics=mr),
-        tracer,
-        metrics,
-    )
+    dionysus = run("Dionysus", DionysusScheduler, instruments)
     run(
         "Tango (type only)",
-        lambda ex, tr, mr: BasicTangoScheduler(
-            ex, patterns=[make_type_only_pattern()], tracer=tr, metrics=mr
-        ),
-        tracer,
-        metrics,
+        lambda ex: BasicTangoScheduler(ex, patterns=[make_type_only_pattern()]),
+        instruments,
     )
-    tango = run(
-        "Tango (type + priority)",
-        lambda ex, tr, mr: BasicTangoScheduler(ex, tracer=tr, metrics=mr),
-        tracer,
-        metrics,
-    )
+    tango = run("Tango (type + priority)", BasicTangoScheduler, instruments)
     print(
         f"\nTango's priority-sorted additions recover "
         f"{(dionysus - tango) / dionysus * 100:.0f}% faster than Dionysus "
         f"(the paper reports ~70%)."
     )
     if args.trace:
-        events = tracer.events
+        events = instruments.tracer.events
         write_jsonl(events, args.trace + ".jsonl")
         write_chrome_trace(events, args.trace + ".chrome.json")
         with open(args.trace + ".prom", "w", encoding="utf-8") as handle:
-            handle.write(prometheus_text(metrics))
+            handle.write(prometheus_text(instruments.metrics))
         print(
             f"\ntrace: {len(events)} events -> {args.trace}.jsonl, "
             f"{args.trace}.chrome.json, {args.trace}.prom"

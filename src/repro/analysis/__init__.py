@@ -57,7 +57,6 @@ __all__ = [
     "check_races",
     "run_racy_fixture",
     "sanitized_fleet_run",
-    "verify_noop_sanitize",
 ]
 
 #: Lazily imported names -> providing submodule.  Lint is lazy so
@@ -72,7 +71,6 @@ _LAZY = {
     "check_races": "racecheck",
     "run_racy_fixture": "racecheck",
     "sanitized_fleet_run": "racecheck",
-    "verify_noop_sanitize": "racecheck",
 }
 
 

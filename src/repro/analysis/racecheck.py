@@ -39,8 +39,8 @@ are never part of a race.
 
 Run it end to end with ``tango-probe infer --fleet N --sanitize``; the
 deliberately racy regression fixture (:func:`run_racy_fixture`) pins the
-detector's positive side, and :func:`verify_noop_sanitize` guarantees a
-sanitized run never perturbs the fleet's results.
+detector's positive side, and :func:`repro.perf.harness.verify_noop`
+guarantees a sanitized run never perturbs the fleet's results.
 """
 
 from __future__ import annotations
@@ -367,14 +367,16 @@ class _SanitizedHistogram:
 
 
 class SanitizedMetricsRegistry:
-    """Access-logging proxy over a :class:`MetricsRegistry`.
+    """Access-logging proxy over metric handle lookups.
 
-    Handles are wrapped once per ``(name, labels)`` so hot paths that
-    cache the handle keep working; counter/histogram updates log as
-    commutative writes, ``gauge.set`` as a non-commutative one.
+    ``inner`` is a :class:`~repro.obs.MetricsRegistry` or an
+    :class:`~repro.obs.Instruments` handle (whose lookups return no-op
+    handles when no registry is attached, so accesses are logged even
+    with metrics off).  Handles are wrapped once per ``(name, labels)``
+    so hot paths that cache the handle keep working; counter/histogram
+    updates log as commutative writes, ``gauge.set`` as a
+    non-commutative one.
     """
-
-    enabled = True
 
     def __init__(self, inner, sanitizer: "RaceSanitizer") -> None:
         self.inner = inner
@@ -428,7 +430,7 @@ class RaceSanitizer:
     The sanitizer never changes what runs: proxies delegate every call
     unchanged and provenance rides on ``compare=False`` event fields, so
     sanitized output is byte-identical to a bare run
-    (:func:`verify_noop_sanitize` asserts exactly that).
+    (:func:`repro.perf.harness.verify_noop` asserts exactly that).
     """
 
     def __init__(self) -> None:
@@ -704,64 +706,6 @@ def run_racy_fixture(seed: int = 0) -> RaceCheckResult:
     return sanitizer.check()
 
 
-def verify_noop_sanitize(seed: int = 0) -> Dict[str, Any]:
-    """Assert a sanitized fleet run is bit-identical to a bare one.
-
-    Mirrors ``repro.faults.verify_noop_injection`` and
-    ``repro.perf.harness.verify_noop_instrumentation``: runs a small
-    two-profile fleet twice — bare, then under a live
-    :class:`RaceSanitizer` — and requires identical fleet summaries,
-    per-member models, and per-switch TangoDB records (keys, timestamps,
-    provenance).  Raises :class:`AssertionError` on any divergence;
-    returns the comparison payload.
-    """
-    from repro.core.fleet import FleetInferenceEngine, build_fleet
-    from repro.switches.profiles import make_cache_test_profile
-    from repro.tables.policies import FIFO, LRU
-
-    knobs = {"size_probe_max_rules": 128, "latency_batch_sizes": (20, 60)}
-    profiles = [
-        make_cache_test_profile(
-            FIFO, layer_sizes=(48, None), layer_means_ms=(0.5, 4.5), name="noop-a"
-        ),
-        make_cache_test_profile(
-            LRU, layer_sizes=(32, None), layer_means_ms=(0.6, 5.0), name="noop-b"
-        ),
-    ]
-
-    def run(sanitizer: Optional[RaceSanitizer]):
-        members = build_fleet(profiles, 4)
-        scores = TangoScoreDatabase()
-        engine = FleetInferenceEngine(
-            members, scores=scores, seed=seed, sanitizer=sanitizer, **knobs
-        )
-        result = engine.infer_fleet(include_policy=False)
-        records = {
-            switch: [
-                (r.key, r.recorded_at_ms, r.source)
-                for r in scores.records_for_switch(switch)
-            ]
-            for switch in scores.switches()
-        }
-        models = {name: m.to_dict() for name, m in result.models.items()}
-        return result.summary(), models, records
-
-    bare_summary, bare_models, bare_records = run(None)
-    sanitizer = RaceSanitizer()
-    san_summary, san_models, san_records = run(sanitizer)
-
-    assert san_summary == bare_summary, "sanitizer changed the fleet summary"
-    assert san_models == bare_models, "sanitizer changed an inferred model"
-    assert san_records == bare_records, "sanitizer changed TangoDB records"
-    races = sanitizer.check()
-    return {
-        "summary": bare_summary,
-        "accesses": races.accesses,
-        "events": races.events,
-        "findings": len(races.findings),
-    }
-
-
 __all__ = [
     "Access",
     "AccessKind",
@@ -776,5 +720,4 @@ __all__ = [
     "metric_location",
     "run_racy_fixture",
     "sanitized_fleet_run",
-    "verify_noop_sanitize",
 ]

@@ -20,8 +20,7 @@ from repro.core.scheduler import (
     ScheduleResult,
     _count_deadline_misses,
 )
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs import Instruments
 
 
 class DionysusScheduler:
@@ -29,26 +28,21 @@ class DionysusScheduler:
 
     Args:
         executor: network executor bound to the target switches.
-        tracer: telemetry tracer; per-round spans are tagged
-            ``policy="critical_path"`` (Dionysus has no pattern oracle).
-        metrics: metrics registry for round/request counters.
+        instruments: where per-round spans (tagged
+            ``policy="critical_path"``; Dionysus has no pattern oracle)
+            and round/request counters go.  Defaults to the executor's.
     """
 
     def __init__(
-        self,
-        executor: NetworkExecutor,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        self, executor: NetworkExecutor, instruments: Optional[Instruments] = None
     ) -> None:
         self.executor = executor
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self._m_batches = self.metrics.counter(
-            "scheduler.batches", scheduler=type(self).__name__
+        self.instruments = (
+            instruments if instruments is not None else executor.instruments
         )
-        self._m_requests = self.metrics.counter(
-            "scheduler.requests", scheduler=type(self).__name__
-        )
+        name = type(self).__name__
+        self._m_batches = self.instruments.counter("scheduler.batches", scheduler=name)
+        self._m_requests = self.instruments.counter("scheduler.requests", scheduler=name)
 
     def schedule(self, dag: RequestDag) -> ScheduleResult:
         """Issue every request, longest-remaining-chain first."""
@@ -67,15 +61,17 @@ class DionysusScheduler:
             # Longest critical path first; FIFO within ties (Dionysus has
             # no notion of rule-type or priority-order cost).
             ready.sort(key=lambda r: (-critical[r.request_id], r.request_id))
-            span = self.tracer.span(
-                "scheduler.batch",
-                category="scheduler",
-                clock=self.executor.now_ms,
-                policy="critical_path",
-                batch_size=len(ready),
-                round=result.rounds,
-            )
-            batch_start_ms = self.executor.now_ms() if self.tracer.enabled else 0.0
+            ins = self.instruments
+            if ins.enabled:
+                span = ins.span(
+                    "scheduler.batch",
+                    category="scheduler",
+                    clock=self.executor.now_ms,
+                    policy="critical_path",
+                    batch_size=len(ready),
+                    round=result.rounds,
+                )
+                batch_start_ms = self.executor.now_ms()
             for request in ready:
                 dep_finish = max(
                     (
@@ -89,11 +85,10 @@ class DionysusScheduler:
                 result.records.append(record)
                 dag.mark_done(request)
                 makespan = max(makespan, record.finished_ms)
-            if self.tracer.enabled:
-                span.set(actual_ms=self.executor.now_ms() - batch_start_ms)
-            span.close()
-            self._m_batches.inc()
-            self._m_requests.inc(len(ready))
+            if ins.enabled:
+                span.set(actual_ms=self.executor.now_ms() - batch_start_ms).close()
+                self._m_batches.inc()
+                self._m_requests.inc(len(ready))
             result.rounds += 1
         result.makespan_ms = makespan - self.executor.epoch_ms
         result.deadline_misses = _count_deadline_misses(

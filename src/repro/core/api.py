@@ -23,8 +23,7 @@ from repro.core.scheduler import (
     ScheduleResult,
 )
 from repro.core.scores import TangoScoreDatabase
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs import NULL_INSTRUMENTS, Instruments
 from repro.openflow.channel import ControlChannel
 from repro.switches.base import SimulatedSwitch
 from repro.switches.profiles import SwitchProfile
@@ -35,9 +34,8 @@ class Tango:
 
     Args:
         seed: base seed for all probing randomness.
-        tracer: telemetry tracer threaded through probing engines,
-            schedulers, and executors built by this controller.
-        metrics: metrics registry threaded the same way.
+        instruments: threaded through the probing engines, schedulers,
+            and executors built by this controller.
 
     Example:
         >>> from repro.switches import SWITCH_2
@@ -51,12 +49,10 @@ class Tango:
     def __init__(
         self,
         seed: int = 0,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        instruments: Instruments = NULL_INSTRUMENTS,
     ) -> None:
         self.seed = seed
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.instruments = instruments
         self.scores = TangoScoreDatabase()
         self.patterns = TangoPatternDatabase()
         self._profiles: Dict[str, SwitchProfile] = {}
@@ -122,8 +118,7 @@ class Tango:
             scores=self.scores,
             # crc32, not hash(): str hashing is salted per process.
             seed=self.seed + zlib.crc32(name.encode()) % 1000,
-            tracer=self.tracer,
-            metrics=self.metrics,
+            instruments=self.instruments,
             **probe_kwargs,
         )
         model = engine.infer(include_policy=include_policy)
@@ -135,9 +130,7 @@ class Tango:
 
     # -- scheduling -----------------------------------------------------------------
     def _executor(self) -> NetworkExecutor:
-        return NetworkExecutor(
-            self._channels, metrics=self.metrics, tracer=self.tracer
-        )
+        return NetworkExecutor(self._channels, instruments=self.instruments)
 
     def _patterns_for(self, dag: RequestDag) -> List[RewritePattern]:
         """Measured per-switch patterns when available, else defaults."""
@@ -163,19 +156,16 @@ class Tango:
         """
         executor = self._executor()
         patterns = self._patterns_for(dag)
-        telemetry = {"tracer": self.tracer, "metrics": self.metrics}
         if variant == "basic":
-            return BasicTangoScheduler(
-                executor, patterns=patterns, strict=strict, **telemetry
-            )
+            return BasicTangoScheduler(executor, patterns=patterns, strict=strict)
         estimate = self._duration_estimator(dag)
         if variant == "prefix":
             return PrefixTangoScheduler(
-                executor, estimate, patterns=patterns, strict=strict, **telemetry
+                executor, estimate, patterns=patterns, strict=strict
             )
         if variant == "concurrent":
             return ConcurrentTangoScheduler(
-                executor, estimate, patterns=patterns, strict=strict, **telemetry
+                executor, estimate, patterns=patterns, strict=strict
             )
         raise ValueError(f"unknown scheduler variant {variant!r}")
 

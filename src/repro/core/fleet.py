@@ -51,6 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.inference import InferredSwitchModel, SwitchInferenceEngine
 from repro.core.online_probing import DriftDetector, DriftFinding
 from repro.core.scores import TangoScoreDatabase
+from repro.obs import NULL_INSTRUMENTS, Instruments
 from repro.sim.events import Simulator
 from repro.switches.profiles import SwitchProfile
 
@@ -189,22 +190,20 @@ class ModelCache:
 
     Args:
         scores: the score database that backs the cache.
-        metrics: metrics registry for hit/miss/invalidation counters
-            (defaults to the disabled registry).
+        instruments: where the hit/miss/invalidation counters go.
     """
 
-    def __init__(self, scores: TangoScoreDatabase, metrics=None) -> None:
-        from repro.obs.metrics import NULL_METRICS
-
+    def __init__(
+        self, scores: TangoScoreDatabase, instruments: Instruments = NULL_INSTRUMENTS
+    ) -> None:
         self.scores = scores
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.invalidations = 0
-        self._m_hits = self.metrics.counter("fleet.cache_hits")
-        self._m_misses = self.metrics.counter("fleet.cache_misses")
-        self._m_invalidations = self.metrics.counter("fleet.cache_invalidations")
+        self._m_hits = instruments.counter("fleet.cache_hits")
+        self._m_misses = instruments.counter("fleet.cache_misses")
+        self._m_invalidations = instruments.counter("fleet.cache_invalidations")
 
     def lookup(self, fingerprint: str) -> Optional[CachedModel]:
         """The cached entry for ``fingerprint``, counting hit or miss."""
@@ -478,16 +477,17 @@ class FleetInferenceEngine:
         use_cache: consult/populate the fingerprint model cache.
         drift_detector: detector used by :meth:`reprobe_member`
             (defaults to a fresh :class:`DriftDetector`).
-        tracer / metrics: telemetry, threaded through every member
-            engine; fleet spans read the shared fleet clock.
+        instruments: threaded through every member engine; fleet spans
+            and events read the shared fleet clock.
         fault_injector / retry_policy: forwarded to every member engine
             (fault decision streams are per switch *name*, so members
             fault independently; retry holds play out on each member's
             local probe clocks and lengthen only that member's stages).
         sanitizer: optional
             :class:`~repro.analysis.racecheck.RaceSanitizer`.  When set,
-            the score database, metrics registry, and model cache are
-            wrapped in access-logging proxies, the fleet simulator
+            the score database, the metric handles (even with no
+            registry attached), and the model cache are wrapped in
+            access-logging proxies, the fleet simulator
             records event provenance, and every access is attributed to
             the member on whose behalf it ran -- feeding the TNG040
             tie-break race check.  ``None`` (the default) leaves the run
@@ -504,8 +504,6 @@ class FleetInferenceEngine:
         max_in_flight: Optional[int] = None,
         use_cache: bool = True,
         drift_detector: Optional[DriftDetector] = None,
-        tracer=None,
-        metrics=None,
         fault_injector=None,
         retry_policy=None,
         size_probe_max_rules: int = 8192,
@@ -513,12 +511,8 @@ class FleetInferenceEngine:
         latency_batch_sizes: Tuple[int, ...] = (100, 400, 900, 1600),
         policy_cache_size: Optional[int] = None,
         sanitizer=None,
-        telemetry=None,
+        instruments: Instruments = NULL_INSTRUMENTS,
     ) -> None:
-        from repro.obs.metrics import NULL_METRICS
-        from repro.obs.telemetry import NULL_TELEMETRY
-        from repro.obs.trace import NULL_TRACER
-
         resolved: List[FleetMember] = []
         for item in members:
             if isinstance(item, FleetMember):
@@ -540,9 +534,7 @@ class FleetInferenceEngine:
         self.drift_detector = (
             drift_detector if drift_detector is not None else DriftDetector()
         )
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.instruments = instruments
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy
         self.sanitizer = sanitizer
@@ -551,14 +543,14 @@ class FleetInferenceEngine:
             # member engines and the model cache all go through the
             # logging proxies.
             self.scores = sanitizer.wrap_scores(self.scores)
-            self.metrics = sanitizer.wrap_metrics(self.metrics)
+            self.instruments = instruments.wrap_metrics(sanitizer.wrap_metrics)
         self.engine_knobs: Dict[str, Any] = {
             "size_probe_max_rules": size_probe_max_rules,
             "size_accuracy_target": size_accuracy_target,
             "latency_batch_sizes": tuple(latency_batch_sizes),
             "policy_cache_size": policy_cache_size,
         }
-        self.cache = ModelCache(self.scores, metrics=self.metrics)
+        self.cache = ModelCache(self.scores, instruments=self.instruments)
         if sanitizer is not None:
             self.cache = sanitizer.wrap_cache(self.cache)
         self._fingerprints: Dict[str, str] = {}
@@ -586,10 +578,9 @@ class FleetInferenceEngine:
             member.named_profile(),
             scores=self.scores,
             seed=self._member_seed(index),
-            tracer=self.tracer,
-            metrics=self.metrics,
             fault_injector=self.fault_injector,
             retry_policy=self.retry_policy,
+            instruments=self.instruments,
             **self.engine_knobs,
         )
 
@@ -617,8 +608,9 @@ class FleetInferenceEngine:
         waiters: Dict[str, List[Tuple[FleetMember, float]]] = {}
         leaders: Dict[str, str] = {}
         coalesce_ok = coalescing_allowed(self.fault_injector)
+        ins = self.instruments
 
-        self.metrics.counter("fleet.members").inc(len(self.members))
+        ins.counter("fleet.members").inc(len(self.members))
 
         def read_clock() -> float:
             return fleet_clock.now_ms
@@ -630,30 +622,14 @@ class FleetInferenceEngine:
 
         def finish_member(result: FleetMemberResult) -> None:
             results[result.name] = result
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    fleet_clock.now_ms,
-                    "fleet.member_ms",
-                    result.duration_ms,
-                    source=result.name,
-                    outcome=(
-                        "cache"
-                        if result.cache_hit
-                        else ("coalesced" if result.coalesced else "probe")
-                    ),
+            if ins.enabled:
+                outcome = (
+                    "cache"
+                    if result.cache_hit
+                    else ("coalesced" if result.coalesced else "probe")
                 )
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "fleet.member_finish",
-                    category="fleet",
-                    clock=read_clock,
-                    switch=result.name,
-                    source=(
-                        "cache"
-                        if result.cache_hit
-                        else ("coalesced" if result.coalesced else "probe")
-                    ),
-                    duration_ms=result.duration_ms,
+                ins.fleet_member_done(
+                    result.name, outcome, result.duration_ms, clock=read_clock
                 )
 
         def complete_from_cache(
@@ -704,7 +680,7 @@ class FleetInferenceEngine:
                     fingerprint, driver.model, driver.member.name, recorded_at_ms=now
                 )
             self._fingerprints[driver.member.name] = fingerprint
-            self.metrics.counter("fleet.full_probes").inc()
+            ins.counter("fleet.full_probes").inc()
             finish_member(
                 FleetMemberResult(
                     name=driver.member.name,
@@ -730,7 +706,7 @@ class FleetInferenceEngine:
                         recorded_at_ms=now,
                     )
                 for waiting_member, waiting_started in joined:
-                    self.metrics.counter("fleet.coalesced_joins").inc()
+                    ins.counter("fleet.coalesced_joins").inc()
                     complete_from_cache(
                         waiting_member,
                         entry,
@@ -744,18 +720,9 @@ class FleetInferenceEngine:
         def step(driver: MemberDriver, started_ms: float, fingerprint: str) -> None:
             set_owner(driver.member.name)
             stage, elapsed, done = driver.advance(fleet_clock.now_ms)
-            if self.telemetry.enabled and stage is not None:
-                self.telemetry.observe_probe(
-                    driver.member.name, stage, fleet_clock.now_ms, elapsed
-                )
-            if self.tracer.enabled and stage is not None:
-                self.tracer.event(
-                    "fleet.stage",
-                    category="fleet",
-                    clock=read_clock,
-                    switch=driver.member.name,
-                    stage=stage,
-                    elapsed_ms=elapsed,
+            if ins.enabled and stage is not None:
+                ins.fleet_stage_done(
+                    driver.member.name, stage, elapsed, clock=read_clock
                 )
             if done:
                 sim.schedule(
@@ -773,14 +740,13 @@ class FleetInferenceEngine:
             started_ms = fleet_clock.now_ms
             fingerprint = self.fingerprint_for(member, include_policy)
             self._fingerprints[member.name] = fingerprint
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "fleet.member_start",
-                    category="fleet",
-                    clock=read_clock,
-                    switch=member.name,
-                    profile=member.profile.name,
-                )
+            ins.event(
+                "fleet.member_start",
+                category="fleet",
+                clock=read_clock,
+                switch=member.name,
+                profile=member.profile.name,
+            )
             if self.use_cache:
                 entry = self.cache.lookup(fingerprint)
                 if entry is not None:
@@ -811,28 +777,25 @@ class FleetInferenceEngine:
             ):
                 start_member(pending.popleft())
 
-        with self.tracer.span(
+        with ins.span(
             "fleet.infer",
             category="fleet",
             clock=read_clock,
             members=len(self.members),
             max_in_flight=self.max_in_flight,
         ) as span:
-            if self.telemetry.enabled:
-                # Cadence sampling rides the fleet's own event queue; the
-                # sampler is a pure read and re-arms only while workload
-                # events remain, so the queue still drains and event
-                # outcomes are untouched.
-                self.telemetry.bind_simulator(sim)
+            # Cadence sampling rides the fleet's own event queue; the
+            # sampler is a pure read and re-arms only while workload
+            # events remain, so the queue still drains and event
+            # outcomes are untouched.
+            ins.bind_simulator(sim)
             admit()
-            makespan = sim.run()
-            if self.telemetry.enabled:
-                # The last sampler tick can fire after the last workload
-                # event; the fleet makespan is the workload frontier
-                # (identical to the drain time of a bare run), not the
-                # sampler's final wake-up.
-                makespan = max(result.finished_ms for result in results.values())
-                self.telemetry.finish(makespan)
+            sim.run()
+            # The makespan is the workload frontier: the last member
+            # finish, which is when a bare run's queue drains, and which
+            # a telemetry sampler's final wake-up may overshoot.
+            makespan = max(result.finished_ms for result in results.values())
+            ins.finish(makespan)
             span.set(
                 makespan_ms=makespan,
                 full_probes=sum(1 for r in results.values() if r.full_probe),
@@ -845,7 +808,7 @@ class FleetInferenceEngine:
             makespan_ms=makespan,
             max_in_flight=self.max_in_flight,
         )
-        self.metrics.gauge("fleet.makespan_ms").set(makespan)
+        ins.gauge("fleet.makespan_ms").set(makespan)
         self.scores.put(
             FLEET_DB_SWITCH,
             "fleet_run",
@@ -878,8 +841,8 @@ class FleetInferenceEngine:
         findings = self.cache.invalidate_if_drifted(
             fingerprint, model, detector=self.drift_detector
         )
-        if findings and self.tracer.enabled:
-            self.tracer.event(
+        if findings:
+            self.instruments.event(
                 "fleet.cache_invalidated",
                 category="fleet",
                 switch=name,

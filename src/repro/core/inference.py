@@ -34,6 +34,7 @@ from repro.core.probing import ProbingEngine
 from repro.core.scheduler import DurationEstimator
 from repro.core.scores import TangoScoreDatabase
 from repro.core.size_inference import SizeProber, SizeProbeResult
+from repro.obs import NULL_INSTRUMENTS, Instruments
 from repro.openflow.channel import ControlChannel
 from repro.openflow.messages import FlowModCommand
 from repro.core.requests import SwitchRequest
@@ -162,9 +163,8 @@ class SwitchInferenceEngine:
         seed: base RNG seed for all probes.
         size_probe_max_rules: cap for switches that never reject adds.
         latency_batch_sizes: batch sizes for the latency-curve probe.
-        tracer: telemetry tracer shared by every probing engine built;
-            each probe's spans read that engine's own virtual clock.
-        metrics: metrics registry shared by every probing engine built.
+        instruments: shared by every probing engine built; each probe's
+            spans read that engine's own virtual clock.
         fault_injector: optional :class:`~repro.faults.FaultInjector`;
             every control channel built for a probe is wrapped so the
             injector's plan applies to the whole inference run.
@@ -182,10 +182,9 @@ class SwitchInferenceEngine:
         size_accuracy_target: float = 0.02,
         latency_batch_sizes: Tuple[int, ...] = (100, 400, 900, 1600),
         policy_cache_size: Optional[int] = None,
-        tracer=None,
-        metrics=None,
         fault_injector=None,
         retry_policy=None,
+        instruments: Instruments = NULL_INSTRUMENTS,
     ) -> None:
         self.profile = profile
         self.scores = scores if scores is not None else TangoScoreDatabase()
@@ -194,8 +193,7 @@ class SwitchInferenceEngine:
         self.size_accuracy_target = size_accuracy_target
         self.latency_batch_sizes = latency_batch_sizes
         self.policy_cache_size = policy_cache_size
-        self.tracer = tracer
-        self.metrics = metrics
+        self.instruments = instruments
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy
         self._build_count = 0
@@ -228,9 +226,8 @@ class SwitchInferenceEngine:
             channel,
             scores=self.scores,
             rng=SeededRng(self.seed).child(f"probe:{self._build_count}"),
-            tracer=self.tracer,
-            metrics=self.metrics,
             retry_policy=self.retry_policy,
+            instruments=self.instruments,
         )
         self.probe_engines.append(engine)
         return engine

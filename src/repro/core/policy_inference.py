@@ -295,7 +295,7 @@ class PolicyProber:
         giveups_before = self.engine.fault_giveups
         rtt_measured_before = self.engine.rtt_measurements
         rtt_timeouts_before = self.engine.rtt_timeouts
-        root = self.engine.tracer.span(
+        root = self.engine.instruments.span(
             "infer.policy_probe",
             category="inference",
             clock=self.engine.clock,
@@ -306,7 +306,7 @@ class PolicyProber:
             free = [a for a in FlowAttribute if a not in found]
             if not free:
                 break
-            with self.engine.tracer.span(
+            with self.engine.instruments.span(
                 "infer.policy.round",
                 category="inference",
                 clock=self.engine.clock,
@@ -321,7 +321,7 @@ class PolicyProber:
                     best=best[0].value if best is not None else None,
                     score=round(best_score, 6),
                 )
-            self.engine.metrics.counter("infer.policy.rounds").inc()
+            self.engine.instruments.counter("infer.policy.rounds").inc()
             result.rounds += 1
             result.correlations.append(correlations)
 

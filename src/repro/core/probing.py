@@ -21,8 +21,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.retry import RetryGiveUpError, RetryPolicy, TRANSIENT_FAULTS
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs import NULL_INSTRUMENTS, Instruments
 from repro.openflow.channel import ChannelRecord, ControlChannel
 from repro.openflow.match import IpPrefix, Match, MatchKind, PacketFields
 from repro.openflow.messages import FlowMod, FlowModCommand, PacketOut
@@ -89,9 +88,8 @@ class ProbingEngine:
         scores: shared Tango score database.
         rng: randomness for sampling experiments.
         match_kind: width class used for generated probe rules.
-        tracer: telemetry tracer; spans/events are timestamped from this
-            engine's virtual clock (defaults to the disabled tracer).
-        metrics: metrics registry (defaults to the disabled registry).
+        instruments: where probe spans, events and counters go; spans
+            and events are timestamped from this engine's virtual clock.
         retry_policy: when set, flow_mods hit by transient injected
             faults (:mod:`repro.faults`) are retried with deterministic
             exponential backoff on the virtual clock; exhausted retries
@@ -106,9 +104,8 @@ class ProbingEngine:
         rng: Optional[SeededRng] = None,
         match_kind: MatchKind = MatchKind.L3,
         address_base: int = 0x0A00_0000,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
+        instruments: Instruments = NULL_INSTRUMENTS,
     ) -> None:
         self.channel = channel
         self.scores = scores if scores is not None else TangoScoreDatabase()
@@ -126,23 +123,18 @@ class ProbingEngine:
         self.installs_completed = 0
         self.fault_retries = 0
         self.fault_giveups = 0
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.instruments = instruments
         self.clock = lambda: self.channel.clock.now_ms
-        # Handles cached once so the per-packet cost with telemetry off
-        # is a single no-op method call.
+        # Handles cached once, so the per-packet cost with instruments
+        # off is the single ``enabled`` check.
         switch = self.channel.switch.name
-        self._m_packets = self.metrics.counter("probe.packets_sent", switch=switch)
-        self._m_flow_mods = self.metrics.counter("probe.flow_mods_sent", switch=switch)
-        self._m_retries = self.metrics.counter("probe.rtt_retries", switch=switch)
-        self._m_timeouts = self.metrics.counter("probe.rtt_timeouts", switch=switch)
-        self._m_installed = self.metrics.gauge("probe.flows_installed", switch=switch)
-        self._m_fault_retries = self.metrics.counter(
-            "probe.fault_retries", switch=switch
-        )
-        self._m_fault_giveups = self.metrics.counter(
-            "probe.fault_giveups", switch=switch
-        )
+        self._m_packets = instruments.counter("probe.packets_sent", switch=switch)
+        self._m_flow_mods = instruments.counter("probe.flow_mods_sent", switch=switch)
+        self._m_retries = instruments.counter("probe.rtt_retries", switch=switch)
+        self._m_timeouts = instruments.counter("probe.rtt_timeouts", switch=switch)
+        self._m_installed = instruments.gauge("probe.flows_installed", switch=switch)
+        self._m_fault_retries = instruments.counter("probe.fault_retries", switch=switch)
+        self._m_fault_giveups = instruments.counter("probe.fault_giveups", switch=switch)
 
     @property
     def switch_name(self) -> str:
@@ -169,18 +161,20 @@ class ProbingEngine:
             return self.channel.send_flow_mod(flow_mod)
         started = self.now_ms
         attempts = 0
+        ins = self.instruments
         while True:
             try:
                 return self.channel.send_flow_mod(flow_mod)
             except TRANSIENT_FAULTS as fault:
                 attempts += 1
                 self.fault_retries += 1
-                self._m_fault_retries.inc()
+                if ins.enabled:
+                    self._m_fault_retries.inc()
                 if policy.exhausted(attempts, self.now_ms - started):
                     self.fault_giveups += 1
-                    self._m_fault_giveups.inc()
-                    if self.tracer.enabled:
-                        self.tracer.event(
+                    if ins.enabled:
+                        self._m_fault_giveups.inc()
+                        ins.event(
                             "probe.retry_giveup",
                             category="probing",
                             clock=self.clock,
@@ -192,8 +186,8 @@ class ProbingEngine:
                 wait_ms = policy.backoff_ms(attempts, self._retry_rng)
                 if fault.retry_at_ms is not None:
                     wait_ms = max(wait_ms, fault.retry_at_ms - self.now_ms)
-                if self.tracer.enabled:
-                    self.tracer.event(
+                if ins.enabled:
+                    ins.event(
                         "probe.fault_retry",
                         category="probing",
                         clock=self.clock,
@@ -217,8 +211,9 @@ class ProbingEngine:
         self.send_flow_mod(handle.flow_mod(FlowModCommand.ADD))
         self.flows.append(handle)
         self.installs_completed += 1
-        self._m_flow_mods.inc()
-        self._m_installed.set(len(self.flows))
+        if self.instruments.enabled:
+            self._m_flow_mods.inc()
+            self._m_installed.set(len(self.flows))
 
     def install_new_flow(self, priority: int = 100) -> ProbeHandle:
         handle = self.new_handle(priority=priority)
@@ -232,25 +227,28 @@ class ProbingEngine:
         deletion is idempotent, and inference rounds must be able to
         clean up even while the control plane is flaky.
         """
+        ins = self.instruments
         for handle in self.flows:
             try:
                 self.send_flow_mod(handle.flow_mod(FlowModCommand.DELETE))
             except RetryGiveUpError:
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "probe.cleanup_skipped",
-                        category="probing",
-                        clock=self.clock,
-                        flow=handle.index,
-                    )
-            self._m_flow_mods.inc()
+                ins.event(
+                    "probe.cleanup_skipped",
+                    category="probing",
+                    clock=self.clock,
+                    flow=handle.index,
+                )
+            if ins.enabled:
+                self._m_flow_mods.inc()
         self.flows.clear()
-        self._m_installed.set(0)
+        if ins.enabled:
+            self._m_installed.set(0)
 
     # -- traffic ---------------------------------------------------------------
     def send_probe_packet(self, handle: ProbeHandle) -> float:
         """Send one packet matching the handle's rule; returns RTT (ms)."""
-        self._m_packets.inc()
+        if self.instruments.enabled:
+            self._m_packets.inc()
         return self.channel.send_packet_out(handle.packet_out)
 
     def measure_rtt(self, handle: ProbeHandle, retries: int = 3) -> float:
@@ -265,14 +263,15 @@ class ProbingEngine:
         rtt = self.send_probe_packet(handle)
         attempts = 0
         while rtt >= timeout_ms and attempts < retries:
-            self._m_retries.inc()
+            if self.instruments.enabled:
+                self._m_retries.inc()
             rtt = self.send_probe_packet(handle)
             attempts += 1
         if rtt >= timeout_ms:
             self.rtt_timeouts += 1
-            self._m_timeouts.inc()
-            if self.tracer.enabled:
-                self.tracer.event(
+            if self.instruments.enabled:
+                self._m_timeouts.inc()
+                self.instruments.event(
                     "probe.rtt_timeout",
                     category="probing",
                     clock=self.clock,
@@ -292,7 +291,8 @@ class ProbingEngine:
         Returns a dict with the flow_mod completion time and the list of
         per-packet RTTs, also stored in the score database.
         """
-        with self.tracer.span(
+        ins = self.instruments
+        with ins.span(
             "probe.apply_pattern",
             category="probing",
             clock=self.clock,
@@ -302,11 +302,13 @@ class ProbingEngine:
             start = self.now_ms
             for flow_mod in pattern.flow_mods:
                 self.send_flow_mod(flow_mod)
-            self._m_flow_mods.inc(len(pattern.flow_mods))
+            if ins.enabled:
+                self._m_flow_mods.inc(len(pattern.flow_mods))
             install_ms = self.now_ms - start
             rtts = []
             for packet in pattern.traffic:
-                self._m_packets.inc()
+                if ins.enabled:
+                    self._m_packets.inc()
                 rtts.append(self.channel.send_packet_out(PacketOut(packet=packet)))
             result = {"install_ms": install_ms, "rtts_ms": rtts}
             span.set(
@@ -329,5 +331,6 @@ class ProbingEngine:
         start = self.now_ms
         for flow_mod in flow_mods:
             self.send_flow_mod(flow_mod)
-        self._m_flow_mods.inc(len(flow_mods))
+        if self.instruments.enabled:
+            self._m_flow_mods.inc(len(flow_mods))
         return self.now_ms - start

@@ -41,14 +41,12 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.patterns import RewritePattern, TangoPatternDatabase
 from repro.core.planner import TailCostPlanner
 from repro.core.requests import ReadySimulation, RequestDag, SwitchRequest
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.telemetry import NULL_TELEMETRY, TelemetryCollector
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs import NULL_INSTRUMENTS, Instruments
 from repro.openflow.channel import ControlChannel
 from repro.openflow.errors import TransientFaultError
 from repro.openflow.messages import FlowModCommand
@@ -97,17 +95,15 @@ class NetworkExecutor:
     Each switch runs on its own virtual clock; the executor aligns all
     clocks to a common epoch when created (or on :meth:`reset_epoch`), so
     finish times are comparable across switches and dependent requests on
-    different switches serialise correctly.
+    different switches serialise correctly.  Every issued request is
+    reported to ``instruments`` (:meth:`Instruments.request_issued`).
     """
 
     def __init__(
         self,
         channels: Dict[str, ControlChannel],
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        trace_requests: bool = False,
         fault_injector: Optional["FaultInjector"] = None,
-        telemetry: Optional[TelemetryCollector] = None,
+        instruments: Instruments = NULL_INSTRUMENTS,
     ) -> None:
         if not channels:
             raise ValueError("need at least one switch channel")
@@ -116,17 +112,11 @@ class NetworkExecutor:
             channels = fault_injector.wrap_channels(channels)
         self.channels = dict(channels)
         self.epoch_ms = 0.0
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.trace_requests = trace_requests
-        self._m_issued = {
-            command: self.metrics.counter(
-                "executor.requests_issued", command=command.value
-            )
-            for command in FlowModCommand
-        }
-        self._m_issue_ms = self.metrics.histogram("executor.issue_ms")
+        self.instruments = instruments
+        # Declared up front so every command's series exports, even at 0.
+        for command in FlowModCommand:
+            instruments.counter("executor.requests_issued", command=command.value)
+        instruments.histogram("executor.issue_ms")
         self.reset_epoch()
 
     def reset_epoch(self) -> None:
@@ -154,22 +144,8 @@ class NetworkExecutor:
         started = channel.clock.now_ms
         channel.send_flow_mod(request.flow_mod())
         finished = channel.clock.now_ms
-        self._m_issued[request.command].inc()
-        self._m_issue_ms.observe(finished - started)
-        if self.telemetry.enabled:
-            self.telemetry.observe_install(
-                request.location, request.command.value, started, finished
-            )
-        if self.trace_requests and self.tracer.enabled:
-            self.tracer.event(
-                "executor.issue",
-                category="executor",
-                clock=lambda: finished,
-                request_id=request.request_id,
-                switch=request.location,
-                command=request.command.value,
-                issue_ms=finished - started,
-            )
+        if self.instruments.enabled:
+            self.instruments.request_issued(request, started, finished)
         return IssueRecord(
             request=request, started_ms=started, finished_ms=finished
         )
@@ -198,7 +174,7 @@ class _OrderingOracle:
     def __init__(
         self,
         patterns: Sequence[RewritePattern],
-        metrics: Optional[MetricsRegistry] = None,
+        instruments: Instruments = NULL_INSTRUMENTS,
     ) -> None:
         if not patterns:
             raise ValueError("need at least one rewrite pattern")
@@ -206,21 +182,23 @@ class _OrderingOracle:
         self._cache: Dict[tuple, Tuple[RewritePattern, Tuple[int, ...]]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        registry = metrics if metrics is not None else NULL_METRICS
-        self._m_calls = registry.counter("scheduler.oracle_calls")
-        self._m_scored = registry.counter("scheduler.oracle_requests_scored")
+        self._instruments = instruments
+        self._m_calls = instruments.counter("scheduler.oracle_calls")
+        self._m_scored = instruments.counter("scheduler.oracle_requests_scored")
 
     def note_incremental_order(self, scored: int) -> None:
         """Attribute ordering work done incrementally on the oracle's
         behalf (the tail-cost planner materialising ordered prefixes)."""
-        self._m_calls.inc()
-        self._m_scored.inc(scored)
+        if self._instruments.enabled:
+            self._m_calls.inc()
+            self._m_scored.inc(scored)
 
     def choose(
         self, requests: Sequence[SwitchRequest]
     ) -> Tuple[RewritePattern, List[SwitchRequest]]:
-        self._m_calls.inc()
-        self._m_scored.inc(len(requests))
+        if self._instruments.enabled:
+            self._m_calls.inc()
+            self._m_scored.inc(len(requests))
         key = tuple((r.request_id, r.command, r.priority) for r in requests)
         cached = self._cache.get(key)
         if cached is not None:
@@ -253,13 +231,11 @@ class BasicTangoScheduler:
         patterns: rewrite patterns to score (defaults to the pattern
             database's registered set).
         pattern_db: optional shared pattern database.
-        tracer: telemetry tracer; per-batch spans are timestamped from
-            the executor's virtual-time frontier (defaults disabled).
-        metrics: metrics registry for batch/request/oracle counters
-            (defaults disabled).
-        telemetry: continuous-telemetry collector; batch spans feed its
-            ``scheduler.batch_ms`` stream (defaults to the executor's
-            collector, so attaching once at the executor covers both).
+        instruments: where batch spans, batch/request/oracle counters and
+            the collector's batch stream go; spans are timestamped from
+            the executor's virtual-time frontier.  Defaults to the
+            executor's handle, so attaching once at the executor covers
+            both.
     """
 
     def __init__(
@@ -268,30 +244,21 @@ class BasicTangoScheduler:
         patterns: Optional[Sequence[RewritePattern]] = None,
         pattern_db: Optional[TangoPatternDatabase] = None,
         strict: bool = False,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        telemetry: Optional[TelemetryCollector] = None,
+        instruments: Optional[Instruments] = None,
     ) -> None:
         self.executor = executor
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.telemetry = telemetry if telemetry is not None else executor.telemetry
-        self._t_batch_pattern = ""
-        self._t_batch_start_ms = 0.0
+        self.instruments = (
+            instruments if instruments is not None else executor.instruments
+        )
         if patterns is None:
             db = pattern_db if pattern_db is not None else TangoPatternDatabase()
             patterns = db.rewrite_patterns
-        self.oracle = _OrderingOracle(patterns, metrics=self.metrics)
+        self.oracle = _OrderingOracle(patterns, instruments=self.instruments)
         self.strict = strict
         name = type(self).__name__
-        self._m_batches = self.metrics.counter("scheduler.batches", scheduler=name)
-        self._m_requests = self.metrics.counter("scheduler.requests", scheduler=name)
-        self._m_misses = self.metrics.counter(
-            "scheduler.deadline_misses", scheduler=name
-        )
-        self._m_fault_retries = self.metrics.counter(
-            "scheduler.fault_retries", scheduler=name
-        )
+        # Declared up front so each series exports, even at 0.
+        for series in ("batches", "requests", "deadline_misses", "fault_retries"):
+            self.instruments.counter(f"scheduler.{series}", scheduler=name)
         self._fault_holds: Dict[int, float] = {}
         self._fault_attempts: Dict[int, int] = {}
 
@@ -307,46 +274,36 @@ class BasicTangoScheduler:
             per_switch[request.location] += estimate(request)
         return max(per_switch.values(), default=0.0)
 
-    def _open_batch_span(self, pattern_name: str, batch: Sequence[SwitchRequest], round_index: int):
-        """A per-batch span carrying the oracle's choice and estimates."""
-        span = self.tracer.span(
-            "scheduler.batch",
-            category="scheduler",
+    def _open_batch(
+        self,
+        pattern_name: str,
+        requests: Sequence[SwitchRequest],
+        round_index: int,
+        **attrs,
+    ):
+        """Open the batch's instrumentation (``None`` when disabled)."""
+        if not self.instruments.enabled:
+            return None
+        return self.instruments.open_batch(
+            type(self).__name__,
+            pattern_name,
+            len(requests),
+            round_index,
             clock=self.executor.now_ms,
-            pattern=pattern_name,
-            batch_size=len(batch),
-            round=round_index,
+            estimate=lambda: self._batch_estimate_ms(requests),
+            **attrs,
         )
-        if self.tracer.enabled:
-            estimated = self._batch_estimate_ms(batch)
-            if estimated is not None:
-                span.set(estimated_ms=estimated)
-        if self.telemetry.enabled:
-            self._t_batch_pattern = pattern_name
-            self._t_batch_start_ms = self.executor.now_ms()
-        return span
 
-    def _close_batch_span(
-        self, span, batch_start_ms: float, records: Sequence[IssueRecord]
-    ) -> None:
-        if self.tracer.enabled or self.metrics.enabled or self.telemetry.enabled:
-            misses = _count_deadline_misses(records, self.executor.epoch_ms)
-            self._m_misses.inc(misses)
-            if self.tracer.enabled:
-                span.set(
-                    actual_ms=self.executor.now_ms() - batch_start_ms,
-                    deadline_misses=misses,
-                )
-            if self.telemetry.enabled:
-                self.telemetry.observe_batch(
-                    type(self).__name__,
-                    self._t_batch_pattern,
-                    self._t_batch_start_ms,
-                    self.executor.now_ms(),
-                    len(records),
-                    deadline_misses=misses,
-                )
-        span.close()
+    def _close_batch(self, batch, requested: int, records: Sequence[IssueRecord]) -> None:
+        """Close it once ``records`` (this batch's issues) have landed."""
+        if batch is not None:
+            self.instruments.close_batch(
+                batch,
+                self.executor.now_ms(),
+                requested,
+                len(records),
+                _count_deadline_misses(records, self.executor.epoch_ms),
+            )
 
     # -- static verification (strict mode) ------------------------------------
     def _strict_estimate(self) -> Optional[DurationEstimator]:
@@ -453,39 +410,9 @@ class BasicTangoScheduler:
             self._fault_holds[rid] = fault.retry_at_ms
         result.fault_retries += 1
         result.faulted_request_ids.add(rid)
-        self._m_fault_retries.inc()
-        if self.telemetry.enabled:
-            now = self.executor.now_ms()
-            hold = (
-                max(0.0, fault.retry_at_ms - now)
-                if fault.retry_at_ms is not None
-                else 0.0
-            )
-            self.telemetry.emit(
-                now,
-                "scheduler.fault_deferrals",
-                1.0,
-                source=type(self).__name__,
-                switch=request.location,
-                fault=type(fault).__name__,
-            )
-            self.telemetry.emit(
-                now,
-                "scheduler.fault_hold_ms",
-                hold,
-                source=type(self).__name__,
-                switch=request.location,
-            )
-        if self.tracer.enabled:
-            self.tracer.event(
-                "scheduler.fault_deferred",
-                category="scheduler",
-                clock=self.executor.now_ms,
-                request_id=rid,
-                switch=request.location,
-                fault=type(fault).__name__,
-                attempts=attempts,
-                retry_at_ms=fault.retry_at_ms,
+        if self.instruments.enabled:
+            self.instruments.fault_deferred(
+                type(self).__name__, request, fault, attempts, clock=self.executor.now_ms
             )
 
     def _finalize_schedule(self, result: ScheduleResult, makespan: float) -> ScheduleResult:
@@ -531,9 +458,8 @@ class BasicTangoScheduler:
                 raise RuntimeError("DAG not done but no independent requests")
             pattern, ordered = self.oracle.choose(independent)
             result.pattern_choices.append(pattern.name)
-            span = self._open_batch_span(pattern.name, ordered, result.rounds)
+            batch = self._open_batch(pattern.name, ordered, result.rounds)
             batch_start = len(result.records)
-            batch_start_ms = self.executor.now_ms() if self.tracer.enabled else 0.0
             for request in ordered:
                 dep_finish = self._dep_finish(dag, request, finish_times)
                 record = self._issue_or_defer(
@@ -541,11 +467,7 @@ class BasicTangoScheduler:
                 )
                 if record is not None:
                     makespan = max(makespan, record.finished_ms)
-            self._close_batch_span(
-                span, batch_start_ms, result.records[batch_start:]
-            )
-            self._m_batches.inc()
-            self._m_requests.inc(len(ordered))
+            self._close_batch(batch, len(ordered), result.records[batch_start:])
             result.rounds += 1
         return self._finalize_schedule(result, makespan)
 
@@ -591,34 +513,23 @@ class PrefixTangoScheduler(BasicTangoScheduler):
     Args:
         executor: network executor.
         estimate: per-request duration estimate in ms.
-        patterns: rewrite patterns for the oracle.
         max_prefixes: candidate prefix cuts evaluated per tree node.
         lookahead_depth: how many batch decisions ahead the tree explores
             before falling back to greedy full batches.
+        options: :class:`BasicTangoScheduler`'s keywords, as for every
+            variant below (``patterns``, ``pattern_db``, ``strict``,
+            ``instruments``).
     """
 
     def __init__(
         self,
         executor: NetworkExecutor,
         estimate: DurationEstimator,
-        patterns: Optional[Sequence[RewritePattern]] = None,
-        pattern_db: Optional[TangoPatternDatabase] = None,
         max_prefixes: int = 4,
         lookahead_depth: int = 2,
-        strict: bool = False,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        telemetry: Optional[TelemetryCollector] = None,
+        **options: Any,
     ) -> None:
-        super().__init__(
-            executor,
-            patterns=patterns,
-            pattern_db=pattern_db,
-            strict=strict,
-            tracer=tracer,
-            metrics=metrics,
-            telemetry=telemetry,
-        )
+        super().__init__(executor, **options)
         if lookahead_depth < 1:
             raise ValueError("lookahead_depth must be at least 1")
         self.estimate = estimate
@@ -686,11 +597,14 @@ class PrefixTangoScheduler(BasicTangoScheduler):
             )
 
             result.pattern_choices.append(pattern.name)
-            span = self._open_batch_span(pattern.name, issue_now, result.rounds)
-            if self.tracer.enabled:
-                span.set(ready=planner.ready_count, cut=len(issue_now))
+            batch = self._open_batch(
+                pattern.name,
+                issue_now,
+                result.rounds,
+                ready=planner.ready_count,
+                cut=len(issue_now),
+            )
             batch_start = len(result.records)
-            batch_start_ms = self.executor.now_ms() if self.tracer.enabled else 0.0
             issued: List[SwitchRequest] = []
             for request in issue_now:
                 dep_finish = self._dep_finish(dag, request, finish_times)
@@ -700,11 +614,7 @@ class PrefixTangoScheduler(BasicTangoScheduler):
                 if record is not None:
                     issued.append(request)
                     makespan = max(makespan, record.finished_ms)
-            self._close_batch_span(
-                span, batch_start_ms, result.records[batch_start:]
-            )
-            self._m_batches.inc()
-            self._m_requests.inc(len(issue_now))
+            self._close_batch(batch, len(issue_now), result.records[batch_start:])
             planner.commit(r.request_id for r in issued)
             result.rounds += 1
         return self._finalize_schedule(result, makespan)
@@ -722,25 +632,9 @@ class DeadlineAwareTangoScheduler(BasicTangoScheduler):
     """
 
     def __init__(
-        self,
-        executor: NetworkExecutor,
-        estimate: DurationEstimator,
-        patterns: Optional[Sequence[RewritePattern]] = None,
-        pattern_db: Optional[TangoPatternDatabase] = None,
-        strict: bool = False,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        telemetry: Optional[TelemetryCollector] = None,
+        self, executor: NetworkExecutor, estimate: DurationEstimator, **options: Any
     ) -> None:
-        super().__init__(
-            executor,
-            patterns=patterns,
-            pattern_db=pattern_db,
-            strict=strict,
-            tracer=tracer,
-            metrics=metrics,
-            telemetry=telemetry,
-        )
+        super().__init__(executor, **options)
         self.estimate = estimate
 
     def _strict_estimate(self) -> Optional[DurationEstimator]:
@@ -776,11 +670,10 @@ class DeadlineAwareTangoScheduler(BasicTangoScheduler):
             result.pattern_choices.append(pattern.name)
             elapsed_epoch = makespan - self.executor.epoch_ms
             urgent, relaxed = self._split_urgent(ordered, elapsed_epoch)
-            span = self._open_batch_span(pattern.name, ordered, result.rounds)
-            if self.tracer.enabled:
-                span.set(urgent=len(urgent))
+            batch = self._open_batch(
+                pattern.name, ordered, result.rounds, urgent=len(urgent)
+            )
             batch_start = len(result.records)
-            batch_start_ms = self.executor.now_ms() if self.tracer.enabled else 0.0
             for request in urgent + relaxed:
                 dep_finish = self._dep_finish(dag, request, finish_times)
                 record = self._issue_or_defer(
@@ -788,11 +681,7 @@ class DeadlineAwareTangoScheduler(BasicTangoScheduler):
                 )
                 if record is not None:
                     makespan = max(makespan, record.finished_ms)
-            self._close_batch_span(
-                span, batch_start_ms, result.records[batch_start:]
-            )
-            self._m_batches.inc()
-            self._m_requests.inc(len(ordered))
+            self._close_batch(batch, len(ordered), result.records[batch_start:])
             result.rounds += 1
         return self._finalize_schedule(result, makespan)
 
@@ -811,23 +700,10 @@ class ConcurrentTangoScheduler(BasicTangoScheduler):
         self,
         executor: NetworkExecutor,
         estimate: DurationEstimator,
-        patterns: Optional[Sequence[RewritePattern]] = None,
-        pattern_db: Optional[TangoPatternDatabase] = None,
         guard_ms: float = 5.0,
-        strict: bool = False,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        telemetry: Optional[TelemetryCollector] = None,
+        **options: Any,
     ) -> None:
-        super().__init__(
-            executor,
-            patterns=patterns,
-            pattern_db=pattern_db,
-            strict=strict,
-            tracer=tracer,
-            metrics=metrics,
-            telemetry=telemetry,
-        )
+        super().__init__(executor, **options)
         self.estimate = estimate
         self.guard_ms = guard_ms
 
@@ -848,11 +724,10 @@ class ConcurrentTangoScheduler(BasicTangoScheduler):
             result.pattern_choices.append(pattern.name)
             if not ordered:
                 raise RuntimeError("DAG not done but no independent requests")
-            span = self._open_batch_span(pattern.name, ordered, result.rounds)
-            if self.tracer.enabled:
-                span.set(guard_ms=self.guard_ms)
+            batch = self._open_batch(
+                pattern.name, ordered, result.rounds, guard_ms=self.guard_ms
+            )
             batch_start = len(result.records)
-            batch_start_ms = self.executor.now_ms() if self.tracer.enabled else 0.0
             for request in ordered:
                 # Guard times are measured on the executor's timeline, so
                 # dependency-free requests anchor at the epoch -- not at
@@ -874,10 +749,6 @@ class ConcurrentTangoScheduler(BasicTangoScheduler):
                 )
                 if record is not None:
                     makespan = max(makespan, record.finished_ms)
-            self._close_batch_span(
-                span, batch_start_ms, result.records[batch_start:]
-            )
-            self._m_batches.inc()
-            self._m_requests.inc(len(ordered))
+            self._close_batch(batch, len(ordered), result.records[batch_start:])
             result.rounds += 1
         return self._finalize_schedule(result, makespan)

@@ -145,7 +145,7 @@ class SizeProber:
         giveups = 0
         batch = self.initial_batch
         rounds = 0
-        with self.engine.tracer.span(
+        with self.engine.instruments.span(
             "infer.size.fill", category="inference", clock=self.engine.clock
         ) as span:
             while not cache_full and len(self.engine.flows) < self.max_rules:
@@ -163,7 +163,7 @@ class SizeProber:
                             # Pathological plan (virtually every install
                             # fails): stop filling, report what we have.
                             span.set(fill_aborted=True)
-                            self.engine.metrics.counter(
+                            self.engine.instruments.counter(
                                 "infer.size.doubling_rounds"
                             ).inc(rounds)
                             return False, giveups
@@ -178,7 +178,7 @@ class SizeProber:
                 cache_full=cache_full,
                 install_giveups=giveups,
             )
-        self.engine.metrics.counter("infer.size.doubling_rounds").inc(rounds)
+        self.engine.instruments.counter("infer.size.doubling_rounds").inc(rounds)
         return cache_full, giveups
 
     # -- stage 2 ----------------------------------------------------------------
@@ -186,7 +186,7 @@ class SizeProber:
         rtts = []
         flows = list(self.engine.flows)
         self.engine.rng.shuffle(flows)
-        with self.engine.tracer.span(
+        with self.engine.instruments.span(
             "infer.size.cluster", category="inference", clock=self.engine.clock
         ) as span:
             for handle in flows:
@@ -205,7 +205,7 @@ class SizeProber:
         # accuracy target (subject to the O(n) packet budget).
         target_hits = int(round(1.0 / self.accuracy_target**2))
         packet_budget = self.packet_budget_factor * m
-        span = self.engine.tracer.span(
+        span = self.engine.instruments.span(
             "infer.size.sample_layer",
             category="inference",
             clock=self.engine.clock,
@@ -239,7 +239,7 @@ class SizeProber:
             packets=packets,
             estimated_size=estimated,
         ).close()
-        self.engine.metrics.counter("infer.size.sample_trials").inc(trials_done)
+        self.engine.instruments.counter("infer.size.sample_trials").inc(trials_done)
         return LayerEstimate(
             mean_rtt_ms=clusters[level].mean_ms,
             estimated_size=estimated,
@@ -262,7 +262,7 @@ class SizeProber:
     # -- public API ------------------------------------------------------------
     def probe(self) -> SizeProbeResult:
         """Run all three stages and return the per-layer size estimates."""
-        root = self.engine.tracer.span(
+        root = self.engine.instruments.span(
             "infer.size_probe",
             category="inference",
             clock=self.engine.clock,

@@ -7,16 +7,12 @@ per-switch stalls, and disconnect/reconnect windows; a
 using per-switch ``SeededRng`` child streams and the simulated clock,
 so faulted runs replay byte-for-byte and zero-fault plans are
 bit-identical to running without the injector
-(:func:`verify_noop_injection`).  :class:`RetryPolicy` gives probing a
+(:func:`repro.perf.harness.verify_noop`).  :class:`RetryPolicy` gives probing a
 deterministic exponential-backoff retry loop over exactly the
 :class:`~repro.openflow.errors.TransientFaultError` family.
 """
 
-from repro.faults.injector import (
-    FaultInjector,
-    FaultyControlChannel,
-    verify_noop_injection,
-)
+from repro.faults.injector import FaultInjector, FaultyControlChannel
 from repro.faults.plan import DisconnectWindow, FaultPlan, StallWindow
 from repro.faults.retry import (
     DEFAULT_RETRY_POLICY,
@@ -31,7 +27,6 @@ __all__ = [
     "DisconnectWindow",
     "FaultInjector",
     "FaultyControlChannel",
-    "verify_noop_injection",
     "RetryPolicy",
     "RetryGiveUpError",
     "DEFAULT_RETRY_POLICY",

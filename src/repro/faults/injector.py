@@ -12,12 +12,12 @@ is deterministic:
   simulated clock;
 * a plan with ``is_noop()`` true draws nothing and adds no clock time,
   so a zero-fault injector is bit-identical to no injector — which
-  :func:`verify_noop_injection` checks end-to-end.
+  :func:`repro.perf.harness.verify_noop` checks end-to-end.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.faults.plan import FaultPlan
 from repro.openflow.channel import ChannelRecord, ControlChannel
@@ -212,47 +212,3 @@ class FaultInjector:
             for key, value in channel.injection_counts().items():
                 totals[key] += value
         return totals
-
-
-def verify_noop_injection(n: int = 200) -> None:
-    """Assert a zero-fault injector is bit-identical to no injector.
-
-    Mirrors ``repro.perf.harness.verify_noop_instrumentation``: schedules
-    the same layered DAG twice — once on a bare executor, once on an
-    executor whose channels are wrapped with ``FaultPlan()`` (a no-op
-    plan) — and requires identical makespan, rounds, pattern choices,
-    per-request start/finish times, and zero injected faults.
-
-    Raises:
-        AssertionError: on any divergence.
-    """
-    from repro.core.scheduler import BasicTangoScheduler
-    from repro.perf.workloads import fast_executor, layered_dag
-
-    def run(with_injector: bool):
-        injector = FaultInjector(FaultPlan()) if with_injector else None
-        executor = fast_executor("sw", seed=7, fault_injector=injector)
-        result = BasicTangoScheduler(executor).schedule(layered_dag(n))
-        timeline = tuple(
-            (r.request.request_id, r.started_ms, r.finished_ms)
-            for r in result.records
-        )
-        signature = (
-            result.makespan_ms,
-            result.rounds,
-            tuple(result.pattern_choices),
-            timeline,
-        )
-        counts = injector.injection_counts() if injector is not None else None
-        return signature, result.fault_retries, counts
-
-    bare_sig, _, _ = run(with_injector=False)
-    faulty_sig, retries, counts = run(with_injector=True)
-    assert bare_sig == faulty_sig, (
-        "zero-fault injection changed the schedule: "
-        f"bare={bare_sig[:3]} injected={faulty_sig[:3]}"
-    )
-    assert retries == 0, f"zero-fault plan caused {retries} scheduler retries"
-    assert counts is not None and all(v == 0 for v in counts.values()), (
-        f"zero-fault plan injected faults: {counts}"
-    )

@@ -123,7 +123,7 @@ class FaultPlan:
         A no-op plan is the byte-identity guarantee: wrapping a channel
         with it draws no randomness and adds no clock time, so the run is
         bit-identical to the un-wrapped one (see
-        :func:`repro.faults.injector.verify_noop_injection`).
+        :func:`repro.perf.harness.verify_noop`).
         """
         return (
             self.loss_probability == 0.0

@@ -12,6 +12,7 @@ from typing import Dict, List, Optional
 from repro.core.scheduler import NetworkExecutor
 from repro.netem.flows import NetworkFlow
 from repro.netem.topology import Topology
+from repro.obs import NULL_INSTRUMENTS, Instruments
 from repro.openflow.channel import ControlChannel
 from repro.switches.base import SimulatedSwitch
 from repro.switches.profiles import SwitchProfile
@@ -142,32 +143,21 @@ class EmulatedNetwork:
         return installed
 
     def executor(
-        self,
-        metrics=None,
-        tracer=None,
-        trace_requests: bool = False,
-        fault_injector=None,
-        telemetry=None,
+        self, fault_injector=None, instruments: Instruments = NULL_INSTRUMENTS
     ) -> NetworkExecutor:
         """A network executor over every switch in the topology.
 
-        Telemetry arguments are forwarded to
-        :class:`~repro.core.scheduler.NetworkExecutor` unchanged.  With a
+        ``instruments`` is forwarded to
+        :class:`~repro.core.scheduler.NetworkExecutor` unchanged; its
+        telemetry collector, if any, also starts watching every switch
+        (and per-port flow counts) in this network.  With a
         ``fault_injector`` (:class:`repro.faults.FaultInjector`), the
         executor sees fault-wrapped channels while the network's own
-        ``channels`` stay bare for untimed setup traffic.  A
-        ``telemetry`` collector additionally starts watching every
-        switch (and per-port flow counts) in this network.
+        ``channels`` stay bare for untimed setup traffic.
         """
-        if telemetry is not None and telemetry.enabled:
-            telemetry.watch_network(self)
+        instruments.watch_network(self)
         return NetworkExecutor(
-            self.channels,
-            metrics=metrics,
-            tracer=tracer,
-            trace_requests=trace_requests,
-            fault_injector=fault_injector,
-            telemetry=telemetry,
+            self.channels, fault_injector=fault_injector, instruments=instruments
         )
 
     def reset_rules(self) -> None:

@@ -12,10 +12,11 @@ feeds over that stream (:mod:`repro.obs.slo`), surfaced by the
 ``tango-trace`` (:mod:`repro.obs.cli`) and ``tango-telemetry``
 (:mod:`repro.obs.telemetry_cli`) CLIs.
 
-All instrumented components default to the disabled null objects
-(:data:`NULL_TRACER`, :data:`NULL_METRICS`, :data:`NULL_TELEMETRY`), so
-telemetry off means a single attribute check on the hot paths and zero
-recorded state.
+Components reach those sinks through one handle,
+:class:`~repro.obs.instruments.Instruments` (``instruments=`` on every
+constructor).  They all default to :data:`NULL_INSTRUMENTS`, whose one
+``enabled`` bit is false, so telemetry off means a single attribute
+check on the hot paths and zero recorded state.
 """
 
 from repro.obs.export import (
@@ -26,6 +27,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.instruments import NULL_INSTRUMENTS, Instruments
 from repro.obs.metrics import (
     COUNT_BUCKETS,
     Counter,
@@ -33,8 +35,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_METRICS,
-    NullMetricsRegistry,
     RATIO_BUCKETS,
     default_registry,
     scoped,
@@ -54,8 +54,6 @@ from repro.obs.telemetry import (
     FlowCache,
     FlowCacheConfig,
     FlowRecord,
-    NULL_TELEMETRY,
-    NullTelemetryCollector,
     SlidingWindow,
     TelemetryCollector,
     TelemetrySample,
@@ -65,8 +63,6 @@ from repro.obs.telemetry import (
     write_telemetry_jsonl,
 )
 from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
     Span,
     TraceEvent,
     Tracer,
@@ -84,13 +80,9 @@ __all__ = [
     "FlowRecord",
     "Gauge",
     "Histogram",
+    "Instruments",
     "MetricsRegistry",
-    "NULL_METRICS",
-    "NULL_TELEMETRY",
-    "NULL_TRACER",
-    "NullMetricsRegistry",
-    "NullTelemetryCollector",
-    "NullTracer",
+    "NULL_INSTRUMENTS",
     "RATIO_BUCKETS",
     "SlidingWindow",
     "SloPolicy",

@@ -7,13 +7,13 @@ labels (``registry.counter("probe.packets_sent", switch="s1")``);
 repeated lookups return the same object, so hot paths cache the handle
 once and pay a single method call per update.
 
-Like the tracer, the registry has a disabled twin
-(:data:`NULL_METRICS`) whose metric handles ignore updates -- the
-default for every instrumented component -- and a process-wide default
-registry with a :func:`scoped` context manager for test isolation::
+Components reach a registry through :class:`repro.obs.Instruments`,
+which hands out shared no-op handles when no registry is attached.  A
+process-wide default registry comes with a :func:`scoped` context
+manager for test isolation::
 
     with scoped() as registry:
-        run_something(metrics=registry)
+        run_something(instruments=Instruments(metrics=registry))
         assert registry.counter("scheduler.batches").value == 3
 
 Snapshots are plain sorted dicts, so they serialise deterministically
@@ -146,8 +146,6 @@ class Histogram:
 class MetricsRegistry:
     """Creates and stores metrics keyed by (name, labels)."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelSet], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelSet], Gauge] = {}
@@ -269,30 +267,11 @@ class _NullHistogram(Histogram):
         return None
 
 
+#: Shared no-op handles, handed out when no registry is attached.
 _NULL_COUNTER = _NullCounter("null")
 _NULL_GAUGE = _NullGauge("null")
 _NULL_HISTOGRAM = _NullHistogram("null")
 
-
-class NullMetricsRegistry(MetricsRegistry):
-    """Disabled registry: hands out shared metrics that ignore updates."""
-
-    enabled = False
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return _NULL_GAUGE
-
-    def histogram(
-        self, name: str, buckets: Optional[Sequence[float]] = None, **labels: Any
-    ) -> Histogram:
-        return _NULL_HISTOGRAM
-
-
-#: Process-wide disabled registry; instrumented components default to it.
-NULL_METRICS = NullMetricsRegistry()
 
 #: The process default registry (swappable via :func:`scoped`).
 _DEFAULT_REGISTRY = MetricsRegistry()

@@ -19,12 +19,12 @@ Design rules, shared with the tracer and the metrics registry:
   switch table stacks, network flows, executor clocks -- and its push
   hooks (`observe_install`, `observe_batch`, ...) record into private
   buffers.  Nothing it does touches a clock, an RNG, a DAG, or a score
-  database, and ``verify_noop_instrumentation`` proves schedules, op
-  counts, and TangoDB contents are byte-identical with a collector
-  attached versus detached.
-* **Null twin.**  Instrumented components default to
-  :data:`NULL_TELEMETRY`, whose methods are constant-time no-ops, so
-  telemetry off costs one attribute check on the hot paths.
+  database, and :func:`repro.perf.harness.verify_noop` proves
+  schedules, op counts, and TangoDB contents are byte-identical with a
+  collector attached versus detached.
+* **One seam.**  Components reach the collector only through
+  :class:`repro.obs.Instruments`; without one attached, telemetry costs
+  the handle's single ``enabled`` check on the hot paths.
 
 Flow-cache sampling follows NetFlow-for-OpenFlow semantics: per-flow
 records accumulate packets/updates and are exported when the *active*
@@ -35,10 +35,10 @@ an optional deterministic 1-in-N sampling rate on updates.
 Usage::
 
     collector = TelemetryCollector(interval_ms=5.0)
-    collector.watch_network(network)
-    executor = network.executor(telemetry=collector)
-    scheduler = BasicTangoScheduler(executor, telemetry=collector)
-    scheduler.schedule(dag)
+    # Network.executor also starts the collector watching the network.
+    executor = network.executor(instruments=Instruments(telemetry=collector))
+    BasicTangoScheduler(executor).schedule(dag)  # inherits the handle
+    collector.finish(executor.now_ms())
     write_telemetry_jsonl(collector.samples, "run.telemetry.jsonl")
 """
 
@@ -355,8 +355,6 @@ class TelemetryCollector:
         flow_cache: NetFlow-style flow-cache sampling configuration.
         capacity: retained-sample ring buffer size (oldest drop first).
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -682,54 +680,6 @@ class TelemetryCollector:
             },
             "alerts": len(self.alerts),
         }
-
-
-class NullTelemetryCollector(TelemetryCollector):
-    """Disabled collector: every operation is a constant-time no-op."""
-
-    enabled = False
-
-    def __init__(self) -> None:  # noqa: D401 - trivially empty
-        super().__init__()
-
-    def emit(self, t_ms, series, value, source="", **labels):
-        return None  # type: ignore[return-value]
-
-    def observe_install(self, switch, command, started_ms, finished_ms) -> None:
-        return None
-
-    def observe_batch(
-        self, scheduler, pattern, started_ms, finished_ms, size, deadline_misses=0
-    ) -> None:
-        return None
-
-    def observe_probe(self, switch, op, t_ms, rtt_ms) -> None:
-        return None
-
-    def observe_flow(self, source, key, t_ms, packets=1) -> None:
-        return None
-
-    def watch(self, name, probe) -> None:
-        return None
-
-    def watch_switch(self, name, switch) -> None:
-        return None
-
-    def watch_network(self, network) -> None:
-        return None
-
-    def sample(self, now_ms) -> int:
-        return 0
-
-    def finish(self, now_ms) -> None:
-        return None
-
-    def bind_simulator(self, sim) -> None:
-        return None
-
-
-#: Process-wide disabled collector; instrumented components default to it.
-NULL_TELEMETRY = NullTelemetryCollector()
 
 
 # -- table-stack occupancy view ----------------------------------------------------

@@ -7,13 +7,10 @@ timestamps come from an injected ``now_ms`` callable (a virtual clock),
 never the wall clock, so traces are bit-reproducible run-to-run and the
 TNG030 lint stays clean.
 
-Two tracer flavours share one call surface:
-
-* :class:`Tracer` records :class:`TraceEvent` objects into a bounded
-  ring buffer (oldest events drop first; ``dropped`` counts them).
-* :class:`NullTracer` (singleton :data:`NULL_TRACER`) is the disabled
-  arm: every method is a no-op returning shared immutable objects, so
-  instrumented hot paths pay one attribute check and nothing else.
+:class:`Tracer` records :class:`TraceEvent` objects into a bounded ring
+buffer (oldest events drop first; ``dropped`` counts them).  Components
+reach it through :class:`repro.obs.Instruments`, which hands out a
+shared no-op span when no tracer is attached.
 
 Spans nest: a span opened while another is active records the outer
 span as its parent, and exporters reconstruct the tree from
@@ -139,8 +136,6 @@ class Tracer:
         capacity: ring-buffer size; the oldest events drop beyond it.
     """
 
-    enabled = True
-
     def __init__(
         self, now_ms: Optional[Clock] = None, capacity: int = DEFAULT_CAPACITY
     ) -> None:
@@ -230,10 +225,9 @@ class Tracer:
 
 
 class _NullSpan:
-    """Shared, stateless stand-in returned by :class:`NullTracer`."""
+    """Shared, stateless span handed out when no tracer is attached."""
 
     __slots__ = ()
-    event_id = 0
 
     def set(self, **attrs: Any) -> "_NullSpan":
         return self
@@ -249,31 +243,3 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """The disabled tracer: every operation is a constant-time no-op."""
-
-    enabled = False
-    dropped = 0
-    capacity = 0
-
-    def span(self, name, category="", clock=None, **attrs):
-        return _NULL_SPAN
-
-    def event(self, name, category="", clock=None, **attrs):
-        return None
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def clear(self) -> None:
-        return None
-
-
-#: Process-wide disabled tracer; instrumented components default to it.
-NULL_TRACER = NullTracer()

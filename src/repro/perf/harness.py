@@ -45,17 +45,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.scheduler import BasicTangoScheduler, PrefixTangoScheduler
-from repro.faults import (
-    DisconnectWindow,
-    FaultInjector,
-    FaultPlan,
-    verify_noop_injection,
-)
-from repro.obs.metrics import MetricsRegistry
-from repro.core.fleet import FleetInferenceEngine, build_fleet
+from repro.faults import DisconnectWindow, FaultInjector, FaultPlan
+from repro.obs import NULL_INSTRUMENTS, Instruments, MetricsRegistry
+from repro.core.fleet import FleetInferenceEngine, FleetResult, build_fleet
 from repro.core.scores import TangoScoreDatabase
 from repro.core.shard import ShardedFleetEngine
 from repro.perf.workloads import (
@@ -105,15 +100,6 @@ class BenchRecord:
         return f"{self.case}:{self.n}"
 
 
-def _schedule_signature(result) -> Tuple[float, int, Tuple[str, ...], int]:
-    return (
-        result.makespan_ms,
-        result.rounds,
-        tuple(result.pattern_choices),
-        result.total_requests,
-    )
-
-
 def _bench_schedule(case: str, build_dag, n: int) -> BenchRecord:
     dag = build_dag(n)
     dag.ops.clear()
@@ -122,7 +108,9 @@ def _bench_schedule(case: str, build_dag, n: int) -> BenchRecord:
     # compares against the uninstrumented baseline -- any instrumentation
     # cost that leaked into the hot path would trip the 1.5x threshold.
     registry = MetricsRegistry()
-    scheduler = BasicTangoScheduler(fast_executor(), metrics=registry)
+    scheduler = BasicTangoScheduler(
+        fast_executor(), instruments=Instruments(metrics=registry)
+    )
     result = scheduler.schedule(dag)
     return BenchRecord(
         case=case,
@@ -158,14 +146,6 @@ def bench_descending_shifts(n: int) -> BenchRecord:
     return record
 
 
-def _record_signature(result) -> Tuple:
-    """Byte-comparable digest of every issue record in a schedule."""
-    return tuple(
-        (record.request.request_id, record.started_ms, record.finished_ms)
-        for record in result.records
-    )
-
-
 def _unlock_estimate(request) -> float:
     return UNLOCK_ESTIMATES[request.location]
 
@@ -178,7 +158,7 @@ def bench_prefix_lookahead(n: int) -> BenchRecord:
         fast_executor("a", "b"),
         estimate=_unlock_estimate,
         lookahead_depth=2,
-        metrics=registry,
+        instruments=Instruments(metrics=registry),
     )
     result = scheduler.schedule(dag)
     planner = scheduler.last_planner
@@ -210,7 +190,8 @@ def bench_faulted_schedule(n: int) -> BenchRecord:
     registry = MetricsRegistry()
     injector = FaultInjector(FAULTED_PLAN)
     scheduler = BasicTangoScheduler(
-        fast_executor(fault_injector=injector), metrics=registry
+        fast_executor(fault_injector=injector),
+        instruments=Instruments(metrics=registry),
     )
     result = scheduler.schedule(dag)
     return BenchRecord(
@@ -255,7 +236,7 @@ def bench_fleet_infer(n: int) -> BenchRecord:
     engine = FleetInferenceEngine(
         build_fleet(fleet_bench_profiles(), size),
         seed=3,
-        metrics=registry,
+        instruments=Instruments(metrics=registry),
         **FLEET_BENCH_KNOBS,
     )
     result = engine.infer_fleet(include_policy=False)
@@ -284,7 +265,11 @@ def bench_serve_churn(n: int) -> BenchRecord:
     from repro.serve import ServeLoop
 
     registry = MetricsRegistry()
-    loop = ServeLoop(serve_churn_config(n), serve_bench_profile(), metrics=registry)
+    loop = ServeLoop(
+        serve_churn_config(n),
+        serve_bench_profile(),
+        instruments=Instruments(metrics=registry),
+    )
     result = loop.run()
     return BenchRecord(
         case="serve_churn",
@@ -338,192 +323,167 @@ CASE_NAMES: Dict[str, Callable[[int], BenchRecord]] = {
 }
 
 
-def _fleet_signature(result) -> Tuple:
-    """Byte-comparable digest of a fleet run (models, timing, ops)."""
-    return tuple(
-        (
-            member.name,
-            json.dumps(member.model.to_dict(), sort_keys=True),
-            member.started_ms,
-            member.finished_ms,
-            member.cache_hit,
-            member.coalesced,
-            member.probe_ops,
+# -- the no-op check -------------------------------------------------------------
+def _signature(result, ops: int, scores: Optional[TangoScoreDatabase] = None) -> Tuple:
+    """Byte-comparable digest of one run: op count, outcome, TangoDB.
+
+    The outcome of a schedule is its makespan, rounds, pattern choices,
+    fault retries and every issue record; of a fleet run, every
+    member's model, timeline, source and probe ops plus the summary.
+    """
+    if isinstance(result, FleetResult):
+        outcome: Tuple = tuple(
+            (
+                member.name,
+                json.dumps(member.model.to_dict(), sort_keys=True),
+                member.started_ms,
+                member.finished_ms,
+                member.cache_hit,
+                member.coalesced,
+                member.probe_ops,
+            )
+            for member in result.members
+        ) + (json.dumps(result.summary(), sort_keys=True),)
+    else:
+        outcome = (
+            result.makespan_ms,
+            result.rounds,
+            tuple(result.pattern_choices),
+            result.fault_retries,
+            tuple(
+                (record.request.request_id, record.started_ms, record.finished_ms)
+                for record in result.records
+            ),
         )
-        for member in result.members
-    ) + (result.makespan_ms,)
+    records = () if scores is None else tuple(
+        (record.key, repr(record.value), record.recorded_at_ms, record.source)
+        for record in scores.records()
+    )
+    return ops, outcome, records
 
 
-def _noop_fleet_run(tracer, metrics, telemetry=None, scores=None):
+def _noop_layered(n: int, instruments: Instruments, injector=None):
+    dag = layered_dag(n)
+    dag.ops.clear()
+    executor = fast_executor(fault_injector=injector, instruments=instruments)
+    result = BasicTangoScheduler(executor).schedule(dag)
+    instruments.finish(executor.now_ms())
+    return _signature(result, dag.ops.total())
+
+
+def _noop_prefix(n: int, instruments: Instruments, injector=None):
+    dag = unlock_groups_dag(min(n, 240))
+    dag.ops.clear()
+    executor = fast_executor(
+        "a", "b", fault_injector=injector, instruments=instruments
+    )
+    result = PrefixTangoScheduler(
+        executor, estimate=_unlock_estimate, lookahead_depth=2
+    ).schedule(dag)
+    instruments.finish(executor.now_ms())
+    return _signature(result, dag.ops.total())
+
+
+def _noop_fleet(n: int, instruments: Instruments, injector=None, sanitizer=None):
+    scores = TangoScoreDatabase()
     engine = FleetInferenceEngine(
         build_fleet(fleet_bench_profiles()[:2], 3),
         scores=scores,
         seed=9,
         max_in_flight=2,
-        tracer=tracer,
-        metrics=metrics,
-        telemetry=telemetry,
+        fault_injector=injector,
+        sanitizer=sanitizer,
+        instruments=instruments,
         **FLEET_BENCH_KNOBS,
     )
-    return engine.infer_fleet(include_policy=False)
+    result = engine.infer_fleet(include_policy=False)
+    return _signature(result, result.probe_ops, scores)
 
 
-def _db_signature(db) -> Tuple:
-    """Byte-comparable digest of TangoDB contents, in insertion order."""
-    return tuple(
-        (record.key, repr(record.value), record.recorded_at_ms, record.source)
-        for record in db.records()
-    )
+#: The no-op check's workloads: the layered schedule, the prefix
+#: planner (its hot path) on the unlock workload, and a small concurrent
+#: fleet inference -- the one run the race sanitizer attaches to.
+NOOP_WORKLOADS: Dict[str, Callable[..., Tuple]] = {
+    "layered": _noop_layered,
+    "prefix": _noop_prefix,
+    "fleet": _noop_fleet,
+}
 
 
-def _bench_collector():
-    """A collector configured the way the no-op check attaches it."""
-    from repro.obs.slo import SloPolicy, default_slo_targets
-    from repro.obs.telemetry import TelemetryCollector
+def _sink_combinations():
+    """(label, handle) for every non-empty mix of the three sinks."""
+    from repro.obs import SloPolicy, TelemetryCollector, Tracer, default_slo_targets
 
-    collector = TelemetryCollector(interval_ms=5.0, window_ms=50.0)
-    collector.add_policy(SloPolicy(default_slo_targets()))
-    return collector
-
-
-def verify_noop_instrumentation(n: int = 1000) -> Dict[str, object]:
-    """Assert that attached telemetry never changes scheduling work.
-
-    Runs the layered case twice -- bare, then with a live tracer and
-    metrics registry -- and requires identical schedule signatures and
-    DAG op counts; does the same for the prefix scheduler's incremental
-    planner on the unlock workload (full per-record identity, since the
-    planner is the hot path this suite guards); then the same with a
-    small concurrent fleet inference run (identical models, member
-    timelines, and probe op counts).
-
-    A continuous :class:`~repro.obs.telemetry.TelemetryCollector` is
-    held to the same bar: attached to the layered schedule and the fleet
-    run it may not change schedule signatures, op counts, or TangoDB
-    contents, and two same-seed collector runs must serialize to
-    byte-identical telemetry JSONL.  Raises :class:`AssertionError` on
-    any divergence; returns the comparison payload for reporting.
-    """
-    from repro.obs.telemetry import telemetry_jsonl_lines
-    from repro.obs.trace import Tracer
-
-    bare_dag = layered_dag(n)
-    bare_dag.ops.clear()
-    bare = BasicTangoScheduler(fast_executor()).schedule(bare_dag)
-
-    traced_dag = layered_dag(n)
-    traced_dag.ops.clear()
-    tracer = Tracer()
-    scheduler = BasicTangoScheduler(
-        fast_executor(), tracer=tracer, metrics=MetricsRegistry()
-    )
-    traced = scheduler.schedule(traced_dag)
-
-    prefix_n = min(n, 240)
-    prefix_bare_dag = unlock_groups_dag(prefix_n)
-    prefix_bare_dag.ops.clear()
-    prefix_bare = PrefixTangoScheduler(
-        fast_executor("a", "b"), estimate=_unlock_estimate, lookahead_depth=2
-    ).schedule(prefix_bare_dag)
-
-    prefix_traced_dag = unlock_groups_dag(prefix_n)
-    prefix_traced_dag.ops.clear()
-    prefix_tracer = Tracer()
-    prefix_traced = PrefixTangoScheduler(
-        fast_executor("a", "b"),
-        estimate=_unlock_estimate,
-        lookahead_depth=2,
-        tracer=prefix_tracer,
-        metrics=MetricsRegistry(),
-    ).schedule(prefix_traced_dag)
-
-    bare_fleet_db = TangoScoreDatabase()
-    bare_fleet = _noop_fleet_run(tracer=None, metrics=None, scores=bare_fleet_db)
-    fleet_tracer = Tracer()
-    traced_fleet = _noop_fleet_run(tracer=fleet_tracer, metrics=MetricsRegistry())
-
-    # Continuous flow telemetry: same run, collector attached.
-    tele_dag = layered_dag(n)
-    tele_dag.ops.clear()
-    tele_collector = _bench_collector()
-    tele_executor = fast_executor(telemetry=tele_collector)
-    tele = BasicTangoScheduler(tele_executor).schedule(tele_dag)
-    tele_collector.finish(tele_executor.now_ms())
-
-    # ... and again: same seed, same workload, byte-identical stream.
-    retele_dag = layered_dag(n)
-    retele_dag.ops.clear()
-    re_collector = _bench_collector()
-    re_executor = fast_executor(telemetry=re_collector)
-    BasicTangoScheduler(re_executor).schedule(retele_dag)
-    re_collector.finish(re_executor.now_ms())
-
-    fleet_collector = _bench_collector()
-    tele_fleet_db = TangoScoreDatabase()
-    tele_fleet = _noop_fleet_run(
-        tracer=None, metrics=None, telemetry=fleet_collector, scores=tele_fleet_db
-    )
-
-    payload: Dict[str, object] = {
-        "bare_ops": bare_dag.ops.total(),
-        "traced_ops": traced_dag.ops.total(),
-        "signatures_equal": _schedule_signature(bare) == _schedule_signature(traced),
-        "trace_events": len(tracer),
-        "prefix_bare_ops": prefix_bare_dag.ops.total(),
-        "prefix_traced_ops": prefix_traced_dag.ops.total(),
-        "prefix_signatures_equal": (
-            _schedule_signature(prefix_bare) == _schedule_signature(prefix_traced)
-            and _record_signature(prefix_bare) == _record_signature(prefix_traced)
-        ),
-        "prefix_trace_events": len(prefix_tracer),
-        "fleet_bare_ops": bare_fleet.probe_ops,
-        "fleet_traced_ops": traced_fleet.probe_ops,
-        "fleet_signatures_equal": (
-            _fleet_signature(bare_fleet) == _fleet_signature(traced_fleet)
-        ),
-        "fleet_trace_events": len(fleet_tracer),
-        "collector_ops": tele_dag.ops.total(),
-        "collector_signatures_equal": (
-            _schedule_signature(bare) == _schedule_signature(tele)
-        ),
-        "collector_samples": len(tele_collector.samples),
-        "collector_stream_identical": (
-            telemetry_jsonl_lines(tele_collector.samples)
-            == telemetry_jsonl_lines(re_collector.samples)
-        ),
-        "fleet_collector_samples": len(fleet_collector.samples),
-        "fleet_collector_signatures_equal": (
-            _fleet_signature(bare_fleet) == _fleet_signature(tele_fleet)
-        ),
-        "fleet_db_identical": (
-            _db_signature(bare_fleet_db) == _db_signature(tele_fleet_db)
-        ),
-    }
-    if payload["bare_ops"] != payload["traced_ops"] or not payload["signatures_equal"]:
-        raise AssertionError(f"telemetry changed scheduler work: {payload}")
-    if (
-        payload["prefix_bare_ops"] != payload["prefix_traced_ops"]
-        or not payload["prefix_signatures_equal"]
-    ):
-        raise AssertionError(f"telemetry changed prefix planner work: {payload}")
-    if (
-        payload["fleet_bare_ops"] != payload["fleet_traced_ops"]
-        or not payload["fleet_signatures_equal"]
-    ):
-        raise AssertionError(f"telemetry changed fleet inference work: {payload}")
-    if (
-        payload["bare_ops"] != payload["collector_ops"]
-        or not payload["collector_signatures_equal"]
-    ):
-        raise AssertionError(f"flow collector changed scheduler work: {payload}")
-    if not payload["collector_stream_identical"]:
-        raise AssertionError(
-            f"same-seed collector runs produced different streams: {payload}"
+    for mask in range(1, 8):
+        collector = None
+        if mask & 4:
+            collector = TelemetryCollector(interval_ms=5.0, window_ms=50.0)
+            collector.add_policy(SloPolicy(default_slo_targets()))
+        instruments = Instruments(
+            tracer=Tracer() if mask & 1 else None,
+            metrics=MetricsRegistry() if mask & 2 else None,
+            telemetry=collector,
         )
-    if not payload["fleet_collector_signatures_equal"]:
-        raise AssertionError(f"flow collector changed fleet inference: {payload}")
-    if not payload["fleet_db_identical"]:
-        raise AssertionError(f"flow collector changed TangoDB contents: {payload}")
+        sinks = ("tracer", "metrics", "telemetry")
+        label = "+".join(sink for bit, sink in enumerate(sinks) if mask >> bit & 1)
+        yield label, instruments
+
+
+def verify_noop(n: int = 1000) -> Dict[str, object]:
+    """Assert that nothing attached to a run changes what the run does.
+
+    Every workload in :data:`NOOP_WORKLOADS` runs bare, then once per
+    attachment, and each attached run must reproduce the bare run's
+    :func:`_signature` -- op count, every issue record (or member
+    model and timeline), and the TangoDB records.  The attachments:
+
+    * instruments, in every combination of tracer, metrics registry and
+      telemetry collector; one workload's collectors must also stream
+      byte-identical telemetry JSONL;
+    * a zero-fault :class:`~repro.faults.FaultInjector`, which must
+      inject nothing (so no request is retried);
+    * a :class:`~repro.analysis.racecheck.RaceSanitizer`, on the fleet.
+
+    Raises :class:`AssertionError` on any divergence; returns per
+    workload the bare op count and what the attachments recorded.
+    """
+    from repro.analysis.racecheck import RaceSanitizer
+    from repro.obs.telemetry import telemetry_jsonl_lines
+
+    payload: Dict[str, object] = {}
+    for name, run in NOOP_WORKLOADS.items():
+        bare = run(n, NULL_INSTRUMENTS)
+        arms = list(_sink_combinations())
+        streams: Set[str] = set()
+        for label, instruments in arms:
+            if run(n, instruments) != bare:
+                raise AssertionError(f"{label} changed the {name} run")
+            if instruments.telemetry is not None:
+                streams.add("\n".join(telemetry_jsonl_lines(instruments.telemetry.samples)))
+        if len(streams) != 1:
+            raise AssertionError(f"{name}: same-seed collectors streamed differently")
+        injector = FaultInjector(FaultPlan())
+        if run(n, NULL_INSTRUMENTS, injector=injector) != bare:
+            raise AssertionError(f"a zero-fault injector changed the {name} run")
+        injected = injector.injection_counts()
+        if any(injected.values()):
+            raise AssertionError(f"a zero-fault plan injected faults: {injected}")
+        full = arms[-1][1]  # every sink attached
+        tracer, metrics, collector = full.tracer, full.metrics, full.telemetry
+        assert tracer is not None and metrics is not None and collector is not None
+        summary: Dict[str, object] = {
+            "ops": bare[0],
+            "trace_events": len(tracer),
+            "metrics": len(metrics),
+            "telemetry_samples": len(collector.samples),
+        }
+        if name == "fleet":
+            sanitizer = RaceSanitizer()
+            if run(n, NULL_INSTRUMENTS, sanitizer=sanitizer) != bare:
+                raise AssertionError("the race sanitizer changed the fleet run")
+            races = sanitizer.check()
+            summary.update(accesses=races.accesses, findings=len(races.findings))
+        payload[name] = summary
     return payload
 
 
@@ -548,12 +508,10 @@ def run_suite(
                 f"unknown bench cases {unknown}; known: {sorted(CASE_NAMES)}"
             )
         selected = [CASE_NAMES[name] for name in cases]
-    # Telemetry must be free: a tracer/metrics attach that altered the
-    # deterministic op counts would also poison the regression gate below.
-    verify_noop_instrumentation()
-    # So must a zero-fault injector: wrapping channels with an empty
-    # FaultPlan may not change a single schedule bit.
-    verify_noop_injection()
+    # Attachments must be free: instruments, a zero-fault injector or the
+    # race sanitizer altering the deterministic op counts would also
+    # poison the regression gate below.
+    verify_noop()
     records: List[BenchRecord] = []
     seen = set()
     for n in sizes:

@@ -14,6 +14,7 @@ from typing import List, Optional
 
 from repro.core.requests import RequestDag, SwitchRequest
 from repro.core.scheduler import NetworkExecutor
+from repro.obs import NULL_INSTRUMENTS, Instruments
 from repro.openflow.channel import ControlChannel
 from repro.openflow.match import IpPrefix, Match
 from repro.openflow.messages import FlowModCommand
@@ -29,16 +30,17 @@ def _match(index: int) -> Match:
 
 
 def fast_executor(
-    *locations: str, seed: int = 1, fault_injector=None, telemetry=None
+    *locations: str,
+    seed: int = 1,
+    fault_injector=None,
+    instruments: Instruments = NULL_INSTRUMENTS,
 ) -> NetworkExecutor:
     """Unbounded, jitter-free switches with flat per-op costs.
 
     With a ``fault_injector`` (:class:`repro.faults.FaultInjector`), the
     channels are wrapped so the injector's seeded plan applies — used by
-    the faulted bench case and the no-op injection check.  ``telemetry``
-    (a :class:`repro.obs.telemetry.TelemetryCollector`) attaches a
-    continuous-telemetry collector to the executor — used by the no-op
-    instrumentation check.
+    the faulted bench case and the no-op check.  ``instruments`` is
+    handed to the executor (and so to schedulers built on it).
     """
     channels = {}
     for offset, location in enumerate(locations or ("sw",)):
@@ -60,7 +62,7 @@ def fast_executor(
         )
         channels[location] = ControlChannel(switch, rtt=ConstantLatency(0.0))
     return NetworkExecutor(
-        channels, fault_injector=fault_injector, telemetry=telemetry
+        channels, fault_injector=fault_injector, instruments=instruments
     )
 
 

@@ -23,7 +23,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import Instruments, MetricsRegistry
 from repro.serve.loop import ServeConfig, ServeLoop, policy_from_model
 from repro.serve.stream import StreamConfig
 from repro.switches.profiles import VENDOR_PROFILES
@@ -179,8 +179,7 @@ def _run_once(args, profile):
         config,
         profile,
         policy=policy,
-        collector=collector,
-        metrics=MetricsRegistry(),
+        instruments=Instruments(metrics=MetricsRegistry(), telemetry=collector),
         sanitizer=sanitizer,
     )
     result = loop.run()

@@ -17,11 +17,11 @@ Everything runs on one shared :class:`~repro.sim.clock.VirtualClock`:
   modelled flow-mod, so install latency back-pressures the loop — if
   installs outpace inter-arrival gaps the clock runs ahead of the
   stream and the sustained requests/sec reflects saturation;
-* the optional :class:`~repro.obs.telemetry.TelemetryCollector`
-  samples table occupancy on its cadence and receives every install
-  and every flow update (NetFlow-style), so the occupancy trajectory
-  and SLO burn rates come out of the same pipeline every other tool
-  uses.
+* the telemetry collector of the loop's optional
+  :class:`~repro.obs.Instruments` samples table occupancy on its
+  cadence and receives every install and every flow update
+  (NetFlow-style), so the occupancy trajectory and SLO burn rates come
+  out of the same pipeline every other tool uses.
 
 The loop is deterministic end to end: same config, same bytes — the
 replay test and ``tango-serve --verify-determinism`` hold it to that.
@@ -34,8 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.requests import RequestDag
 from repro.core.scheduler import BasicTangoScheduler, NetworkExecutor
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import SlidingWindow, TelemetryCollector
+from repro.obs import NULL_INSTRUMENTS, Instruments, SlidingWindow
 from repro.openflow.channel import ControlChannel
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.serve.cache import CacheStats, RuleCacheManager
@@ -155,10 +154,10 @@ class ServeLoop:
         policy: eviction-ranking policy (pass the inferred Algorithm 2
             policy via :func:`policy_from_model`; defaults to the
             switch's ground-truth policy).
-        collector: optional telemetry collector; receives installs,
-            per-flow updates, and cadence occupancy samples.
-        metrics: optional metrics registry for executor/scheduler
-            counters and the ``serve.install_ms`` histogram.
+        instruments: shared by the executor and scheduler; its
+            collector receives installs, per-flow updates, and cadence
+            occupancy samples, and its registry the
+            ``serve.install_ms`` histogram.
         sanitizer: optional race sanitizer; the maintenance simulator is
             built through it so expiry events carry provenance.
     """
@@ -168,8 +167,7 @@ class ServeLoop:
         config: ServeConfig,
         profile: SwitchProfile,
         policy: Optional[CachePolicy] = None,
-        collector: Optional[TelemetryCollector] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        instruments: Instruments = NULL_INSTRUMENTS,
         sanitizer=None,
     ) -> None:
         self.config = config
@@ -186,11 +184,9 @@ class ServeLoop:
             rng=SeededRng(seed).child("serve:channel"),
         )
         self.executor = NetworkExecutor(
-            {self.switch.name: channel},
-            metrics=metrics,
-            telemetry=collector,
+            {self.switch.name: channel}, instruments=instruments
         )
-        self.scheduler = BasicTangoScheduler(self.executor, metrics=metrics)
+        self.scheduler = BasicTangoScheduler(self.executor)
         self.cache = RuleCacheManager(
             self.switch,
             policy=policy,
@@ -200,15 +196,12 @@ class ServeLoop:
             aggregate_prefix_len=config.aggregate_prefix_len,
             aggregate_min_rules=config.aggregate_min_rules,
         )
-        self.collector = collector
-        if collector is not None and collector.enabled:
-            collector.watch_switch(self.switch.name, self.switch)
+        self.instruments = instruments
+        instruments.watch_switch(self.switch.name, self.switch)
         self._install_window = SlidingWindow(
             float("inf"), capacity=LATENCY_CAPACITY
         )
-        self._install_hist = (
-            metrics.histogram("serve.install_ms") if metrics is not None else None
-        )
+        self._install_hist = instruments.histogram("serve.install_ms")
         self.stream = FlowRequestStream(config.stream)
         self._pending: List[FlowArrival] = []
         self._running = False
@@ -261,7 +254,7 @@ class ServeLoop:
             if record.request.command is FlowModCommand.ADD:
                 latency = record.finished_ms - record.started_ms
                 self._install_window.observe(record.finished_ms, latency)
-                if self._install_hist is not None:
+                if self.instruments.enabled:
                     self._install_hist.observe(latency)
 
     def _maintenance(self) -> None:
@@ -303,8 +296,8 @@ class ServeLoop:
             self.sim.run(until_ms=max(arrival.t_ms, self.clock.now_ms))
             self.clock.advance_to(arrival.t_ms)
             now = self.clock.now_ms
-            if self.collector is not None and self.collector.enabled:
-                self.collector.observe_flow(
+            if self.instruments.enabled:
+                self.instruments.observe_flow(
                     self.switch.name,
                     f"t{arrival.tenant}:d{arrival.destination}",
                     now,
@@ -321,8 +314,7 @@ class ServeLoop:
         self._running = False
         self.sim.run()  # drain the last scheduled maintenance tick
         now = self.clock.now_ms
-        if self.collector is not None and self.collector.enabled:
-            self.collector.finish(now)
+        self.instruments.finish(now)
         return ServeResult(
             arrivals=arrivals,
             duration_ms=now,

@@ -55,7 +55,7 @@ class ProvenanceRecorder:
     Recording is off by default: plain simulators use
     :data:`NULL_PROVENANCE`, whose hooks do nothing, so un-sanitized
     runs stay byte-identical (see
-    :func:`repro.analysis.racecheck.verify_noop_sanitize`).
+    :func:`repro.perf.harness.verify_noop`).
     """
 
     enabled = True

@@ -261,27 +261,27 @@ def _print_report(model, out) -> None:
             )
 
 
-def _make_telemetry(args):
-    """(tracer, metrics) for ``--trace``, or the null pair without it."""
-    from repro.obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
+def _make_instruments(args):
+    """A tracer and a metrics registry for ``--trace``, else no sinks."""
+    from repro.obs import NULL_INSTRUMENTS, Instruments, MetricsRegistry, Tracer
 
     if getattr(args, "trace", None):
-        return Tracer(), MetricsRegistry()
-    return NULL_TRACER, NULL_METRICS
+        return Instruments(tracer=Tracer(), metrics=MetricsRegistry())
+    return NULL_INSTRUMENTS
 
 
-def _write_trace_outputs(args, tracer, metrics, out) -> None:
+def _write_trace_outputs(args, instruments, out) -> None:
     """Write the three ``--trace`` artifacts next to the given base path."""
     if not getattr(args, "trace", None):
         return
     from repro.obs import prometheus_text, write_chrome_trace, write_jsonl
 
     base = args.trace
-    events = tracer.events
+    events = instruments.tracer.events
     write_jsonl(events, base + ".jsonl")
     write_chrome_trace(events, base + ".chrome.json")
     with open(base + ".prom", "w", encoding="utf-8") as handle:
-        handle.write(prometheus_text(metrics))
+        handle.write(prometheus_text(instruments.metrics))
     print(
         f"trace: {len(events)} events -> {base}.jsonl, "
         f"{base}.chrome.json, {base}.prom",
@@ -359,7 +359,7 @@ def _run_fleet(args, out) -> int:
         )
         return 2
     members = build_fleet([VENDOR_PROFILES[name] for name in names], args.fleet)
-    tracer, metrics = _make_telemetry(args)
+    instruments = _make_instruments(args)
     fault_injector = None
     retry_policy = None
     if args.fault_scenario:
@@ -404,13 +404,12 @@ def _run_fleet(args, out) -> int:
             seed=args.seed,
             max_in_flight=args.max_in_flight,
             use_cache=not args.no_fleet_cache,
-            tracer=tracer,
-            metrics=metrics,
             fault_injector=fault_injector,
             retry_policy=retry_policy,
             size_probe_max_rules=args.max_rules,
             latency_batch_sizes=(100, 400, 900),
             sanitizer=sanitizer,
+            instruments=instruments,
         )
         result = engine.infer_fleet(include_policy=args.policy)
     races = sanitizer.check() if sanitizer is not None else None
@@ -420,7 +419,7 @@ def _run_fleet(args, out) -> int:
         else:
             payload = result.summary()
         print(json.dumps(payload, indent=2), file=out)
-        _write_trace_outputs(args, tracer, metrics, out)
+        _write_trace_outputs(args, instruments, out)
         return 1 if races is not None and races.findings else 0
     in_flight = (
         "unbounded" if result.max_in_flight is None else str(result.max_in_flight)
@@ -486,7 +485,7 @@ def _run_fleet(args, out) -> int:
             )
     if races is not None:
         _render_races_text(races, out)
-    _write_trace_outputs(args, tracer, metrics, out)
+    _write_trace_outputs(args, instruments, out)
     return 1 if races is not None and races.findings else 0
 
 
@@ -521,16 +520,13 @@ def _run_schedule(args, out) -> int:
         result.apply_preinstall(network)
         return result
 
-    tracer, metrics = _make_telemetry(args)
+    instruments = _make_instruments(args)
     arms = {
-        "dionysus": lambda ex: DionysusScheduler(ex, tracer=tracer, metrics=metrics),
+        "dionysus": DionysusScheduler,
         "tango-type": lambda ex: BasicTangoScheduler(
-            ex,
-            patterns=[make_type_only_pattern()],
-            tracer=tracer,
-            metrics=metrics,
+            ex, patterns=[make_type_only_pattern()]
         ),
-        "tango": lambda ex: BasicTangoScheduler(ex, tracer=tracer, metrics=metrics),
+        "tango": BasicTangoScheduler,
     }
     print(
         f"scenario {args.scenario}: {args.flows} flows on the triangle testbed",
@@ -566,8 +562,8 @@ def _run_schedule(args, out) -> int:
                 f"{len(report.warnings())} warning(s)",
                 file=out,
             )
-        tracer.event("schedule.arm", category="cli", arm=label)
-        executor = network.executor(metrics=metrics, tracer=tracer)
+        instruments.event("schedule.arm", category="cli", arm=label)
+        executor = network.executor(instruments=instruments)
         outcome = factory(executor).schedule(result.dag)
         seconds = outcome.makespan_ms / 1000.0
         if baseline is None:
@@ -576,13 +572,15 @@ def _run_schedule(args, out) -> int:
         else:
             note = f"({(baseline - seconds) / baseline * 100:+.0f}% vs Dionysus)"
         print(f"  {label:12s}: {seconds:7.2f} s {note}", file=out)
-    _write_trace_outputs(args, tracer, metrics, out)
+    _write_trace_outputs(args, instruments, out)
     return 0
 
 
 def _run_faults(args, out) -> int:
     from repro.core.scheduler import BasicTangoScheduler
-    from repro.faults import FaultInjector, RetryPolicy, verify_noop_injection
+    from repro.faults import FaultInjector, RetryPolicy
+    from repro.obs import Instruments
+    from repro.perf.harness import verify_noop
     from repro.netem.network import EmulatedNetwork
     from repro.netem.scenarios import FAULT_SCENARIOS, LinkFailureScenario
     from repro.netem.topology import triangle_topology
@@ -597,13 +595,14 @@ def _run_faults(args, out) -> int:
     )
 
     if args.verify_noop:
-        verify_noop_injection()
+        verify_noop()
         print(
-            "noop check ok: zero-fault injector is bit-identical to no injector",
+            "noop check ok: instruments, a zero-fault injector and the race "
+            "sanitizer leave every run bit-identical",
             file=out,
         )
 
-    tracer, metrics = _make_telemetry(args)
+    instruments = _make_instruments(args)
 
     def make_collector():
         """A fresh collector + default SLO policy + drift feed, or None."""
@@ -625,8 +624,7 @@ def _run_faults(args, out) -> int:
             seed=args.seed,
             fault_injector=probe_injector,
             retry_policy=RetryPolicy(),
-            tracer=tracer,
-            metrics=metrics,
+            instruments=instruments,
         )
         size = engine.infer_sizes()
 
@@ -645,15 +643,13 @@ def _run_faults(args, out) -> int:
         sched_injector = FaultInjector(plan)
         collector = make_collector()
         executor = network.executor(
-            metrics=metrics,
-            tracer=tracer,
             fault_injector=sched_injector,
-            telemetry=collector,
+            instruments=Instruments(
+                instruments.tracer, instruments.metrics, telemetry=collector
+            ),
         )
-        scheduler = BasicTangoScheduler(executor, tracer=tracer, metrics=metrics)
-        outcome = scheduler.schedule(dag_result.dag)
-        if collector is not None:
-            collector.finish(executor.now_ms())
+        outcome = BasicTangoScheduler(executor).schedule(dag_result.dag)
+        executor.instruments.finish(executor.now_ms())
         timeline = tuple(
             (r.request.request_id, r.started_ms, r.finished_ms)
             for r in outcome.records
@@ -758,7 +754,7 @@ def _run_faults(args, out) -> int:
         print(f"telemetry samples written to {telemetry_path}", file=out)
         print(f"telemetry alerts written to {alerts_path}", file=out)
 
-    _write_trace_outputs(args, tracer, metrics, out)
+    _write_trace_outputs(args, instruments, out)
     return 0
 
 
@@ -795,14 +791,13 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return 2
 
     profile = VENDOR_PROFILES[args.profile]
-    tracer, metrics = _make_telemetry(args)
+    instruments = _make_instruments(args)
     engine = SwitchInferenceEngine(
         profile,
         seed=args.seed,
         size_probe_max_rules=args.max_rules,
         latency_batch_sizes=(100, 400, 900),
-        tracer=tracer,
-        metrics=metrics,
+        instruments=instruments,
     )
     model = engine.infer(include_policy=args.policy)
     if args.json:
@@ -811,7 +806,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         print(json.dumps(model.to_dict(), indent=2), file=out)
     else:
         _print_report(model, out)
-    _write_trace_outputs(args, tracer, metrics, out)
+    _write_trace_outputs(args, instruments, out)
     return 0
 
 

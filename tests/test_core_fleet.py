@@ -286,13 +286,16 @@ def test_fleet_run_provenance_lands_in_tangodb():
 
 
 def test_fleet_driver_emits_spans_events_and_metrics():
-    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs import Instruments, MetricsRegistry, Tracer
 
     tracer = Tracer()
     metrics = MetricsRegistry()
     members = build_fleet(_profiles(2), 4)
     result = FleetInferenceEngine(
-        members, seed=3, tracer=tracer, metrics=metrics, **FAST
+        members,
+        seed=3,
+        instruments=Instruments(tracer=tracer, metrics=metrics),
+        **FAST,
     ).infer_fleet(include_policy=False)
 
     spans = [e for e in tracer.events if e.name == "fleet.infer"]

@@ -17,7 +17,7 @@ from repro.core.scheduler import (
     PrefixTangoScheduler,
 )
 from repro.core.scores import TangoScoreDatabase
-from repro.obs import MetricsRegistry, Tracer, write_jsonl
+from repro.obs import Instruments, MetricsRegistry, Tracer, write_jsonl
 from repro.openflow.channel import ControlChannel
 from repro.perf.workloads import chain_dag, fast_executor, layered_dag
 from repro.sim.rng import SeededRng
@@ -30,7 +30,8 @@ def _traced_run(scheduler_cls, build_dag, **kwargs):
     tracer = Tracer()
     metrics = MetricsRegistry()
     executor = fast_executor()
-    scheduler = scheduler_cls(executor, tracer=tracer, metrics=metrics, **kwargs)
+    instruments = Instruments(tracer=tracer, metrics=metrics)
+    scheduler = scheduler_cls(executor, instruments=instruments, **kwargs)
     result = scheduler.schedule(build_dag(60))
     return tracer, metrics, result
 
@@ -79,7 +80,9 @@ def test_deadline_and_concurrent_schedulers_emit_spans():
 def test_dionysus_spans_are_policy_tagged():
     tracer = Tracer()
     metrics = MetricsRegistry()
-    scheduler = DionysusScheduler(fast_executor(), tracer=tracer, metrics=metrics)
+    scheduler = DionysusScheduler(
+        fast_executor(), instruments=Instruments(tracer=tracer, metrics=metrics)
+    )
     result = scheduler.schedule(layered_dag(60))
     batches = [e for e in tracer.events if e.name == "scheduler.batch"]
     assert len(batches) == result.rounds
@@ -91,18 +94,10 @@ def test_dionysus_spans_are_policy_tagged():
 def test_executor_metrics_and_request_instants():
     tracer = Tracer()
     metrics = MetricsRegistry()
-    from repro.perf.workloads import fast_executor as _fx
-
-    executor = _fx()
-    # Rebuild with telemetry attached (fast_executor has no knobs).
-    from repro.core.scheduler import NetworkExecutor
-
-    executor = NetworkExecutor(
-        executor.channels, metrics=metrics, tracer=tracer, trace_requests=True
+    executor = fast_executor(
+        instruments=Instruments(tracer=tracer, metrics=metrics, trace_requests=True)
     )
-    BasicTangoScheduler(executor, tracer=tracer, metrics=metrics).schedule(
-        chain_dag(10)
-    )
+    BasicTangoScheduler(executor).schedule(chain_dag(10))
     snapshot = metrics.snapshot()
     issued = [v for k, v in snapshot.items() if k.startswith("executor.requests_issued")]
     assert sum(issued) == 10
@@ -145,8 +140,7 @@ def test_probing_engine_counts_packets_and_retries_under_loss():
     engine = ProbingEngine(
         channel,
         rng=SeededRng(2).child("lossy-probe"),
-        tracer=tracer,
-        metrics=metrics,
+        instruments=Instruments(tracer=tracer, metrics=metrics),
     )
     handle = engine.install_new_flow()
     for _ in range(30):
@@ -163,7 +157,10 @@ def test_inference_trace_spans_and_score_provenance():
     tracer = Tracer()
     metrics = MetricsRegistry()
     engine = SwitchInferenceEngine(
-        SWITCH_2, scores=scores, seed=1, tracer=tracer, metrics=metrics
+        SWITCH_2,
+        scores=scores,
+        seed=1,
+        instruments=Instruments(tracer=tracer, metrics=metrics),
     )
     model = engine.infer(include_policy=False)
     assert model.size_probe is not None
@@ -201,7 +198,7 @@ def test_probing_pattern_spans_record_provenance():
         ControlChannel(switch),
         scores=scores,
         rng=SeededRng(3).child("p"),
-        tracer=tracer,
+        instruments=Instruments(tracer=tracer),
     )
     handles = [engine.new_handle(priority=100 + i) for i in range(4)]
     pattern = ProbePattern(

@@ -26,8 +26,7 @@ from repro.core.priorities import assign_topological_priorities
 from repro.core.requests import ReadySimulation, RequestDag, SwitchRequest
 from repro.core.scheduler import PrefixTangoScheduler, ScheduleResult
 from repro.faults import DisconnectWindow, FaultInjector, FaultPlan
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs import Instruments, MetricsRegistry, Tracer
 from repro.openflow.match import IpPrefix, Match
 from repro.openflow.messages import FlowModCommand
 from repro.perf.workloads import (
@@ -143,11 +142,14 @@ class ReferencePrefixTangoScheduler(PrefixTangoScheduler):
             issue_now = ordered[: self._resolve_cut(cut, len(ordered))]
 
             result.pattern_choices.append(pattern.name)
-            span = self._open_batch_span(pattern.name, issue_now, result.rounds)
-            if self.tracer.enabled:
-                span.set(ready=len(ordered), cut=len(issue_now))
+            batch = self._open_batch(
+                pattern.name,
+                issue_now,
+                result.rounds,
+                ready=len(ordered),
+                cut=len(issue_now),
+            )
             batch_start = len(result.records)
-            batch_start_ms = self.executor.now_ms() if self.tracer.enabled else 0.0
             issued: List[SwitchRequest] = []
             for request in issue_now:
                 dep_finish = self._dep_finish(dag, request, finish_times)
@@ -157,11 +159,7 @@ class ReferencePrefixTangoScheduler(PrefixTangoScheduler):
                 if record is not None:
                     issued.append(request)
                     makespan = max(makespan, record.finished_ms)
-            self._close_batch_span(
-                span, batch_start_ms, result.records[batch_start:]
-            )
-            self._m_batches.inc()
-            self._m_requests.inc(len(issue_now))
+            self._close_batch(batch, len(issue_now), result.records[batch_start:])
             sim.commit(r.request_id for r in issued)
             result.rounds += 1
         return self._finalize_schedule(result, makespan)
@@ -302,7 +300,9 @@ def test_random_dags_identical_with_tracing_enabled(spec):
     requests, edges, estimates, depth = spec
     tracer = Tracer()
     traced = _schedulers(
-        estimates, depth, tracer=tracer, metrics=MetricsRegistry()
+        estimates,
+        depth,
+        instruments=Instruments(tracer=tracer, metrics=MetricsRegistry()),
     ).schedule(_build_dag(requests, edges))
     ref = _schedulers(
         estimates, depth, scheduler_cls=ReferencePrefixTangoScheduler

@@ -1,5 +1,6 @@
 """Tests for the long-running serving loop (replay, degradation)."""
 
+from repro.obs import Instruments
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import DriftFeed, SloPolicy, alerts_jsonl_lines, default_slo_targets
 from repro.obs.telemetry import TelemetryCollector, telemetry_jsonl_lines
@@ -48,7 +49,9 @@ def _collector():
 
 def _run(config, collector=None):
     loop = ServeLoop(
-        config, _profile(), collector=collector, metrics=MetricsRegistry()
+        config,
+        _profile(),
+        instruments=Instruments(metrics=MetricsRegistry(), telemetry=collector),
     )
     return loop.run()
 
@@ -130,7 +133,9 @@ def test_shrinking_tcam_monotonically_degrades_hit_rate():
 
 def test_metrics_histogram_records_installs():
     registry = MetricsRegistry()
-    loop = ServeLoop(_config(arrivals=600), _profile(), metrics=registry)
+    loop = ServeLoop(
+        _config(arrivals=600), _profile(), instruments=Instruments(metrics=registry)
+    )
     result = loop.run()
     snapshot = registry.snapshot()
     hist = snapshot.get("serve.install_ms")
