@@ -37,7 +37,7 @@ def bench_fig6_policy_pattern(benchmark):
         switch = profile.build(seed=23)
         engine = ProbingEngine(ControlChannel(switch), rng=SeededRng(23).child("fig6"))
         prober = PolicyProber(engine, cache_size=CACHE_SIZE)
-        handles, values = prober._initialise_round(list(FlowAttribute))
+        handles, _, values = prober._initialise_round(list(FlowAttribute))
         result_values = {a: list(v) for a, v in values.items()}
         engine.remove_all_flows()
         inference = PolicyProber(

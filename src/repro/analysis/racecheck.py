@@ -506,6 +506,26 @@ def _conflicts(a: Access, b: Access) -> bool:
     return True
 
 
+def _representatives(group: List[Access]) -> List[Access]:
+    """The first access of each (event, kind, commutative) class, in log order.
+
+    Whether two accesses conflict depends only on their events and
+    classes, and the first conflicting pair of two events in log order
+    is a pair of class-firsts.  So comparing representatives flags the
+    same pairs, with the same accesses and in the same order, as
+    comparing the whole group -- without pairing the thousands of
+    accesses one event can make to one location with each other.
+    """
+    seen: Dict[Tuple[Optional[int], AccessKind, bool], None] = {}
+    reps: List[Access] = []
+    for access in group:
+        key = (access.sequence, access.kind, access.commutative)
+        if key not in seen:
+            seen[key] = None
+            reps.append(access)
+    return reps
+
+
 @dataclass
 class RaceCheckResult:
     """Outcome of one race check: the report plus run statistics."""
@@ -595,12 +615,15 @@ def check_races(
 
     for time_ms in sorted(set(buckets) | set(wildcards)):
         groups = buckets.get(time_ms, {})
+        representatives = {
+            location: _representatives(group) for location, group in groups.items()
+        }
         for location in sorted(groups):
-            group = groups[location]
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    if _conflicts(group[i], group[j]):
-                        flag(location, time_ms, group[i], group[j], group)
+            reps = representatives[location]
+            for i in range(len(reps)):
+                for j in range(i + 1, len(reps)):
+                    if _conflicts(reps[i], reps[j]):
+                        flag(location, time_ms, reps[i], reps[j], groups[location])
         # Whole-switch scans conflict with any same-time write under
         # that switch's prefix.
         for scan in wildcards.get(time_ms, []):
@@ -608,15 +631,14 @@ def check_races(
             for location in sorted(groups):
                 if not location.startswith(prefix):
                     continue
-                group = groups[location]
-                for other in group:
+                for other in representatives[location]:
                     if other.kind is AccessKind.WRITE and _conflicts(scan, other):
                         flag(
                             location,
                             time_ms,
                             scan,
                             other,
-                            group + [scan],
+                            groups[location] + [scan],
                         )
 
     return RaceCheckResult(

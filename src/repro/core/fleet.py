@@ -436,7 +436,6 @@ class MemberDriver:
         self.member = member
         self.engine = engine
         self._steps = engine.infer_steps(include_policy=include_policy)
-        self._cost_seen = 0.0
         self.model: Optional[InferredSwitchModel] = None
         self.step_log: List[Tuple[str, float, float]] = []
 
@@ -444,21 +443,18 @@ class MemberDriver:
         """Run the next probe stage; returns (stage, elapsed_ms, done).
 
         ``stage`` is ``None`` on the final (finalisation) step, which
-        also captures the assembled model from ``StopIteration.value``.
+        also captures the assembled model from ``StopIteration.value``
+        and probes nothing; a stage's elapsed time is its entry in the
+        engine's ledger.
         """
-        done = False
-        stage: Optional[str] = None
         try:
             stage = next(self._steps)
         except StopIteration as stop:
             self.model = stop.value
-            done = True
-        cost = self.engine.virtual_cost_ms()
-        elapsed = cost - self._cost_seen
-        self._cost_seen = cost
-        if stage is not None:
-            self.step_log.append((stage, fleet_now_ms, fleet_now_ms + elapsed))
-        return stage, elapsed, done
+            return None, 0.0, True
+        elapsed = self.engine.ledger[-1].virtual_ms
+        self.step_log.append((stage, fleet_now_ms, fleet_now_ms + elapsed))
+        return stage, elapsed, False
 
 
 class FleetInferenceEngine:

@@ -135,9 +135,11 @@ class InferredSwitchModel:
     def duration_estimator(self) -> DurationEstimator:
         """Per-request duration estimates from the measured curves.
 
-        Additions are estimated from the ascending-priority curve at the
-        switch's current fill level (a conservative per-op marginal cost);
-        modifications and deletions use their flat curves.
+        Every request is charged its curve's marginal cost at an empty
+        table (``per_op_ms(0)``), whatever the switch's fill level: the
+        fitted curves' fill term is not used.  Additions read the
+        ascending-priority curve; modifications and deletions use their
+        flat curves.
         """
         curves = self.latency_curves
 
@@ -151,6 +153,22 @@ class InferredSwitchModel:
             return curve.per_op_ms(0)
 
         return estimate
+
+
+@dataclass(frozen=True)
+class StageCost:
+    """What one probe stage of :meth:`SwitchInferenceEngine.infer_steps` cost."""
+
+    stage: str
+    probe_ops: int
+    virtual_ms: float
+
+    def to_dict(self) -> dict:
+        return {
+            "stage": self.stage,
+            "probe_ops": self.probe_ops,
+            "virtual_ms": round(self.virtual_ms, 4),
+        }
 
 
 class SwitchInferenceEngine:
@@ -201,6 +219,9 @@ class SwitchInferenceEngine:
         #: the fleet driver reads these to charge virtual time and ops.
         #: Finished ones hold no rules: see :meth:`_retire_probe`.
         self.probe_engines: List[ProbingEngine] = []
+        #: One entry per stage :meth:`infer_steps` has finished, in order.
+        self.ledger: List[StageCost] = []
+        self._ledger_mark: Tuple[int, float] = (0, 0.0)
 
     def _retire_probe(self) -> None:
         """Drop the newest probe switch's rules once its measurement is over.
@@ -254,6 +275,14 @@ class SwitchInferenceEngine:
             e.installs_completed + e.rtt_measurements for e in self.probe_engines
         )
 
+    def _finish_stage(self, stage: str) -> str:
+        """Append ``stage``'s ops and virtual ms since the last stage to the ledger."""
+        ops, cost = self.probe_ops(), self.virtual_cost_ms()
+        marked_ops, marked_cost = self._ledger_mark
+        self.ledger.append(StageCost(stage, ops - marked_ops, cost - marked_cost))
+        self._ledger_mark = (ops, cost)
+        return stage
+
     # -- individual probes ------------------------------------------------------
     def infer_sizes(self) -> SizeProbeResult:
         prober = SizeProber(
@@ -301,18 +330,19 @@ class SwitchInferenceEngine:
 
         Yields the completed stage's name after each probe stage (``"size"``,
         ``"behavior"``, ``"policy"`` when it runs, ``"latency_curves"``),
-        and returns the assembled :class:`InferredSwitchModel` via
-        ``StopIteration.value``.  Driving the generator to exhaustion is
-        *byte-identical* to :meth:`infer` -- it is the same code --
-        which is what lets :class:`repro.core.fleet.FleetInferenceEngine`
-        interleave many switches on one event queue without perturbing
-        any single switch's results.
+        once its cost is in :attr:`ledger`, and returns the assembled
+        :class:`InferredSwitchModel` via ``StopIteration.value``.
+        Driving the generator to exhaustion is *byte-identical* to
+        :meth:`infer` -- it is the same code -- which is what lets
+        :class:`repro.core.fleet.FleetInferenceEngine` interleave many
+        switches on one event queue without perturbing any single
+        switch's results.
         """
         model = InferredSwitchModel(name=self.profile.name)
         model.size_probe = self.infer_sizes()
-        yield "size"
+        yield self._finish_stage("size")
         model.behavior_probe = self.infer_behavior()
-        yield "behavior"
+        yield self._finish_stage("behavior")
         if include_policy:
             cache_size = self.policy_cache_size
             if cache_size is None:
@@ -320,9 +350,9 @@ class SwitchInferenceEngine:
             multi_layer = model.size_probe.num_layers > 1
             if cache_size is not None and cache_size >= 8 and multi_layer:
                 model.policy_probe = self.infer_policy(cache_size)
-                yield "policy"
+                yield self._finish_stage("policy")
         model.latency_curves = self.infer_latency_curves()
-        yield "latency_curves"
+        yield self._finish_stage("latency_curves")
         self.scores.put(
             self.profile.name, "switch_model", model, source="inference_engine"
         )

@@ -7,15 +7,23 @@ priority) with a monotone direction per attribute.  The probe:
 1. installs ``s = 2 * cache_size`` flows and *initialises* each attribute
    so that every attribute splits the flows into a high half and a low
    half, with the halves of different attributes statistically
-   independent (a balanced bit design; Figure 6 visualises one instance);
+   independent (a balanced bit design; Figure 6 visualises one instance).
+   Priorities take the priority half as their major key and the
+   insertion half as the next, and each insertion class is installed in
+   ascending priority, so the round pays only the ``(s/4)**2`` TCAM
+   shifts that independent priority and insertion halves force.  One
+   traffic pass sends 0 or 10 packets per flow, and the use-time packet
+   that follows is each flow's last traffic packet (counts 1 | 11);
 2. probes every flow once in reverse-use (MRU-first) order -- an order
    chosen so that probing never changes any flow's *relative* position
    under any attribute (use times are refreshed in an order-preserving
    way; traffic counts are initialised with gaps larger than the +1 a
    probe adds);
 3. marks each flow cached/not-cached from its RTT tier, correlates the
-   cached bit against every (attribute, direction) pair, and picks the
-   strongest;
+   cached bit against every attribute's design half (not its raw value:
+   the priority layout orders each insertion class, which couples raw
+   priority and insertion rank), and picks the strongest (attribute,
+   direction);
 4. recurses with the found attribute held constant to expose the next
    lexicographic term, terminating when a *serial* attribute (insertion
    or use time, which are unique by construction and already induce a
@@ -33,7 +41,7 @@ measurements (1.0 on a fault-free run).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,10 +61,11 @@ _ATTRIBUTE_BITS: Dict[FlowAttribute, int] = {
     FlowAttribute.PRIORITY: 3,
 }
 
-#: Traffic counts for the low/high halves; the gap (>= 10, as in the
-#: paper) absorbs the single extra packet each later probe adds.
-_TRAFFIC_LOW_PACKETS = 2
-_TRAFFIC_HIGH_PACKETS = 12
+#: Final traffic counts for the low/high halves, the use-time packet
+#: included; the gap (>= 10, as in the paper) absorbs the single extra
+#: packet each later probe adds.
+_TRAFFIC_LOW_PACKETS = 1
+_TRAFFIC_HIGH_PACKETS = 11
 
 _PRIORITY_CONSTANT = 1000
 
@@ -123,23 +132,35 @@ class PolicyProber:
 
     def _initialise_round(
         self, free_attributes: Sequence[FlowAttribute]
-    ) -> Tuple[List[ProbeHandle], Dict[FlowAttribute, List[float]]]:
-        """Install flows and initialise attributes; returns design values."""
+    ) -> Tuple[List[ProbeHandle], np.ndarray, Dict[FlowAttribute, np.ndarray]]:
+        """Install flows and initialise attributes.
+
+        Returns the surviving flows' handles, their design indices (which
+        fix each flow's attribute halves, see :func:`_high_bit`) and their
+        raw attribute values (which set the measurement orders).
+        """
         s = self._flow_count()
         indices = list(range(s))
-        values: Dict[FlowAttribute, List[float]] = {
-            attribute: [0.0] * s for attribute in FlowAttribute
-        }
+        values = {attribute: np.zeros(s) for attribute in FlowAttribute}
 
-        # Priorities are fixed at insert time.
+        # Priorities are fixed at insert time.  The priority half is the
+        # major key and the insertion half the next, so installing each
+        # insertion class in ascending priority makes a flow shift only
+        # the first class's high-priority flows, and only when it is a
+        # second-class low-priority flow: (s/4)^2 shifts, the fewest any
+        # independent priority/insertion design allows.
         def priority_for(index: int) -> int:
             if FlowAttribute.PRIORITY not in free_attributes:
                 return _PRIORITY_CONSTANT
-            return s + index if _high_bit(index, FlowAttribute.PRIORITY) else index
+            return (
+                s * _high_bit(index, FlowAttribute.PRIORITY)
+                + (s // 2) * _high_bit(index, FlowAttribute.INSERTION)
+                + index // 2
+            )
 
         handles: List[Optional[ProbeHandle]] = [None] * s
         insertion_order = sorted(
-            indices, key=lambda i: (_high_bit(i, FlowAttribute.INSERTION), i)
+            indices, key=lambda i: (_high_bit(i, FlowAttribute.INSERTION), priority_for(i))
         )
         for insertion_rank, index in enumerate(insertion_order):
             handle = self.engine.new_handle(priority=priority_for(index))
@@ -151,10 +172,11 @@ class PolicyProber:
                 # order, so correlations stay valid on a smaller sample.
                 continue
             handles[index] = handle
-            values[FlowAttribute.INSERTION][index] = float(insertion_rank)
-            values[FlowAttribute.PRIORITY][index] = float(handle.priority)
+            values[FlowAttribute.INSERTION][index] = insertion_rank
+            values[FlowAttribute.PRIORITY][index] = handle.priority
 
         # Traffic counts: high half gets more packets; constant otherwise.
+        # The use-time packet below is each flow's last traffic packet.
         for index in indices:
             if handles[index] is None:
                 continue
@@ -166,9 +188,9 @@ class PolicyProber:
                 )
             else:
                 packets = _TRAFFIC_LOW_PACKETS
-            for _ in range(packets):
+            for _ in range(packets - 1):
                 self.engine.send_probe_packet(handles[index])
-            values[FlowAttribute.TRAFFIC][index] = float(packets)
+            values[FlowAttribute.TRAFFIC][index] = packets
 
         # Use times last, so earlier traffic does not disturb the pattern.
         use_order = sorted(
@@ -178,19 +200,15 @@ class PolicyProber:
             if handles[index] is None:
                 continue
             self.engine.send_probe_packet(handles[index])
-            values[FlowAttribute.USE_TIME][index] = float(use_rank)
+            values[FlowAttribute.USE_TIME][index] = use_rank
 
         # Compact to surviving flows so handle and value indices agree.
-        kept = [i for i in indices if handles[i] is not None]
-        compact_values = {
-            attribute: [values[attribute][i] for i in kept]
-            for attribute in FlowAttribute
-        }
-        kept_handles = [h for h in (handles[i] for i in kept) if h is not None]
-        return kept_handles, compact_values
+        kept_handles = [h for h in handles if h is not None]
+        kept = np.array([i for i in indices if handles[i] is not None], dtype=int)
+        return kept_handles, kept, {a: column[kept] for a, column in values.items()}
 
     def _measure_cached_bits(
-        self, handles: List[ProbeHandle], order: Sequence[int]
+        self, handles: List[ProbeHandle], order: Iterable[int]
     ) -> Tuple[np.ndarray, List[Cluster]]:
         """Probe flows in ``order``; classify each flow's tier.
 
@@ -210,11 +228,20 @@ class PolicyProber:
         return cached, clusters
 
     @staticmethod
-    def _correlate(values: Sequence[float], cached: np.ndarray) -> float:
-        array = np.asarray(values, dtype=float)
-        if array.std() == 0 or cached.std() == 0:
+    def _correlate(
+        kept: np.ndarray, attribute: FlowAttribute, cached: np.ndarray
+    ) -> float:
+        """Correlation of the cached bit with ``attribute``'s design half.
+
+        The halves are independent by construction, so a cached bit
+        driven by one attribute leaves every other attribute's
+        correlation at zero; the raw values are not independent (the
+        priority layout orders each insertion class).
+        """
+        halves = (kept >> _ATTRIBUTE_BITS[attribute]) & 1
+        if halves.std() == 0 or cached.std() == 0:
             return 0.0
-        return float(np.corrcoef(array, cached)[0, 1])
+        return float(np.corrcoef(halves, cached)[0, 1])
 
     # -- probing rounds ---------------------------------------------------------
     def _first_round(
@@ -227,16 +254,15 @@ class PolicyProber:
         the primary sort attribute.
         """
         self.engine.remove_all_flows()
-        handles, values = self._initialise_round(free)
-        use_values = values[FlowAttribute.USE_TIME]
-        order = sorted(range(len(handles)), key=lambda i: -use_values[i])
+        handles, kept, values = self._initialise_round(free)
+        order = np.argsort(-values[FlowAttribute.USE_TIME], kind="stable")
         cached, _ = self._measure_cached_bits(handles, order)
 
         correlations: Dict[str, float] = {}
         best: Optional[Tuple[FlowAttribute, Direction]] = None
         best_abs = 0.0
         for attribute in free:
-            corr = self._correlate(values[attribute], cached)
+            corr = self._correlate(kept, attribute, cached)
             correlations[attribute.value] = corr
             if abs(corr) > best_abs:
                 best_abs = abs(corr)
@@ -266,18 +292,16 @@ class PolicyProber:
         for attribute in free:
             for direction in (Direction.INCREASING, Direction.DECREASING):
                 self.engine.remove_all_flows()
-                handles, values = self._initialise_round(free)
-                candidate_values = values[attribute]
-                use_values = values[FlowAttribute.USE_TIME]
-                order = sorted(
-                    range(len(handles)),
-                    key=lambda i: (
-                        -direction.value * candidate_values[i],
-                        -use_values[i],
-                    ),
+                handles, kept, values = self._initialise_round(free)
+                # Candidate-first, then MRU-first (lexsort: last key major).
+                order = np.lexsort(
+                    (
+                        -values[FlowAttribute.USE_TIME],
+                        -direction.value * values[attribute],
+                    )
                 )
                 cached, _ = self._measure_cached_bits(handles, order)
-                corr = self._correlate(candidate_values, cached)
+                corr = self._correlate(kept, attribute, cached)
                 score = direction.value * corr
                 label = f"{attribute.value}:{'+' if direction is Direction.INCREASING else '-'}"
                 correlations[label] = corr

@@ -803,7 +803,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     if args.json:
         import json
 
-        print(json.dumps(model.to_dict(), indent=2), file=out)
+        payload = model.to_dict()
+        payload["probe_ledger"] = [cost.to_dict() for cost in engine.ledger]
+        print(json.dumps(payload, indent=2), file=out)
     else:
         _print_report(model, out)
     _write_trace_outputs(args, instruments, out)

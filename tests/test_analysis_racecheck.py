@@ -285,3 +285,94 @@ def test_check_races_empty_log_is_clean():
     result = check_races(AccessLog(), ProvenanceRecorder())
     assert result.findings == []
     assert result.accesses == 0
+
+
+def _all_pairs_reference(log, provenance, max_findings):
+    """Every same-time, same-location pair compared, as check_races once did."""
+    from repro.analysis.diagnostics import DiagnosticReport, Severity
+    from repro.analysis.racecheck import _conflicts
+
+    report = DiagnosticReport()
+    buckets, wildcards = {}, {}
+    for access in log:
+        if access.sequence is None:
+            continue
+        if access.location.endswith("/*"):
+            wildcards.setdefault(access.time_ms, []).append(access)
+        else:
+            buckets.setdefault(access.time_ms, {}).setdefault(
+                access.location, []
+            ).append(access)
+    seen, findings = set(), [0]
+
+    def flag(location, time_ms, a, b, group):
+        lo, hi = sorted((a.sequence, b.sequence))
+        if (location, time_ms, lo, hi) in seen:
+            return
+        seen.add((location, time_ms, lo, hi))
+        if provenance.ordered(a.sequence, b.sequence) or findings[0] >= max_findings:
+            return
+        findings[0] += 1
+        owners = " vs ".join(f"{x.owner or '-'}:{x.op or x.kind.value}" for x in (a, b))
+        report.add(
+            "TNG040",
+            Severity.ERROR,
+            f"tie-break race on {location}: events {lo} and {hi} conflict at "
+            f"t={time_ms:.3f}ms with no happens-before edge ({owners})",
+            location=f"{location} @ t={time_ms:.3f}ms",
+            hint="order the accesses through the event queue (schedule one "
+            "from the other) or make the update commutative",
+            trace=tuple(x.format() for x in group),
+        )
+
+    for time_ms in sorted(set(buckets) | set(wildcards)):
+        groups = buckets.get(time_ms, {})
+        for location in sorted(groups):
+            group = groups[location]
+            for i in range(len(group)):
+                for j in range(i + 1, len(group)):
+                    if _conflicts(group[i], group[j]):
+                        flag(location, time_ms, group[i], group[j], group)
+        for scan in wildcards.get(time_ms, []):
+            for location in sorted(groups):
+                if location.startswith(scan.location[:-1]):
+                    for other in groups[location]:
+                        if other.kind is AccessKind.WRITE and _conflicts(scan, other):
+                            flag(location, time_ms, scan, other, groups[location] + [scan])
+    return report.to_dicts()
+
+
+def test_check_races_matches_all_pairs_comparison_on_random_logs():
+    """Comparing class representatives flags exactly what comparing every
+    pair does: same findings, messages, traces and order."""
+    import random
+
+    from repro.analysis.racecheck import Access, AccessLog
+    from repro.sim.events import ProvenanceRecorder
+
+    locations = ["db:s1/a", "db:s1/b", "db:s2/a", "metric:m", "db:s1/*", "db:s2/*"]
+    for seed in range(40):
+        rng = random.Random(seed)
+        provenance = ProvenanceRecorder()
+        for sequence in range(12):
+            parent = rng.choice([None, None] + list(range(sequence)))
+            provenance.parents[sequence] = parent
+        log = AccessLog()
+        for _ in range(rng.randint(20, 120)):
+            location = rng.choice(locations)
+            kind = AccessKind.READ if location.endswith("/*") else rng.choice(list(AccessKind))
+            log.record(
+                Access(
+                    kind=kind,
+                    location=location,
+                    time_ms=float(rng.randint(0, 2)),
+                    sequence=rng.choice([None] + list(range(12))),
+                    owner=rng.choice([None, "a", "b"]),
+                    op=rng.choice(["put", "get", "inc"]),
+                    commutative=kind is AccessKind.WRITE and rng.random() < 0.4,
+                )
+            )
+        cap = rng.choice([3, 100])
+        expected = _all_pairs_reference(log, provenance, cap)
+        result = check_races(log, provenance, max_findings=cap)
+        assert result.report.to_dicts() == expected
