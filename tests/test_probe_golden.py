@@ -46,7 +46,7 @@ def run_digest(engine: SwitchInferenceEngine) -> str:
 
 GOLDEN = {
     "ovs": "2556162f1875cac1dc780336c772c4aba8c0be5593de5f8889d4823aea298f88",
-    "switch1": "a5889c4da3aea94086729cd2a7ce1f1261a8b3bda72d0ad1aa1dbc8a1ba8caa6",
+    "switch1": "80f49fa07a2e97e830990461b5ce67477a616509d79fb8ea5550f612aba15989",
     "switch2": "e1f26bd988aa2244d210268921e6e4af06f07d5a15cfb737d670ae856bc1aaf6",
     "switch3": "f92170df0d398c357b337983c74fd751196a5dd249ff89921368c58c5773b4ed",
 }
@@ -63,7 +63,7 @@ def test_multi_layer_policy_inference_digest_is_pinned():
     profile = make_cache_test_profile(LRU, layer_sizes=(32, 64, None))
     engine = SwitchInferenceEngine(profile, seed=5, **dict(SMALL, size_probe_max_rules=1024))
     assert run_digest(engine) == (
-        "7f576b8269d8447476a9703e115913c68f314bb45fd5d4ca5431f258ca26bca3"
+        "e63c2a3f72e83be24d29c0781e42af2eb52d19611ef488a327275151c5487d0a"
     )
     assert engine.scores.get(profile.name, "switch_model").policy_probe is not None
 
