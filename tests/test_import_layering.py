@@ -22,7 +22,7 @@ SRC = Path(repro.__file__).resolve().parent
 
 #: Modules (relative to ``repro``) allowed to import networkx; a
 #: trailing dot allows a whole package.
-NETWORKX_ALLOWED = ("workloads.", "netem.topology", "apps.acl", "core.priorities")
+NETWORKX_ALLOWED = ("workloads.", "netem.topology", "core.priorities")
 
 #: Online modules that must never import networkx directly.
 NETWORKX_FORBIDDEN = ("core.requests", "core.scheduler", "core.planner", "serve.")

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.apps import StaticFlowPusher
 from repro.baselines import FifoOrderScheduler
 from repro.core.requests import RequestDag
 from repro.core.scheduler import BasicTangoScheduler
@@ -170,11 +169,10 @@ def test_forward_order_install_creates_transient_black_hole():
 
 def test_flow_pusher_with_network_ports_is_consistent_end_to_end():
     network = _network()
-    pusher = StaticFlowPusher(port_resolver=network.port_along_path)
     flow = network.new_flow("s1", "s2", path=["s1", "s3", "s2"])
-    pusher.push_flow(flow)
+    dag = _install_dag(network, flow, reverse=True)
     executor = AuditingExecutor(network, probes_for_flows(network, [flow]))
-    BasicTangoScheduler(executor).schedule(pusher.dag)
+    BasicTangoScheduler(executor).schedule(dag)
     assert executor.report.consistent
     trace = trace_packet(network, probes_for_flows(network, [flow])[0].packet, "s1")
     assert trace.outcome is TraceOutcome.DELIVERED

@@ -5,9 +5,7 @@ replaced.
 ``overlapping_pairs`` tests only same-bucket or wildcard candidates.
 Its consumers must produce exactly what comparing every pair produced:
 the same dependency edges in the same order and the same rule-check
-diagnostics in the same order.
-(``minimize_acl`` is checked against its all-pairs loop by the property
-in ``test_apps_minimize.py``.)  Each exact field here is either a
+diagnostics in the same order.  Each exact field here is either a
 wildcard or drawn from a tiny domain, so the bucket field is sometimes
 wildcarded and sometimes tied with another; IP prefixes are nested.
 """
