@@ -29,15 +29,11 @@ from repro.obs.export import (
 )
 from repro.obs.instruments import NULL_INSTRUMENTS, Instruments
 from repro.obs.metrics import (
-    COUNT_BUCKETS,
     Counter,
     DEFAULT_BUCKETS_MS,
     Gauge,
     Histogram,
     MetricsRegistry,
-    RATIO_BUCKETS,
-    default_registry,
-    scoped,
 )
 from repro.obs.slo import (
     BurnWindow,
@@ -70,7 +66,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "BurnWindow",
-    "COUNT_BUCKETS",
     "Counter",
     "DEFAULT_BUCKETS_MS",
     "DEFAULT_BURN_WINDOWS",
@@ -83,7 +78,6 @@ __all__ = [
     "Instruments",
     "MetricsRegistry",
     "NULL_INSTRUMENTS",
-    "RATIO_BUCKETS",
     "SlidingWindow",
     "SloPolicy",
     "SloTarget",
@@ -93,13 +87,11 @@ __all__ = [
     "TelemetrySample",
     "TraceEvent",
     "Tracer",
-    "default_registry",
     "default_slo_targets",
     "prometheus_text",
     "read_alerts_jsonl",
     "read_jsonl",
     "read_telemetry_jsonl",
-    "scoped",
     "summarize_events",
     "summarize_telemetry",
     "timeseries",
