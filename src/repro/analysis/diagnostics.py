@@ -55,7 +55,6 @@ CODE_CATALOG: Dict[str, str] = {
     "TNG020": "over capacity: the batch does not fit the TCAM geometry",
     "TNG021": "unstorable entry: match kind unsupported by the TCAM mode",
     "TNG022": "high water: batch drives TCAM occupancy above the safe fraction",
-    "TNG023": "layer spill: batch overflows the fast table into software layers",
     # lint -----------------------------------------------------------------
     "TNG030": "wall clock: time/datetime call outside the simulation substrate",
     "TNG031": "unseeded randomness outside sim/rng.py",

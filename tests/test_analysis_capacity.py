@@ -5,7 +5,6 @@ from repro.analysis import (
     batch_slot_demand,
     check_capacity,
     check_dag_capacity,
-    check_layer_fit,
 )
 from repro.core.requests import RequestDag
 from repro.openflow.match import IpPrefix, Match
@@ -90,22 +89,6 @@ def test_high_water_warning_is_tng022():
     report = check_capacity(_adds(95), geometry, high_water=0.9)
     assert [d.code for d in report] == ["TNG022"]
     assert not report.has_errors
-
-
-def test_layer_fit_spill_into_software_is_tng023_warning():
-    report = check_layer_fit(_adds(30), layer_sizes=[20, None], location="s1")
-    assert [d.code for d in report] == ["TNG023"]
-    assert not report.has_errors
-
-
-def test_layer_fit_exhausting_all_bounded_layers_is_tng020_error():
-    report = check_layer_fit(_adds(30), layer_sizes=[10, 10])
-    assert [d.code for d in report] == ["TNG020"]
-    assert report.has_errors
-
-
-def test_layer_fit_within_fast_table_is_clean():
-    assert len(check_layer_fit(_adds(10), layer_sizes=[20, None])) == 0
 
 
 def test_check_dag_capacity_checks_each_switch_batch():
