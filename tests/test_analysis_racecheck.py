@@ -5,9 +5,8 @@ from repro.analysis.racecheck import (
     RaceSanitizer,
     check_races,
     run_racy_fixture,
-    sanitized_fleet_run,
 )
-from repro.core.fleet import ModelCache, build_fleet
+from repro.core.fleet import FleetInferenceEngine, ModelCache, build_fleet
 from repro.core.inference import InferredSwitchModel
 from repro.core.scores import TangoScoreDatabase
 from repro.switches.profiles import make_cache_test_profile
@@ -227,8 +226,12 @@ def test_racy_fixture_is_seed_parameterised():
 
 # -- fleet integration ---------------------------------------------------------
 def test_clean_fleet_run_reports_zero_findings():
-    members = build_fleet(_profiles(2), 4)
-    fleet_result, races = sanitized_fleet_run(members, seed=0, **FAST)
+    sanitizer = RaceSanitizer()
+    engine = FleetInferenceEngine(
+        build_fleet(_profiles(2), 4), seed=0, sanitizer=sanitizer, **FAST
+    )
+    fleet_result = engine.infer_fleet(include_policy=False)
+    races = sanitizer.check()
     assert len(fleet_result.members) == 4
     assert races.findings == []
     assert races.accesses > 0
@@ -240,21 +243,22 @@ def test_faulted_fleet_run_reports_zero_findings():
     from repro.netem.scenarios import FAULT_SCENARIOS
 
     plan = FAULT_SCENARIOS["lossy"].plan(3)
-    members = build_fleet(_profiles(2), 3)
-    fleet_result, races = sanitized_fleet_run(
-        members,
+    sanitizer = RaceSanitizer()
+    engine = FleetInferenceEngine(
+        build_fleet(_profiles(2), 3),
         seed=3,
+        sanitizer=sanitizer,
         fault_injector=FaultInjector(plan),
         retry_policy=RetryPolicy(),
         **FAST,
     )
+    fleet_result = engine.infer_fleet(include_policy=False)
+    races = sanitizer.check()
     assert len(fleet_result.members) == 3
     assert races.findings == []
 
 
 def test_sanitized_run_is_byte_identical_to_bare_run():
-    from repro.core.fleet import FleetInferenceEngine
-
     def run(sanitizer):
         scores = TangoScoreDatabase()
         engine = FleetInferenceEngine(
