@@ -193,14 +193,6 @@ def assign_tier(name: str) -> SwitchTier:
     return SwitchTier.EDGE
 
 
-def tier_counts(names: Sequence[str]) -> Dict[SwitchTier, int]:
-    """How many of ``names`` fall in each tier (all tiers present)."""
-    counts = {tier: 0 for tier in _TIER_RANKS}
-    for name in names:
-        counts[assign_tier(name)] += 1
-    return counts
-
-
 def partition_names(
     names: Sequence[str], shards: int, strategy: str = "round_robin"
 ) -> List[List[int]]:

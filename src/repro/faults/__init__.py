@@ -15,7 +15,6 @@ deterministic exponential-backoff retry loop over exactly the
 from repro.faults.injector import FaultInjector, FaultyControlChannel
 from repro.faults.plan import DisconnectWindow, FaultPlan, StallWindow
 from repro.faults.retry import (
-    DEFAULT_RETRY_POLICY,
     RetryGiveUpError,
     RetryPolicy,
     TRANSIENT_FAULTS,
@@ -29,6 +28,5 @@ __all__ = [
     "FaultyControlChannel",
     "RetryPolicy",
     "RetryGiveUpError",
-    "DEFAULT_RETRY_POLICY",
     "TRANSIENT_FAULTS",
 ]

@@ -97,7 +97,3 @@ class RetryPolicy:
         if attempts_made >= self.max_attempts:
             return True
         return self.timeout_ms is not None and elapsed_ms >= self.timeout_ms
-
-
-#: A sensible default for probing under injected faults.
-DEFAULT_RETRY_POLICY = RetryPolicy()

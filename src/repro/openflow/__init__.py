@@ -29,7 +29,6 @@ from repro.openflow.messages import (
     FlowModCommand,
     FlowStatsReply,
     FlowStatsRequest,
-    PacketIn,
     PacketOut,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "MatchKind",
     "FlowMod",
     "FlowModCommand",
-    "PacketIn",
     "PacketOut",
     "BarrierRequest",
     "BarrierReply",

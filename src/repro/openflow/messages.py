@@ -63,14 +63,6 @@ class PacketOut:
 
 
 @dataclass(frozen=True)
-class PacketIn:
-    """Packet punted to the controller (control-path forwarding)."""
-
-    packet: PacketFields
-    reason: str = "no_match"
-
-
-@dataclass(frozen=True)
 class BarrierRequest:
     """Ask the switch to finish all preceding operations."""
 

@@ -16,7 +16,7 @@ from repro.workloads.classbench import (
     classbench_preset,
 )
 from repro.workloads.dependencies import build_dependency_graph
-from repro.workloads.traffic import poisson_flow_arrivals, uniform_traffic_matrix
+from repro.workloads.traffic import uniform_traffic_matrix
 
 __all__ = [
     "ClassbenchLikeGenerator",
@@ -25,5 +25,4 @@ __all__ = [
     "classbench_preset",
     "build_dependency_graph",
     "uniform_traffic_matrix",
-    "poisson_flow_arrivals",
 ]

@@ -1,4 +1,4 @@
-"""Traffic-matrix and flow-arrival helpers for network-wide scenarios."""
+"""Traffic-matrix and Zipf-popularity helpers for network-wide scenarios."""
 
 from __future__ import annotations
 
@@ -67,18 +67,3 @@ def uniform_traffic_matrix(
     weights = [rng.uniform(0.5, 1.5) for _ in selected]
     scale = total_demand / sum(weights)
     return {pair: weight * scale for pair, weight in zip(selected, weights)}
-
-
-def poisson_flow_arrivals(
-    rate_per_ms: float, duration_ms: float, rng: SeededRng
-) -> List[float]:
-    """Arrival times of a Poisson flow process over ``duration_ms``."""
-    if rate_per_ms <= 0:
-        raise ValueError("rate_per_ms must be positive")
-    arrivals: List[float] = []
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / rate_per_ms)
-        if t >= duration_ms:
-            return arrivals
-        arrivals.append(t)

@@ -147,18 +147,6 @@ def test_assign_tier_recognises_prefixes_and_fleet_suffixes():
     assert assign_tier("aggr-1#17") is SwitchTier.AGGREGATION
 
 
-def test_tier_counts_reports_every_tier():
-    from repro.core.placement import SwitchTier, tier_counts
-
-    counts = tier_counts(["core-0", "aggr-0", "edge-0", "edge-1", "sw"])
-    assert counts == {
-        SwitchTier.CORE: 1,
-        SwitchTier.AGGREGATION: 1,
-        SwitchTier.EDGE: 3,
-    }
-    assert tier_counts([]) == {tier: 0 for tier in SwitchTier}
-
-
 def test_partition_names_round_robin_and_validation():
     from repro.core.placement import partition_names
 

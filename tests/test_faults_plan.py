@@ -3,7 +3,6 @@
 import pytest
 
 from repro.faults import (
-    DEFAULT_RETRY_POLICY,
     DisconnectWindow,
     FaultPlan,
     RetryGiveUpError,
@@ -159,7 +158,6 @@ def test_exhausted_by_attempts_and_timeout():
     assert not policy.exhausted(2, 50.0)
     assert policy.exhausted(3, 0.0)
     assert policy.exhausted(1, 100.0)
-    assert DEFAULT_RETRY_POLICY.exhausted(DEFAULT_RETRY_POLICY.max_attempts, 0.0)
 
 
 def test_give_up_error_preserves_last_fault():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.rng import SeededRng
-from repro.workloads.traffic import poisson_flow_arrivals, uniform_traffic_matrix
+from repro.workloads.traffic import uniform_traffic_matrix
 
 NODES = [f"n{i}" for i in range(6)]
 
@@ -42,24 +42,6 @@ def test_matrix_minimum_one_pair():
     rng = SeededRng(6).child("t")
     matrix = uniform_traffic_matrix(NODES, 10.0, rng, sparsity=0.0001)
     assert len(matrix) == 1
-
-
-def test_poisson_arrivals_within_duration():
-    rng = SeededRng(7).child("p")
-    arrivals = poisson_flow_arrivals(rate_per_ms=0.5, duration_ms=100.0, rng=rng)
-    assert all(0 < t < 100.0 for t in arrivals)
-    assert arrivals == sorted(arrivals)
-
-
-def test_poisson_mean_rate():
-    rng = SeededRng(8).child("p")
-    arrivals = poisson_flow_arrivals(rate_per_ms=1.0, duration_ms=5000.0, rng=rng)
-    assert len(arrivals) == pytest.approx(5000, rel=0.1)
-
-
-def test_poisson_rate_validated():
-    with pytest.raises(ValueError):
-        poisson_flow_arrivals(rate_per_ms=0.0, duration_ms=10.0, rng=SeededRng(1))
 
 
 def test_zipf_weights_follow_inverse_power_law():
