@@ -215,25 +215,21 @@ class RuleCacheManager:
         return False
 
     # -- planning ----------------------------------------------------------------
-    def _victims(self, needed: int, excluded: set) -> List[FlowEntry]:
-        """The ``needed`` worst-ranked entries not already spoken for."""
-        victims: List[FlowEntry] = []
+    def _victim(self, excluded: set) -> Optional[FlowEntry]:
+        """The worst-ranked entry not already spoken for, if any."""
         if self._trust_stack_ranking:
             # The stack is already sorted by this policy: scan from the
             # worst end, skipping entries another planned op claimed.
-            candidates = self.switch.tables.worst_entries(needed + len(excluded))
+            candidates = self.switch.tables.worst_entries(1 + len(excluded))
         else:
             candidates = sorted(
                 self.switch.tables.entries,
                 key=lambda e: (self.policy.score(e), e.entry_id),
             )
         for entry in candidates:
-            if entry.entry_id in excluded:
-                continue
-            victims.append(entry)
-            if len(victims) == needed:
-                break
-        return victims
+            if entry.entry_id not in excluded:
+                return entry
+        return None
 
     def _aggregation_groups(
         self, excluded: set
@@ -297,18 +293,16 @@ class RuleCacheManager:
         self.stats.aggregated_rules += len(members)
         return ops
 
-    def plan_installs(
-        self, items: Sequence, now_ms: float
-    ) -> List[PlannedOp]:
+    def plan_installs(self, items: Sequence) -> List[PlannedOp]:
         """Plan one batch of installs against the current table state.
 
         ``items`` are :class:`~repro.serve.stream.FlowArrival`-like
         objects (``match`` / ``priority`` / ``flow_key``).  The plan
         frees slots by aggregation first, then policy-ranked eviction,
         and never overcommits the budget: an item that cannot be given a
-        slot is counted ``rejected`` and dropped.
+        slot is counted ``rejected`` and dropped.  Planning reads only
+        table state; executing the ops stamps their times.
         """
-        del now_ms  # planning is state-only; execution stamps the times
         ops: List[PlannedOp] = []
         planned_keys = set()
         planned_wilds = set()
@@ -336,11 +330,10 @@ class RuleCacheManager:
                     planned_wilds.add(aggregation[-1].match.key())
                     free += len(aggregation) - 2  # k deletes, 1 add
             if free is not None and free < 1:
-                victims = self._victims(1, claimed)
-                if not victims:
+                victim = self._victim(claimed)
+                if victim is None:
                     self.stats.rejected += 1
                     continue
-                victim = victims[0]
                 claimed.add(victim.entry_id)
                 ops.append(
                     PlannedOp(

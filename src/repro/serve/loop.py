@@ -215,7 +215,7 @@ class ServeLoop:
         """Plan and schedule one install batch through the Tango stack."""
         if not self._pending:
             return
-        ops = self.cache.plan_installs(self._pending, self.clock.now_ms)
+        ops = self.cache.plan_installs(self._pending)
         self._pending.clear()
         if not ops:
             return

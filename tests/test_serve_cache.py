@@ -64,12 +64,12 @@ def test_admission_threshold_one_always_admits():
 
 def test_plan_installs_coalesces_duplicates():
     manager = RuleCacheManager(_switch(), capacity=8)
-    ops = manager.plan_installs([_Arrival(0, 1), _Arrival(0, 1)], now_ms=0.0)
+    ops = manager.plan_installs([_Arrival(0, 1), _Arrival(0, 1)])
     assert len(ops) == 1 and ops[0].reason == "install"
     assert manager.stats.coalesced == 1
     _apply(manager, ops)
     # Already installed -> coalesced again, no new ops.
-    assert manager.plan_installs([_Arrival(0, 1)], now_ms=1.0) == []
+    assert manager.plan_installs([_Arrival(0, 1)]) == []
     assert manager.stats.coalesced == 2
 
 
@@ -80,12 +80,12 @@ def test_eviction_respects_policy_ranking():
         aggregate_min_rules=64,  # effectively disable aggregation
     )
     arrivals = [_Arrival(t, 1) for t in range(4)]  # distinct /28 groups
-    _apply(manager, manager.plan_installs(arrivals, now_ms=0.0))
+    _apply(manager, manager.plan_installs(arrivals))
     assert len(manager.switch.tables) == 4
     # Touch three of the four; the untouched one is the LRU victim.
     for t, when in ((0, 10.0), (1, 11.0), (3, 12.0)):
         assert manager.lookup(flow_match(t, 1), priority=1, now_ms=when) is not None
-    ops = manager.plan_installs([_Arrival(7, 1)], now_ms=20.0)
+    ops = manager.plan_installs([_Arrival(7, 1)])
     deletes = [op for op in ops if op.command is FlowModCommand.DELETE]
     assert [op.reason for op in deletes] == ["evict"]
     assert deletes[0].match == flow_match(2, 1)  # the never-touched flow
@@ -106,11 +106,11 @@ def test_inferred_policy_override_drives_eviction():
     )
     assert not manager._trust_stack_ranking
     for t in range(4):
-        _apply(manager, manager.plan_installs([_Arrival(t, 1)], now_ms=float(t)))
+        _apply(manager, manager.plan_installs([_Arrival(t, 1)]))
     # Touch the newest insert so LRU would evict stale tenant 0 instead;
     # the FIFO override must still pick the newest insertion.
     manager.lookup(flow_match(3, 1), priority=1, now_ms=50.0)
-    ops = manager.plan_installs([_Arrival(9, 1)], now_ms=60.0)
+    ops = manager.plan_installs([_Arrival(9, 1)])
     victim = next(op for op in ops if op.reason == "evict")
     assert victim.match == flow_match(3, 1)  # newest insertion goes first
 
@@ -125,9 +125,9 @@ def test_aggregation_folds_compatible_siblings():
     # Eight flows of one tenant: destinations 0..7 share one /28 group
     # (tenant<<12 | d for d < 16).
     arrivals = [_Arrival(5, d) for d in range(8)]
-    _apply(manager, manager.plan_installs(arrivals, now_ms=0.0))
+    _apply(manager, manager.plan_installs(arrivals))
     assert len(manager.switch.tables) == 8
-    ops = manager.plan_installs([_Arrival(5, 9)], now_ms=1.0)
+    ops = manager.plan_installs([_Arrival(5, 9)])
     reasons = [op.reason for op in ops]
     assert reasons.count("aggregate-member") == 8
     assert reasons.count("aggregate") == 1
@@ -146,20 +146,20 @@ def test_aggregation_folds_compatible_siblings():
     assert hit is not None
     assert manager.stats.wildcard_hits == 1
     # ...and planning coalesces them onto it instead of installing.
-    assert manager.plan_installs([_Arrival(5, 13)], now_ms=3.0) == []
+    assert manager.plan_installs([_Arrival(5, 13)]) == []
     assert manager.stats.coalesced == 1
 
 
 def test_planned_rejection_when_nothing_evictable():
     manager = RuleCacheManager(_switch(fast=4), capacity=0, aggregate_min_rules=64)
-    ops = manager.plan_installs([_Arrival(0, 1)], now_ms=0.0)
+    ops = manager.plan_installs([_Arrival(0, 1)])
     assert ops == []
     assert manager.stats.rejected == 1
 
 
 def test_expired_entries_and_admission_pruning():
     manager = RuleCacheManager(_switch(), capacity=8, admission_threshold=3)
-    _apply(manager, manager.plan_installs([_Arrival(0, 1), _Arrival(0, 2)], 0.0))
+    _apply(manager, manager.plan_installs([_Arrival(0, 1), _Arrival(0, 2)]))
     manager.lookup(flow_match(0, 1), priority=1, now_ms=100.0)
     expired = manager.expired_entries(now_ms=150.0, idle_timeout_ms=60.0)
     # (0,2) was never used after insert at ~0; (0,1) was touched at 100.
@@ -181,7 +181,7 @@ def test_constructor_validation():
 def test_worst_entries_matches_ranking():
     switch = _switch(policy=LRU, fast=8)
     manager = RuleCacheManager(switch, capacity=8)
-    _apply(manager, manager.plan_installs([_Arrival(t, 1) for t in range(5)], 0.0))
+    _apply(manager, manager.plan_installs([_Arrival(t, 1) for t in range(5)]))
     for t, when in ((1, 5.0), (2, 6.0), (3, 7.0), (4, 8.0), (0, 9.0)):
         manager.lookup(flow_match(t, 1), priority=1, now_ms=when)
     worst = switch.tables.worst_entries(2)
