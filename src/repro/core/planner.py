@@ -13,8 +13,24 @@ cursor:
   per-level per-switch duration sums, each level's makespan (the max
   over switches), and their total ``tail`` -- the greedy-to-completion
   estimate.  A depth-0 estimate is therefore O(1), and completing or
-  undoing a request patches the levels in O(out-degree) of the touched
-  region instead of re-walking the DAG.
+  undoing requests patches only the touched region instead of
+  re-walking the DAG: each moved request pushes its out-edges, and
+  each popped request scans its in-edges.
+* **Drop-by-one releveling.**  Completing ready requests lowers a
+  pending request's level by *at most one*: a longest pending chain
+  into it holds at most one ready request (levels rise strictly along
+  a chain), so the chain loses at most its head.  Levels only fall
+  during the cascade, so a request that moved is at its fixpoint and
+  is skipped if popped again; an unmoved one keeps its level iff some
+  pending predecessor sits exactly one level below (its in-edge scan
+  stops at the first such predecessor), and otherwise moves down one.
+* **Tail-only leaves.**  A depth-1 node's prefix cuts end in depth-0
+  leaves, whose only output is the tail.  A leaf runs the same
+  per-request level moves as a real completion, but journals just
+  loads, counts, makespans and the level map -- no members, orders,
+  command or unlocking counts, fingerprint or undo frame -- and
+  replays them straight back.  The node's cuts share their frontier
+  removals: each leaf takes only its new requests off the frontier.
 * **Level member sets.**  Each level also keeps its member set and its
   per-command counts, patched by the same per-request level moves as
   its loads.  The ready set is the frontier level's members and the
@@ -58,7 +74,9 @@ Float-order invariant: level loads and the tail change only through
 per-request level moves (``_remove_from_level``/``_add_to_level``, in
 batch order, then in relevel-stack order) and whole-level drops, each
 applying ``tail - old + new`` (or ``tail - makespan``); undo restores
-saved values rather than recomputing.  The float results are thus a
+saved values rather than recomputing.  Leaves run the very same moves
+in the same order, so a leaf's tail is bit-identical to a real
+complete's.  The float results are thus a
 fixed function of the completion history, so plans with non-dyadic
 estimates are reproducible too (pinned by a golden test).
 
@@ -188,7 +206,10 @@ class TailCostPlanner:
             self._pri[rid] = request.priority
             succ = tuple(dag.successor_ids(rid))
             self._succ[rid] = succ
-            self._pred[rid] = tuple(dag.predecessor_ids(rid))
+            # Reversed: the relevel scan stops at the first predecessor
+            # just below a request, and later dependencies tend to be
+            # the deeper ones.
+            self._pred[rid] = tuple(reversed(dag.predecessor_ids(rid)))
             self._has_succ[rid] = bool(succ)
             self._zobrist[rid] = _mix64(rid)
         # One structural O(V + E) pass, charged like a ready rebuild.
@@ -339,6 +360,9 @@ class TailCostPlanner:
             per_switch: Dict[str, float] = {}
             run_max = 0.0
             consumed = 0
+            # The leaves' frontier removals, shared from cut to cut.
+            removals: List[tuple] = []
+            removed = 0
             for cut in cuts:
                 # Extend the per-switch prefix sums in the pattern's own
                 # order -- the identical float-addition sequence the
@@ -355,13 +379,18 @@ class TailCostPlanner:
                     # beat the incumbent.  Skipping it is decision-free.
                     self.dominance_prunes += 1
                     continue
-                self._push(prefix_ids[:cut])
-                rest, _ = self.plan(depth - 1)
-                self._pop()
+                if depth == 1:
+                    rest = self._leaf_rest(prefix_ids[:cut], removed, removals)
+                    removed = cut
+                else:
+                    self._push(prefix_ids[:cut])
+                    rest, _ = self.plan(depth - 1)
+                    self._pop()
                 cost = run_max + rest
                 if cost < best_cost:
                     best_cost = cost
                     best_cut = cut
+            self._replay_inverse(removals, True)
         # The full-batch cut: its estimate is level 0's makespan, and the
         # remainder recurses over whole levels in closed form.
         full_est = frontier.makespan
@@ -492,6 +521,28 @@ class TailCostPlanner:
         self._fingerprint, self._completed, journal = self._frames.pop()
         self._replay_inverse(journal)
 
+    def _leaf_rest(
+        self, prefix: Sequence[int], removed: int, removals: List[tuple]
+    ) -> float:
+        """``plan(0)`` once the partial frontier ``prefix`` completes.
+
+        A depth-0 plan only reads the tail, so a leaf needs no undo
+        frame: its level moves journal only loads, counts, makespans and
+        the level map.  The frontier removals stay in effect for the
+        node's next, longer cut -- ``prefix[:removed]`` is already off,
+        journaled in ``removals``, which the caller replays once done --
+        while the cascade is replayed straight back.  ``prefix`` leaves
+        part of the frontier pending, so the frontier is never dropped
+        and the plan is never empty.
+        """
+        self.plan_calls += 1
+        self._leave_frontier(prefix[removed:], removals, True)
+        journal: List[tuple] = []
+        self._cascade(prefix, journal, True)
+        rest = self._tail
+        self._replay_inverse(journal, True)
+        return rest
+
     def _apply_complete(self, rids: Collection[int], journal: List[tuple]) -> None:
         """Complete the ready ``rids``: fingerprint, levels and tail."""
         zobrist = self._zobrist
@@ -500,34 +551,57 @@ class TailCostPlanner:
             fingerprint ^= zobrist[rid]
         self._fingerprint = fingerprint
         self._completed += len(rids)
-        frontier = self._shift
         if rids and len(rids) == len(self._frontier().members):
             self._drop_frontier(journal)
-            return
-        level = self._level
+        else:
+            self._leave_frontier(rids, journal, False)
+            self._cascade(rids, journal, False)
+
+    def _leave_frontier(
+        self, rids: Collection[int], journal: List[tuple], leaf: bool
+    ) -> None:
+        """Take the ready ``rids`` off the frontier level, in order."""
+        frontier = self._shift
+        for rid in rids:
+            self._remove_from_level(rid, frontier, journal, leaf)
+
+    def _cascade(self, rids: Collection[int], journal: List[tuple], leaf: bool) -> None:
+        """Relevel the descendants of ``rids``, already off the frontier.
+
+        A completed dependency can only lower its successors' levels, by
+        at most one (see the module docstring), and each move propagates
+        along out-edges.  A popped request keeps its level if a pending
+        predecessor sits just below it; otherwise it moves down one
+        level, once -- it is then at its fixpoint.  Every predecessor
+        read counts as an edge visit.  ``leaf`` moves requests in the
+        level map only, leaving members and orders alone.
+        """
+        succ = self._succ
         stack: List[int] = []
         for rid in rids:
-            self._remove_from_level(rid, frontier, journal)
-            stack.extend(self._succ[rid])
-        # Relevel downward: a completed dependency can only lower its
-        # successors' levels, and each drop propagates along out-edges.
-        ops = self._dag.ops
+            stack.extend(succ[rid])
+        level = self._level
+        pred = self._pred
+        moved: Set[int] = set()
+        visits = 0
         while stack:
             rid = stack.pop()
+            if rid in moved:
+                continue
             old = level.get(rid)
             if old is None:
                 continue  # completed already
-            new = frontier
-            for p in self._pred[rid]:
-                ops.edge_visits += 1
-                p_level = level.get(p)
-                if p_level is not None and p_level + 1 > new:
-                    new = p_level + 1
-            if new == old:
-                continue
-            self._remove_from_level(rid, old, journal)
-            self._add_to_level(rid, new, journal)
-            stack.extend(self._succ[rid])
+            below = old - 1
+            for p in pred[rid]:
+                visits += 1
+                if level.get(p) == below:
+                    break
+            else:
+                self._remove_from_level(rid, old, journal, leaf)
+                self._add_to_level(rid, below, journal, leaf)
+                moved.add(rid)
+                stack.extend(succ[rid])
+        self._dag.ops.edge_visits += visits
 
     def _drop_frontier(self, journal: List[tuple]) -> None:
         """Whole-frontier completion: pop level 0 and bump the shift.
@@ -546,7 +620,9 @@ class TailCostPlanner:
         self._tail -= dropped.makespan
         self._shift = frontier + 1
 
-    def _remove_from_level(self, rid: int, raw: int, journal: List[tuple]) -> None:
+    def _remove_from_level(
+        self, rid: int, raw: int, journal: List[tuple], leaf: bool
+    ) -> None:
         level = self._levels[raw]
         loc = self._loc[rid]
         loads = level.loads
@@ -565,10 +641,15 @@ class TailCostPlanner:
         else:
             loads[loc] = old_sum - self._est[rid]
             counts[loc] = old_cnt - 1
-        self._update_makespan(level)
-        self._leave(level, rid)
+        self._set_makespan(level, max(loads.values()) if loads else 0.0)
+        if leaf:
+            del self._level[rid]
+        else:
+            self._leave(level, rid)
 
-    def _add_to_level(self, rid: int, raw: int, journal: List[tuple]) -> None:
+    def _add_to_level(
+        self, rid: int, raw: int, journal: List[tuple], leaf: bool = False
+    ) -> None:
         level = self._levels.get(raw)
         if level is None:
             level = self._levels[raw] = _Level(len(self._commands))
@@ -578,14 +659,19 @@ class TailCostPlanner:
         old_sum = loads.get(loc)
         old_cnt = counts.get(loc)
         journal.append(("add", rid, raw, old_sum, old_cnt, level.makespan, self._tail))
-        loads[loc] = (old_sum if old_sum is not None else 0.0) + self._est[rid]
+        total = (old_sum if old_sum is not None else 0.0) + self._est[rid]
+        loads[loc] = total
         counts[loc] = (old_cnt if old_cnt is not None else 0) + 1
-        self._update_makespan(level)
-        self._join(level, raw, rid)
+        # A non-negative duration raises only this switch's load, so the
+        # new maximum is the old one or this load.
+        makespan = level.makespan
+        self._set_makespan(level, total if total > makespan else makespan)
+        if leaf:
+            self._level[rid] = raw
+        else:
+            self._join(level, raw, rid)
 
-    def _update_makespan(self, level: _Level) -> None:
-        loads = level.loads
-        new = max(loads.values()) if loads else 0.0
+    def _set_makespan(self, level: _Level, new: float) -> None:
         self._tail = self._tail - level.makespan + new
         level.makespan = new
 
@@ -606,8 +692,12 @@ class TailCostPlanner:
             del ordered[bisect_left(ordered, level.order[0][rid])]
         del self._level[rid]
 
-    def _replay_inverse(self, journal: List[tuple]) -> None:
-        """Apply a frame's journal in reverse, restoring exact old values."""
+    def _replay_inverse(self, journal: List[tuple], leaf: bool = False) -> None:
+        """Apply a frame's journal in reverse, restoring exact old values.
+
+        A ``leaf`` journal restores level-map entries only, as the leaf
+        moves wrote them (see :meth:`_leaf_rest`).
+        """
         for entry in reversed(journal):
             if entry[0] == "drop":
                 _, raw, dropped, self._tail = entry
@@ -627,7 +717,12 @@ class TailCostPlanner:
             else:
                 level.loads[loc] = old_sum
                 level.counts[loc] = old_cnt
-            if kind == "remove":
+            if leaf:
+                # A leaf adds a request only right after removing it, and
+                # undoing that removal restores its level.
+                if kind == "remove":
+                    self._level[rid] = raw
+            elif kind == "remove":
                 self._join(level, raw, rid)
             else:  # "add"
                 self._leave(level, rid)
