@@ -77,11 +77,8 @@ def main() -> None:
     speedup = naive_result.makespan_ms / tango_result.makespan_ms
     print(f"  speedup            : {speedup:.1f}x (the paper reports up to 12x)")
 
-    # Probe addresses must differ from every production rule's: the
-    # prober's cleanup deletes its rules by match.
-    online = OnlineSizeProber(
-        ProbingEngine(tango.channel(name), address_base=0x0B00_0000)
-    ).probe()
+    # The production rules sit on probe addresses; the prober skips them.
+    online = OnlineSizeProber(ProbingEngine(tango.channel(name))).probe()
     print(f"\nOnline re-probe of {name!r} with its rules in production:")
     print(
         f"  {online.production_rules} production + {online.free_capacity} free "

@@ -46,8 +46,9 @@ class OnlineSizeProber:
 
     The probe installs disposable rules until the switch rejects one
     (free capacity) or a cap is reached (unbounded software tables), then
-    deletes every probe rule.  Production rules are never touched and no
-    data traffic is sent, so the impact is limited to transient table
+    deletes every probe rule.  Probe matches that collide with a
+    production rule's are skipped, so production rules are never touched;
+    no data traffic is sent, so the impact is limited to transient table
     occupancy -- suitable for maintenance windows.
 
     Args:
@@ -73,12 +74,17 @@ class OnlineSizeProber:
         """Measure free capacity; leaves the switch as it was found."""
         stats = self.engine.channel.request_flow_stats(FlowStatsRequest())
         production = len(stats.entries)
+        # Cleanup deletes probe rules by match, which would take a
+        # production rule on the same match with it: skip those matches.
+        taken = {entry.match for entry in stats.entries}
 
         free: Optional[int] = None
         installed = 0
         try:
             while installed < self.max_probe_rules:
                 handle = self.engine.new_handle(priority=self.probe_priority)
+                if handle.match in taken:
+                    continue
                 try:
                     self.engine.install_flow(handle)
                 except TableFullError:

@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.inference import SwitchInferenceEngine
 from repro.core.online_probing import DriftDetector, OnlineSizeProber
-from repro.core.probing import ProbingEngine
+from repro.core.probing import ProbingEngine, probe_match
 from repro.openflow.channel import ControlChannel
 from repro.openflow.match import IpPrefix, Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.sim.rng import SeededRng
-from repro.switches.profiles import SWITCH_3, make_cache_test_profile
+from repro.switches.profiles import SWITCH_2, SWITCH_3, make_cache_test_profile
 from repro.tables.policies import FIFO
 
 
@@ -70,6 +70,21 @@ def test_result_stored_in_scores():
     engine = _engine_with_production(SWITCH_3, production=10)
     result = OnlineSizeProber(engine).probe()
     assert engine.scores.get("switch3", "online_size_probe") is result
+
+
+def test_production_rules_on_probe_matches_survive():
+    """Cleanup deletes by match: the prober must skip probe matches that
+    production rules already use, rather than delete those rules."""
+    switch = SWITCH_2.build(seed=3)
+    channel = ControlChannel(switch)
+    for i in range(500):
+        channel.send_flow_mod(FlowMod(FlowModCommand.ADD, probe_match(i), priority=900))
+    result = OnlineSizeProber(ProbingEngine(channel)).probe()
+    assert switch.num_flows == 500
+    for i in range(500):
+        assert switch.tables.lookup_exact(probe_match(i)) is not None
+    assert result.production_rules == 500
+    assert result.total_capacity == 2560
 
 
 # -- drift detection --------------------------------------------------------------
@@ -159,8 +174,6 @@ def test_detector_on_real_probe_outputs():
     ).infer(include_policy=False)
     detector = DriftDetector()
     assert detector.compare(first.to_dict(), second.to_dict()) == []
-
-    from repro.switches.profiles import SWITCH_2
 
     other = SwitchInferenceEngine(
         SWITCH_2, seed=1, size_probe_max_rules=4096, latency_batch_sizes=(50, 100)
