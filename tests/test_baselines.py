@@ -1,7 +1,5 @@
 """Tests for the Dionysus and naive baseline schedulers."""
 
-import pytest
-
 from repro.baselines import DionysusScheduler, FifoOrderScheduler, RandomOrderScheduler
 from repro.core.requests import RequestDag
 from repro.core.scheduler import NetworkExecutor
@@ -118,8 +116,6 @@ def test_fifo_order_preserves_creation_order():
 
 
 def test_baselines_and_tango_issue_same_requests():
-    from repro.core.scheduler import BasicTangoScheduler
-
     def dag_factory():
         dag = RequestDag()
         for i in range(6):

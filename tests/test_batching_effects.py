@@ -1,7 +1,5 @@
 """Tests for same-command batching discounts."""
 
-import dataclasses
-
 import pytest
 
 from repro.baselines import RandomOrderScheduler

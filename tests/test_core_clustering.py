@@ -1,6 +1,5 @@
 """Tests for 1-D RTT clustering."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.clustering import Cluster, assign_cluster, cluster_1d

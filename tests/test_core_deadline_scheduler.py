@@ -1,7 +1,5 @@
 """Tests for the deadline-aware Tango scheduler."""
 
-import pytest
-
 from repro.core.requests import RequestDag
 from repro.core.scheduler import (
     BasicTangoScheduler,

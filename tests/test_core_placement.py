@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.inference import InferredSwitchModel, SwitchInferenceEngine
 from repro.core.latency_curves import LatencyCurve, PriorityPattern
-from repro.core.placement import FlowPlacer, FlowRequirements, PlacementScore
+from repro.core.placement import FlowPlacer, FlowRequirements
 from repro.core.size_inference import SizeProbeResult
 from repro.core.clustering import Cluster
 from repro.openflow.messages import FlowModCommand

@@ -1,8 +1,6 @@
 """End-to-end integration tests reproducing the paper's headline results
 at reduced scale (full scale runs live in benchmarks/)."""
 
-import pytest
-
 from repro.baselines import DionysusScheduler, RandomOrderScheduler
 from repro.core.api import Tango
 from repro.core.inference import SwitchInferenceEngine

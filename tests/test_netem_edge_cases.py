@@ -3,8 +3,6 @@
 import io
 import json
 
-import pytest
-
 from repro.core.inference import SwitchInferenceEngine
 from repro.netem.network import EmulatedNetwork
 from repro.netem.scenarios import LinkFailureScenario, TrafficEngineeringScenario

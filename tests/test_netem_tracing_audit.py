@@ -6,7 +6,6 @@ from repro.baselines import FifoOrderScheduler
 from repro.core.requests import RequestDag
 from repro.core.scheduler import BasicTangoScheduler
 from repro.netem.audit import (
-    AuditProbe,
     AuditingExecutor,
     probes_for_flows,
 )

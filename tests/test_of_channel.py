@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.openflow.actions import ControllerAction, DropAction, OutputAction
+from repro.openflow.actions import OutputAction
 from repro.openflow.channel import ControlChannel
 from repro.openflow.errors import TableFullError
 from repro.openflow.match import IpPrefix, Match, PacketFields

@@ -8,7 +8,7 @@ from repro.openflow.channel import ControlChannel
 from repro.openflow.errors import BadMatchError, TableFullError
 from repro.openflow.match import IpPrefix, Match, PacketFields
 from repro.openflow.messages import FlowMod, FlowModCommand
-from repro.sim.latency import ConstantLatency, GaussianLatency
+from repro.sim.latency import ConstantLatency
 from repro.sim.rng import SeededRng
 from repro.switches.base import ControlCostModel
 from repro.switches.pipeline import PipelineSwitch, PipelineTableSpec

@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.openflow.actions import GotoTableAction, OutputAction
-from repro.openflow.errors import BadMatchError, TableFullError
+from repro.openflow.errors import TableFullError
 from repro.openflow.match import IpPrefix, Match, PacketFields
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.sim.latency import ConstantLatency

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.openflow.actions import ControllerAction, OutputAction
+from repro.openflow.actions import ControllerAction
 from repro.openflow.match import IpPrefix, Match, PacketFields
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.sim.latency import ConstantLatency

@@ -4,7 +4,7 @@ import pytest
 
 from repro.openflow.channel import ControlChannel
 from repro.openflow.errors import TableFullError
-from repro.openflow.match import MatchKind, PacketFields
+from repro.openflow.match import MatchKind
 from repro.openflow.messages import FlowMod, FlowModCommand, PacketOut
 from repro.core.probing import probe_match, probe_packet
 from repro.switches.profiles import (

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.openflow.actions import OutputAction
 from repro.openflow.errors import TableFullError
-from repro.openflow.match import IpPrefix, Match, MatchKind, PacketFields
+from repro.openflow.match import IpPrefix, Match, PacketFields
 from repro.tables.policies import FIFO, LIFO, LRU, LFU, PRIORITY_CACHE
 from repro.tables.stack import RankedTableStack, TableLayer
 from repro.tables.tcam import TcamGeometry, TcamMode
