@@ -88,6 +88,7 @@ counted, or consumed whole).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -194,9 +195,10 @@ class TailCostPlanner:
         for request in dag.requests:
             rid = request.request_id
             value = float(estimate(request))
-            if value < 0.0:
+            if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(
-                    f"negative duration estimate {value} for request {rid}"
+                    f"duration estimate {value} for request {rid} is not a "
+                    "finite non-negative number"
                 )
             self._est[rid] = value
             self._loc[rid] = request.location

@@ -11,6 +11,7 @@ from repro.core.scheduler import (
 from repro.openflow.channel import ControlChannel
 from repro.openflow.match import IpPrefix, Match
 from repro.openflow.messages import FlowModCommand
+from repro.perf.workloads import fast_executor, unlock_groups_dag
 from repro.sim.latency import ConstantLatency
 from repro.switches.base import ControlCostModel, SimulatedSwitch
 from repro.tables.policies import FIFO
@@ -76,6 +77,15 @@ def _prefix_scheduler(depth=2):
 def test_lookahead_depth_validated():
     with pytest.raises(ValueError):
         _prefix_scheduler(depth=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_estimate_rejected(bad):
+    # A NaN estimate used to pass the planner's `value < 0.0` check; every
+    # prefix cost then compared false and the full batch went out silently.
+    scheduler = PrefixTangoScheduler(fast_executor("a", "b"), estimate=lambda r: bad)
+    with pytest.raises(ValueError, match="finite non-negative"):
+        scheduler.schedule(unlock_groups_dag(20))
 
 
 def test_lookahead_issues_unlocking_prefix_first():
