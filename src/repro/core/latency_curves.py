@@ -2,13 +2,27 @@
 
 Tango probes each switch with rewriting patterns -- the same set of rule
 operations issued in different orders -- and records how installation
-time scales with batch size and priority pattern (paper Figures 3a-3c).
-The fitted curves feed two consumers:
+time scales with batch size (paper Figures 3a-3b).  The prober measures
+the four curves the controller reads, each on fresh switches:
 
-* the scheduler's rewrite-pattern weights (how much worse descending-
-  priority adds are than ascending ones on *this* switch), and
-* the concurrent-dispatch extension, which needs per-operation duration
-  estimates to compute guard times.
+* ADD at ascending priority -- rewrite-pattern weights
+  (:func:`derive_rewrite_patterns`), the duration estimator
+  (:meth:`repro.core.inference.InferredSwitchModel.duration_estimator`)
+  and :class:`repro.core.placement.FlowPlacer`;
+* ADD at descending priority -- rewrite-pattern weights (how much worse
+  descending-priority adds are than ascending ones on *this* switch);
+* MODIFY and DELETE of same-priority rules -- rewrite-pattern weights
+  and the duration estimator.
+
+Same- and random-priority ADD orders (Figure 3c) have no reader here;
+``benchmarks/bench_fig3c_priority_orders.py`` reproduces that figure.
+
+Each curve samples a ladder of batch sizes, one fresh switch per batch.
+MODIFY and DELETE share their switches: ``k`` preinstalled rules are
+modified, then deleted, so every MODIFY runs at fill ``k`` and the
+DELETEs at falling fill, as two separate batches would.  A ladder stops
+after the first batch the table rejected: every larger batch would
+measure the same full table again.
 
 Total time for ``n`` operations is fitted as ``t(n) = a*n + b*n^2``: the
 linear term is the per-operation base cost and the quadratic term
@@ -19,25 +33,33 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.patterns import RewritePattern, make_del_mod_add_pattern
-from repro.core.probing import ProbingEngine
+from repro.core.probing import ProbeHandle, ProbingEngine
 from repro.core.scores import TangoScoreDatabase
 from repro.faults.retry import RetryGiveUpError
 from repro.openflow.errors import TableFullError
 from repro.openflow.messages import FlowModCommand
 
 
+#: ``(operations measured, elapsed ms)`` of one batch.
+Sample = Tuple[int, float]
+
+
 class PriorityPattern(enum.Enum):
-    """Priority orderings exercised by the latency probe (Figure 3c)."""
+    """Priority orderings of the probed rules.
+
+    ADD curves are keyed ascending or descending; MODIFY and DELETE
+    operate on rules of one priority (``SAME``).
+    """
 
     ASCENDING = "ascending"
     DESCENDING = "descending"
     SAME = "same"
-    RANDOM = "random"
 
 
 @dataclass(frozen=True)
@@ -102,113 +124,110 @@ class LatencyCurveProber:
         if not batch_sizes:
             raise ValueError("need at least one batch size")
         self.engine_factory = engine_factory
-        self.batch_sizes = tuple(sorted(batch_sizes))
+        self.batch_sizes = tuple(sorted(set(batch_sizes)))
         self.scores = scores if scores is not None else TangoScoreDatabase()
         self._switch_name: Optional[str] = None
 
     # -- measurement ---------------------------------------------------------
-    def _priorities(self, pattern: PriorityPattern, n: int, rng) -> List[int]:
-        if pattern is PriorityPattern.ASCENDING:
-            return list(range(1, n + 1))
-        if pattern is PriorityPattern.DESCENDING:
-            return list(range(n, 0, -1))
-        if pattern is PriorityPattern.SAME:
-            return [100] * n
-        universe = list(range(1, 4 * n + 1))
-        return rng.sample(universe, n)
+    def _engine(self) -> ProbingEngine:
+        engine = self.engine_factory()
+        self._switch_name = engine.switch_name
+        return engine
 
-    def _measure_add(self, pattern: PriorityPattern, n: int) -> Tuple[int, float]:
-        """Returns (rules actually installed, elapsed ms).
+    def _measure_add(
+        self, pattern: PriorityPattern, n: int
+    ) -> Tuple[bool, List[Sample]]:
+        """``(table full, [(rules actually installed, elapsed ms)])``.
 
         Bounded switches may reject before ``n`` rules land; the sample
         is then truncated at the rejection point.
         """
-        engine = self.engine_factory()
-        self._switch_name = engine.switch_name
-        priorities = self._priorities(pattern, n, engine.rng)
+        engine = self._engine()
+        if pattern is PriorityPattern.ASCENDING:
+            priorities = range(1, n + 1)
+        else:
+            priorities = range(n, 0, -1)
         start = engine.now_ms
         installed = 0
+        table_full = False
         for priority in priorities:
             handle = engine.new_handle(priority=priority)
             try:
                 engine.install_flow(handle)
             except TableFullError:
+                table_full = True
                 break
             except RetryGiveUpError:
                 continue  # degraded mode: the sample just gets smaller
             installed += 1
-        return installed, engine.now_ms - start
+        return table_full, [(installed, engine.now_ms - start)]
 
-    def _preinstall(self, engine: ProbingEngine, n: int) -> list:
-        handles = []
+    def _measure_mod_del(self, n: int) -> Tuple[bool, List[Sample]]:
+        """``(table full, [MODIFY sample, DELETE sample])`` on one switch.
+
+        Preinstalls up to ``n`` same-priority rules, then times a MODIFY
+        of each and then a DELETE of each.  Each phase's first operation
+        follows another command, as after a preinstall alone.
+        """
+        engine = self._engine()
+        handles: List[ProbeHandle] = []
+        table_full = False
         for _ in range(n):
             handle = engine.new_handle(priority=100)
             try:
                 engine.install_flow(handle)
             except TableFullError:
+                table_full = True
                 break
             except RetryGiveUpError:
                 continue
             handles.append(handle)
-        return handles
+        samples: List[Sample] = []
+        for command in (FlowModCommand.MODIFY, FlowModCommand.DELETE):
+            start = engine.now_ms
+            measured = 0
+            for handle in handles:
+                try:
+                    engine.send_flow_mod(handle.flow_mod(command))
+                except RetryGiveUpError:
+                    continue
+                measured += 1
+            samples.append((measured, engine.now_ms - start))
+        return table_full, samples
 
-    def _measure_mod(self, n: int) -> Tuple[int, float]:
-        engine = self.engine_factory()
-        self._switch_name = engine.switch_name
-        handles = self._preinstall(engine, n)
-        start = engine.now_ms
-        measured = 0
-        for handle in handles:
-            try:
-                engine.send_flow_mod(handle.flow_mod(FlowModCommand.MODIFY))
-            except RetryGiveUpError:
-                continue
-            measured += 1
-        return measured, engine.now_ms - start
+    def _ladder(
+        self, measure: Callable[[int], Tuple[bool, List[Sample]]]
+    ) -> List[List[Sample]]:
+        """Run ``measure`` up the batch sizes; one sample list per curve.
 
-    def _measure_del(self, n: int) -> Tuple[int, float]:
-        engine = self.engine_factory()
-        self._switch_name = engine.switch_name
-        handles = self._preinstall(engine, n)
-        start = engine.now_ms
-        measured = 0
-        for handle in handles:
-            try:
-                engine.send_flow_mod(handle.flow_mod(FlowModCommand.DELETE))
-            except RetryGiveUpError:
-                continue
-            measured += 1
-        return measured, engine.now_ms - start
+        Stops after the first batch the table rejected, and drops empty
+        samples (every operation of the batch gave up).
+        """
+        rows = []
+        for n in self.batch_sizes:
+            table_full, samples = measure(n)
+            rows.append(samples)
+            if table_full:
+                break
+        return [[s for s in column if s[0] > 0] for column in zip(*rows)]
 
     # -- public API -----------------------------------------------------------
-    @staticmethod
-    def _dedupe(samples):
-        """Keep one sample per distinct installed count (truncation can
-        map several requested batch sizes onto the switch's capacity)."""
-        unique = {}
-        for count, elapsed in samples:
-            if count > 0:
-                unique[count] = elapsed
-        return sorted(unique.items())
-
     def probe(self) -> Dict[Tuple[FlowModCommand, PriorityPattern], LatencyCurve]:
-        """Measure and fit all (operation, priority pattern) curves."""
+        """Measure and fit the four curves the controller reads."""
         curves: Dict[Tuple[FlowModCommand, PriorityPattern], LatencyCurve] = {}
-        for pattern in PriorityPattern:
-            samples = self._dedupe(
-                self._measure_add(pattern, n) for n in self.batch_sizes
-            )
+        for pattern in (PriorityPattern.ASCENDING, PriorityPattern.DESCENDING):
+            (samples,) = self._ladder(partial(self._measure_add, pattern))
             curves[(FlowModCommand.ADD, pattern)] = fit_curve(
                 FlowModCommand.ADD, pattern, samples
             )
-        mod_samples = self._dedupe(self._measure_mod(n) for n in self.batch_sizes)
-        curves[(FlowModCommand.MODIFY, PriorityPattern.SAME)] = fit_curve(
-            FlowModCommand.MODIFY, PriorityPattern.SAME, mod_samples
+        mod_del = zip(
+            (FlowModCommand.MODIFY, FlowModCommand.DELETE),
+            self._ladder(self._measure_mod_del),
         )
-        del_samples = self._dedupe(self._measure_del(n) for n in self.batch_sizes)
-        curves[(FlowModCommand.DELETE, PriorityPattern.SAME)] = fit_curve(
-            FlowModCommand.DELETE, PriorityPattern.SAME, del_samples
-        )
+        for op, samples in mod_del:
+            curves[(op, PriorityPattern.SAME)] = fit_curve(
+                op, PriorityPattern.SAME, samples
+            )
         if self._switch_name is not None:
             for (op, pattern), curve in curves.items():
                 self.scores.put(
