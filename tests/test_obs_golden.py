@@ -65,9 +65,9 @@ CASES = [
             "--max-rules", "1024", "--trace", "P",
         ),
         {
-            "P.jsonl": "94c4c99cfb6d10ed236e432b595732d09f4f0c1dd095acb52c20708329262313",
-            "P.chrome.json": "2f4a101c10dc6da2e9a5589213709aa08af1fb2b93f27a79c0277fdcdf675935",
-            "P.prom": "65477dca7bc17ab5f2e693ebdaa38e95f0f588f61003c7d7fc5831f96f926b81",
+            "P.jsonl": "1e99a117b5e55c1865ac1d9b4f098806f588d55d50804fd5b62fa4f997c48a4d",
+            "P.chrome.json": "03cbd352577a1be3f11b88289e12b3dd59f2b00fd5dca4383c7a607ff1af7532",
+            "P.prom": "a0eec1589459348283b07deb3b15b63e5c3177b1c595b17bfa7163c7273aef7b",
         },
     ),
     (
@@ -78,7 +78,7 @@ CASES = [
             "--fleet-profiles", "switch1,switch2", "--max-rules", "256",
             "--fault-scenario", "chaos", "--sanitize", "--json",
         ),
-        {"stdout": "e47fde1f6df30cdef7222c3e569c39de5e9819c94ad4546cc9d7882269c4167f"},
+        {"stdout": "7a835b30972831dd07db8f7cf0946a08941abf06245c231eb57d119947f968f7"},
     ),
     (
         "serve-churn",
@@ -98,7 +98,7 @@ CASES = [
 ]
 
 #: Sanitizer log entries of the chaos fleet run (``races.accesses``).
-SANITIZED_ACCESSES = 77134
+SANITIZED_ACCESSES = 41614
 
 
 def _run(argv, cwd: Path) -> bytes:

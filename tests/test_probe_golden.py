@@ -45,10 +45,10 @@ def run_digest(engine: SwitchInferenceEngine) -> str:
 
 
 GOLDEN = {
-    "ovs": "2556162f1875cac1dc780336c772c4aba8c0be5593de5f8889d4823aea298f88",
-    "switch1": "80f49fa07a2e97e830990461b5ce67477a616509d79fb8ea5550f612aba15989",
-    "switch2": "e1f26bd988aa2244d210268921e6e4af06f07d5a15cfb737d670ae856bc1aaf6",
-    "switch3": "f92170df0d398c357b337983c74fd751196a5dd249ff89921368c58c5773b4ed",
+    "ovs": "5c56934ac5c96d77117b853a2d4868117deb9f8413b831cc2691c5cf815cd553",
+    "switch1": "79bab1739ebe35d1f60ff251f283c9f4155743fe76a78a9ca4a020947e1ea802",
+    "switch2": "21268f0cb4aea34efd59490038d24c2c7a79dbe59fdc295ae8231701c65e57ac",
+    "switch3": "9493e5d8c17c9c815a86eee76b82a9632597991efcb0a375783466a9f915f929",
 }
 
 
@@ -63,7 +63,7 @@ def test_multi_layer_policy_inference_digest_is_pinned():
     profile = make_cache_test_profile(LRU, layer_sizes=(32, 64, None))
     engine = SwitchInferenceEngine(profile, seed=5, **dict(SMALL, size_probe_max_rules=1024))
     assert run_digest(engine) == (
-        "e63c2a3f72e83be24d29c0781e42af2eb52d19611ef488a327275151c5487d0a"
+        "58ddca7715d202807a60abe1fed72a748835d29db608937556ebdc77ab512302"
     )
     assert engine.scores.get(profile.name, "switch_model").policy_probe is not None
 
@@ -78,5 +78,5 @@ def test_faulted_inference_digest_is_pinned():
         **SMALL,
     )
     assert run_digest(engine) == (
-        "fa328f48c3723143c19cd1c0fc6c0ec5b7eeb27e8bdccb9febe24f255c39c4d2"
+        "2aa9f7b5645ab1d602dfef3404a9bbf51dd5920495d1559b92fea85b762bb66f"
     )
