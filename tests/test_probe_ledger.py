@@ -36,6 +36,15 @@ def test_ledger_has_one_entry_per_stage_summing_to_the_run():
     )
 
 
+def test_latency_stage_installs_three_rules_per_batch_rule():
+    """ADD-ascending, ADD-descending and one shared MODIFY/DELETE preinstall
+    per batch size; a table that never fills runs every batch."""
+    engine = SwitchInferenceEngine(VENDOR_PROFILES["ovs"], seed=3, **SMALL)
+    engine.infer()
+    (curves,) = [cost for cost in engine.ledger if cost.stage == "latency_curves"]
+    assert curves.probe_ops == 3 * sum(SMALL["latency_batch_sizes"])
+
+
 def test_member_driver_elapsed_is_the_ledger_entry():
     profile = VENDOR_PROFILES["switch3"]
     engine = SwitchInferenceEngine(profile, seed=1, **SMALL)
