@@ -164,17 +164,28 @@ class RuleCacheManager:
         self.stats = CacheStats()
         #: flow key -> (packet-ins seen, last seen ms); pruned on maintenance.
         self._admission: Dict[Tuple[int, int], Tuple[int, float]] = {}
+        #: (eth_type, prefix base) -> its aggregate wildcard, built once.
+        self._wildcards: Dict[Tuple[Optional[int], int], Match] = {}
 
     # -- lookups -----------------------------------------------------------------
+    def _aggregate_match(self, eth_type: Optional[int], base: int) -> Match:
+        """The wildcard over prefix ``base`` (the address >> host bits)."""
+        wild = self._wildcards.get((eth_type, base))
+        if wild is None:
+            shift = 32 - self.aggregate_prefix_len
+            wild = self._wildcards[(eth_type, base)] = Match(
+                eth_type=eth_type,
+                ip_dst=IpPrefix(base << shift, self.aggregate_prefix_len),
+            )
+        return wild
+
     def wildcard_match(self, match: Match) -> Optional[Match]:
         """The aggregate-group wildcard that would cover ``match``."""
-        if match.ip_dst is None or match.ip_dst.length != 32:
+        ip_dst = match.ip_dst
+        if ip_dst is None or ip_dst.length != 32:
             return None
-        shift = 32 - self.aggregate_prefix_len
-        base = (match.ip_dst.value >> shift) << shift
-        return Match(
-            eth_type=match.eth_type,
-            ip_dst=IpPrefix(base, self.aggregate_prefix_len),
+        return self._aggregate_match(
+            match.eth_type, ip_dst.value >> (32 - self.aggregate_prefix_len)
         )
 
     def lookup(self, match: Match, priority: int, now_ms: float) -> Optional[FlowEntry]:
@@ -264,11 +275,7 @@ class RuleCacheManager:
         if not eligible:
             return None
         (group_base, priority, actions), members = eligible[0]
-        shift = 32 - self.aggregate_prefix_len
-        wild = Match(
-            eth_type=members[0].match.eth_type,
-            ip_dst=IpPrefix(group_base << shift, self.aggregate_prefix_len),
-        )
+        wild = self._aggregate_match(members[0].match.eth_type, group_base)
         ops = [
             PlannedOp(
                 FlowModCommand.DELETE,

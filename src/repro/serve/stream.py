@@ -14,12 +14,25 @@ child streams of one :class:`~repro.sim.rng.SeededRng`, so two streams
 built from equal configs yield byte-identical arrival sequences — the
 property the serve replay test and ``tango-serve --verify-determinism``
 rely on.
+
+The stream draws its random numbers in blocks of :data:`_BLOCK`
+arrivals, and the blocks are bit-identical to drawing one scalar per
+arrival.  The interarrival, tenant and destination child streams each
+draw a single distribution (one exponential or one uniform double per
+value), so numpy's array draw of n values consumes the generator exactly
+as n scalar draws do and returns the same doubles.  Ranks come from
+``searchsorted(side="left")``, which equals ``bisect_left``.  Arrival
+times still accumulate one Python float add at a time, in arrival order.
+Churn strides stay scalar ``randint`` draws on their own stream, taken
+as each epoch is entered.  A block is a fixed size, so the stream stays
+lazy: it holds one block plus one shared :class:`Match` per distinct
+flow, however many arrivals it yields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.openflow.match import IpPrefix, Match
 from repro.sim.rng import SeededRng
@@ -28,6 +41,10 @@ from repro.workloads.traffic import ZipfSampler
 #: Bits reserved for the per-tenant destination index inside an IPv4
 #: destination address: address = (tenant << 12) | destination.
 TENANT_SHIFT = 12
+
+#: Arrivals drawn per block of the interarrival, tenant and destination
+#: streams.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -116,7 +133,7 @@ class FlowRequestStream:
     def __iter__(self) -> Iterator[FlowArrival]:
         config = self.config
         root = SeededRng(config.seed)
-        arrival_rng = root.child("serve:interarrival")
+        gaps = root.child("serve:interarrival").generator
         tenant_sampler = ZipfSampler(
             config.tenants, config.tenant_skew, root.child("serve:tenant")
         )
@@ -128,31 +145,44 @@ class FlowRequestStream:
         churn_rng = root.child("serve:churn")
         scale = 1.0 / config.rate_per_ms
         destinations = config.destinations_per_tenant
+        churn_interval_ms = config.churn_interval_ms
+        priority_levels = config.priority_levels
+        # One frozen Match per flow, shared by all of its arrivals.
+        matches: Dict[Tuple[int, int], Match] = {}
         # Per-epoch rotation of the rank -> destination mapping.  The
         # stride is drawn once when the epoch is first entered; arrival
         # times are monotone, so the draw order is deterministic.
         epoch = 0
         stride = 0
         t_ms = 0.0
-        for index in range(config.arrivals):
-            t_ms += arrival_rng.exponential(scale)
-            if config.churn_interval_ms > 0:
-                current_epoch = int(t_ms // config.churn_interval_ms)
-                while epoch < current_epoch:
-                    epoch += 1
-                    if destinations > 1:
-                        stride = (
-                            stride + churn_rng.randint(1, destinations - 1)
-                        ) % destinations
-            tenant = tenant_sampler.sample()
-            rank = dest_sampler.sample()
-            destination = (rank + stride) % destinations
-            priority = 1 + tenant % config.priority_levels
-            yield FlowArrival(
-                index=index,
-                t_ms=t_ms,
-                tenant=tenant,
-                destination=destination,
-                priority=priority,
-                match=flow_match(tenant, destination),
+        for start in range(0, config.arrivals, _BLOCK):
+            size = min(_BLOCK, config.arrivals - start)
+            block = zip(
+                range(start, start + size),
+                gaps.exponential(scale, size).tolist(),
+                tenant_sampler.draw(size),
+                dest_sampler.draw(size),
             )
+            for index, gap, tenant, rank in block:
+                t_ms += gap
+                if churn_interval_ms > 0:
+                    current_epoch = int(t_ms // churn_interval_ms)
+                    while epoch < current_epoch:
+                        epoch += 1
+                        if destinations > 1:
+                            stride = (
+                                stride + churn_rng.randint(1, destinations - 1)
+                            ) % destinations
+                destination = (rank + stride) % destinations
+                flow = (tenant, destination)
+                match = matches.get(flow)
+                if match is None:
+                    match = matches[flow] = flow_match(tenant, destination)
+                yield FlowArrival(
+                    index=index,
+                    t_ms=t_ms,
+                    tenant=tenant,
+                    destination=destination,
+                    priority=1 + tenant % priority_levels,
+                    match=match,
+                )

@@ -68,9 +68,11 @@ def test_zipf_sampler_is_deterministic_and_bounded():
 
     a = ZipfSampler(16, skew=1.2, rng=SeededRng(9).child("z"))
     b = ZipfSampler(16, skew=1.2, rng=SeededRng(9).child("z"))
-    draws = [a.sample() for _ in range(500)]
-    assert draws == [b.sample() for _ in range(500)]
+    draws = a.draw(500)
+    # Block boundaries do not matter: 500 at once equals 1 + 199 + 300.
+    assert draws == b.draw(1) + b.draw(199) + b.draw(300)
     assert all(0 <= d < 16 for d in draws)
+    assert a.draw(0) == []
 
 
 def test_zipf_sampler_rank_zero_most_frequent():
@@ -78,7 +80,7 @@ def test_zipf_sampler_rank_zero_most_frequent():
 
     sampler = ZipfSampler(8, skew=1.5, rng=SeededRng(10).child("z"))
     counts = [0] * 8
-    for _ in range(4000):
-        counts[sampler.sample()] += 1
+    for rank in sampler.draw(4000):
+        counts[rank] += 1
     assert counts[0] == max(counts)
     assert counts[0] > counts[7]
