@@ -156,8 +156,10 @@ class RequestDag:
 
         Args:
             check_cycle: reject the edge if ``first`` is reachable from
-                ``then`` (one search of ``then``'s descendants; O(1) when
-                ``then`` is a new sink).  Bulk constructors that add edges
+                ``then`` (one search of ``then``'s descendants).  When
+                ``then`` is a sink -- every ``new_request(after=...)``
+                edge -- only ``first is then`` can close a cycle, and the
+                check is O(1).  Bulk constructors that add edges
                 in a known topological order (e.g. ACL index order) may
                 disable the check and call :meth:`validate_acyclic` once.
 
@@ -172,8 +174,16 @@ class RequestDag:
             raise KeyError(f"unknown request {missing}")
         if tid in self._succ[fid]:
             return  # idempotent: the constraint already holds
-        if check_cycle and self._reaches(tid, fid):
-            raise ValueError("dependency would create a cycle")
+        if check_cycle:
+            if self._succ[tid]:
+                cycle = self._reaches(tid, fid)
+            else:
+                # A sink's only descendant is itself: the one visit
+                # _reaches would make.
+                self.ops.cycle_visits += 1
+                cycle = tid == fid
+            if cycle:
+                raise ValueError("dependency would create a cycle")
         self._succ[fid][tid] = None
         self._pred[tid][fid] = None
         self._edge_count += 1

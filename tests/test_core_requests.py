@@ -5,6 +5,7 @@ import pytest
 from repro.core.requests import RequestDag, SwitchRequest
 from repro.openflow.match import IpPrefix, Match
 from repro.openflow.messages import FlowModCommand
+from repro.sim.rng import SeededRng
 
 
 def _match(i):
@@ -202,6 +203,56 @@ def test_rejected_cycle_leaves_counters_intact():
     assert dag.independent_requests() == [a]
     dag.mark_done(a)
     assert dag.independent_requests() == [b]
+
+
+def test_self_edge_on_fresh_request_rejected_without_mutation():
+    """A fresh request is a sink, so its cycle check takes the O(1) path;
+    the self-edge must still be refused with nothing changed."""
+    dag = RequestDag()
+    a = dag.new_request("s", FlowModCommand.ADD, _match(0))
+    with pytest.raises(ValueError):
+        dag.add_dependency(a, a)
+    assert dag.ops.cycle_visits == 1  # the one visit _reaches makes
+    assert dag.edge_ids() == []
+    assert dag.successor_ids(a.request_id) == []
+    assert dag.predecessor_ids(a.request_id) == []
+    assert dag.independent_requests() == [a]
+    assert dag.is_acyclic()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sink_fast_path_matches_full_search(seed):
+    """Seeded random DAG growth: every checked edge is accepted or
+    rejected exactly as the full descendant search decides, at the same
+    ``cycle_visits`` cost, whether or not ``then`` is a sink."""
+    rng = SeededRng(seed).child("dag")
+    dag = RequestDag()
+    nodes = [dag.new_request("s", FlowModCommand.ADD, _match(0))]
+    sink_checks = 0
+    for step in range(400):
+        if rng.uniform() < 0.3:
+            nodes.append(dag.new_request("s", FlowModCommand.ADD, _match(step + 1)))
+        first, then = rng.choice(nodes), rng.choice(nodes)
+        fid, tid = first.request_id, then.request_id
+        edges = dag.edge_ids()
+        visits = dag.ops.cycle_visits
+        if (fid, tid) in edges:
+            want_cycle, want_visits = False, 0  # idempotent: no search
+        else:
+            want_cycle = dag._reaches(tid, fid)
+            want_visits = dag.ops.cycle_visits - visits
+            dag.ops.cycle_visits = visits
+            sink_checks += not dag.successor_ids(tid)
+        if want_cycle:
+            with pytest.raises(ValueError):
+                dag.add_dependency(first, then)
+            assert dag.edge_ids() == edges
+        else:
+            dag.add_dependency(first, then)
+            assert (fid, tid) in dag.edge_ids()
+        assert dag.ops.cycle_visits - visits == want_visits
+    assert dag.is_acyclic()
+    assert sink_checks > 50  # the fast path was exercised
 
 
 def test_critical_path_cache_invalidated_on_mutation():
