@@ -3,8 +3,9 @@
 Each bench case runs the shipping implementation on a deterministic
 workload and counts its operations.  A case regresses when its op count
 exceeds the checked-in baseline (``benchmarks/perf_baseline.json``) by
-more than :data:`REGRESSION_THRESHOLD`.  Op counts are exact functions
-of the workload: DAG edge visits + ready yields for the schedulers
+more than :data:`REGRESSION_THRESHOLD`, which is 1.0: any growth fails.
+Op counts are exact functions of the workload, the same under every
+``PYTHONHASHSEED``: DAG edge visits + ready yields for the schedulers
 (:class:`repro.core.requests.DagOpCounters`), list element moves for
 the shift model, probe operations for the fleets, and the serve loop's
 lookup + DAG + issue-record total.  Nothing here reads the host clock,
@@ -69,9 +70,10 @@ from repro.perf.workloads import (
 )
 from repro.tables.tcam import PriorityShiftModel
 
-#: Optimized op count may grow this much over the baseline before the
-#: gate fails (1.5x; headroom for intentional small changes).
-REGRESSION_THRESHOLD = 1.5
+#: Largest op count / baseline ratio the gate passes.  Counts are exact,
+#: so 1.0: any growth is an algorithmic change and must come with a
+#: refreshed baseline.
+REGRESSION_THRESHOLD = 1.0
 
 #: Suite sizes: full run and the CI ``--quick`` run.
 FULL_SIZES: Tuple[int, ...] = (1000, 5000, 20000)
@@ -106,7 +108,7 @@ def _bench_schedule(case: str, build_dag, n: int) -> BenchRecord:
     # The case runs with a live metrics registry attached: the op
     # attribution lands in the report, and -- because the op-count gate
     # compares against the uninstrumented baseline -- any instrumentation
-    # cost that leaked into the hot path would trip the 1.5x threshold.
+    # cost that leaked into the hot path would trip the threshold.
     registry = MetricsRegistry()
     scheduler = BasicTangoScheduler(
         fast_executor(), instruments=Instruments(metrics=registry)
