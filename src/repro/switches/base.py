@@ -213,7 +213,8 @@ class SimulatedSwitch:
 
     def _apply_add(self, flow_mod: FlowMod) -> None:
         priority = flow_mod.priority
-        # Charged at the pre-insert table size, like every other command.
+        # Charged at the pre-insert table size, as MODIFY is; DELETE is
+        # charged at the size left after its removals.
         cost = (
             self._batched_base(FlowModCommand.ADD, self.cost_model.add_base_ms)
             + self._table_size_cost_ms()
