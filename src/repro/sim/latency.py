@@ -61,12 +61,13 @@ class GaussianLatency(LatencyModel):
     def __post_init__(self) -> None:
         if self.mean < 0 or self.std < 0:
             raise ValueError("mean and std must be non-negative")
-
-    def _floor(self) -> float:
-        return self.floor if self.floor >= 0 else 0.1 * self.mean
+        # Resolved once: every forwarded packet samples a path delay.
+        object.__setattr__(
+            self, "_floor_ms", self.floor if self.floor >= 0 else 0.1 * self.mean
+        )
 
     def sample(self, rng: SeededRng) -> float:
-        return max(self._floor(), rng.normal(self.mean, self.std))
+        return max(self._floor_ms, rng.normal(self.mean, self.std))
 
     @property
     def mean_ms(self) -> float:

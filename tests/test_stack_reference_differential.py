@@ -1,16 +1,19 @@
 """Differential test: RankedTableStack against a naive reference.
 
 The stack files each entry's rank key once, skips touches that leave
-the key unchanged and memoises its admission arithmetic.  The reference
+the key unchanged, does not rescore a touch under a policy that reads
+neither use time nor traffic count, caches layer lookups until the
+ranking changes and memoises its admission arithmetic.  The reference
 below does none of that: it rescores every entry with the ATTRIB formula
 (``direction.value * attribute_value``) and re-sorts on every query.
-Random insert / remove / touch / update_priority sequences over L2, L3
-and L2+L3 matches must give identical rankings, layers, occupancy and
-accept/reject decisions under every standard policy.
+Random insert / remove / touch / update_priority / clear sequences over
+L2, L3 and L2+L3 matches must give identical rankings, layers, occupancy
+and accept/reject decisions under every standard policy.
 """
 
 from typing import Dict, List, Optional
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -184,10 +187,30 @@ _OPS = st.lists(
         st.tuples(st.just("remove"), st.integers(0, 63)),
         st.tuples(st.just("touch"), st.integers(0, 63), st.integers(0, 6), st.integers(1, 3)),
         st.tuples(st.just("priority"), st.integers(0, 63), st.integers(0, 4)),
+        st.tuples(st.just("clear")),
     ),
     min_size=1,
     max_size=40,
 )
+
+#: Mostly touches (several per entry between ranking changes), so cached
+#: layers are read many times before a change invalidates them.
+_TOUCH_HEAVY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _KINDS, st.integers(0, 4), st.integers(0, 6)),
+        st.tuples(st.just("touch"), st.integers(0, 63), st.integers(0, 9), st.integers(1, 3)),
+        st.tuples(st.just("touch"), st.integers(0, 63), st.integers(0, 9), st.integers(1, 3)),
+        st.tuples(st.just("touch"), st.integers(0, 63), st.integers(0, 9), st.integers(1, 3)),
+        st.tuples(st.just("remove"), st.integers(0, 63)),
+        st.tuples(st.just("priority"), st.integers(0, 63), st.integers(0, 4)),
+        st.tuples(st.just("clear")),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+#: Layer sets with more than one layer, where a layer lookup is cached.
+_MULTI_LAYER_SETS = sorted(name for name, layers in LAYER_SETS.items() if len(layers) > 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -213,6 +236,36 @@ _OPS = st.lists(
     operations=[("insert", MatchKind.L2_L3, 1, 0)] * 2 + [("insert", MatchKind.L3, 1, 0)] * 3,
 )
 def test_stack_matches_naive_reference(policy_name, layer_set, operations):
+    _check_against_reference(policy_name, layer_set, operations)
+
+
+@pytest.mark.parametrize("policy_name", sorted(STANDARD_POLICIES))
+@settings(max_examples=40, deadline=None)
+@given(layer_set=st.sampled_from(_MULTI_LAYER_SETS), operations=_TOUCH_HEAVY_OPS)
+def test_touches_and_cached_layers_match_reference_under_every_policy(
+    policy_name, layer_set, operations
+):
+    _check_against_reference(policy_name, layer_set, operations)
+
+
+@pytest.mark.parametrize("policy_name", sorted(STANDARD_POLICIES))
+def test_each_ranking_change_refreshes_cached_layers(policy_name):
+    """A removal or clear alone (no reinsertion) must drop cached layers:
+    removing the best-ranked entry promotes the best slow one."""
+    inserts = [("insert", MatchKind.L3, index % 3, index) for index in range(7)]
+    touches = [("touch", index, 7 + index, 1 + index % 2) for index in range(7)]
+    reads = touches[:1]  # fills the cache, at most one change
+    for operations in (
+        inserts + reads + [("remove", k) for k in range(7)],
+        inserts + touches + reads + [("remove", k) for k in (6, 0, 3)],
+        inserts + reads + [("clear",)] + inserts[:4] + reads,
+        inserts + reads + [("priority", k, 4 - k % 5) for k in range(7)],
+    ):
+        _check_against_reference(policy_name, "plain_bounded", operations)
+        _check_against_reference(policy_name, "adaptive_wide_tiers", operations)
+
+
+def _check_against_reference(policy_name, layer_set, operations):
     policy = STANDARD_POLICIES[policy_name]
     layers = LAYER_SETS[layer_set]
     stack = RankedTableStack(layers, policy)
@@ -229,6 +282,10 @@ def test_stack_matches_naive_reference(policy_name, layer_set, operations):
             if got[0] == "ok":
                 assert got[1].entry_id == want[1].entry_id
                 live.append((got[1], want[1]))
+        elif name == "clear":
+            stack.clear()
+            reference.entries.clear()
+            live.clear()
         elif live:
             mine, theirs = live[operation[1] % len(live)]
             if name == "remove":
@@ -243,9 +300,10 @@ def test_stack_matches_naive_reference(policy_name, layer_set, operations):
                 stack.update_priority(mine, operation[2])
                 theirs.priority = operation[2]
         assert len(stack) == len(reference.entries)
-        assert _state(stack, [m for m, _ in live]) == _state(
-            reference, [t for _, t in live]
-        )
+        want = _state(reference, [t for _, t in live])
+        assert _state(stack, [m for m, _ in live]) == want
+        # Asked again with no change in between: answered from the cache.
+        assert _state(stack, [m for m, _ in live]) == want
     for mine, _ in live:
         assert stack.entries_by_rank()[stack.rank_of(mine)] is mine
 
