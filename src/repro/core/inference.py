@@ -228,12 +228,14 @@ class SwitchInferenceEngine:
 
         A finished probe engine keeps its clock, counters, switch stats
         and channel history -- everything the accounting reads -- but
-        not its flow table or probe handles, so inference holds one
-        live probe switch rather than every one it ever built.
+        not its flow table, probe handles or the switch stream's block
+        of unserved normal draws, so inference holds one live probe
+        switch rather than every one it ever built.
         """
         if self.probe_engines:
             engine = self.probe_engines[-1]
             engine.channel.switch.reset_rules()
+            engine.channel.switch.rng.sync()
             engine.flows.clear()
 
     def _fresh_engine(self) -> ProbingEngine:
