@@ -89,7 +89,7 @@ def _check_pairwise(
                     "TNG001",
                     Severity.ERROR,
                     f"ADD #{b_index} duplicates ADD #{a_index} "
-                    f"(match {a.match.key()}, priority {a.priority}) "
+                    f"(match {a.match}, priority {a.priority}) "
                     "with different actions",
                     location=location,
                     hint="drop one rule or give them distinct priorities",

@@ -227,7 +227,7 @@ class SwitchInferenceEngine:
         """Drop the newest probe switch's rules once its measurement is over.
 
         A finished probe engine keeps its clock, counters, switch stats
-        and channel history -- everything the accounting reads -- but
+        and channel counters -- everything the accounting reads -- but
         not its flow table, probe handles or the switch stream's block
         of unserved normal draws, so inference holds one live probe
         switch rather than every one it ever built.

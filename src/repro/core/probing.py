@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.retry import RetryGiveUpError, RetryPolicy, TRANSIENT_FAULTS
 from repro.obs import NULL_INSTRUMENTS, Instruments
-from repro.openflow.channel import ChannelRecord, ControlChannel
+from repro.openflow.channel import ControlChannel
 from repro.openflow.match import IpPrefix, Match, MatchKind, PacketFields
 from repro.openflow.messages import FlowMod, FlowModCommand, PacketOut
 from repro.core.patterns import ProbePattern
@@ -146,7 +146,7 @@ class ProbingEngine:
         return self.channel.clock.now_ms
 
     # -- fault-tolerant sends --------------------------------------------------
-    def send_flow_mod(self, flow_mod: FlowMod) -> ChannelRecord:
+    def send_flow_mod(self, flow_mod: FlowMod) -> None:
         """Send one flow_mod, retrying transient faults per the policy.
 
         Without a :class:`RetryPolicy` this is a plain passthrough.
@@ -159,13 +159,15 @@ class ProbingEngine:
         """
         policy = self.retry_policy
         if policy is None:
-            return self.channel.send_flow_mod(flow_mod)
+            self.channel.send_flow_mod(flow_mod)
+            return
         started = self.now_ms
         attempts = 0
         ins = self.instruments
         while True:
             try:
-                return self.channel.send_flow_mod(flow_mod)
+                self.channel.send_flow_mod(flow_mod)
+                return
             except TRANSIENT_FAULTS as fault:
                 attempts += 1
                 self.fault_retries += 1

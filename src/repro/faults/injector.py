@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.faults.plan import FaultPlan
-from repro.openflow.channel import ChannelRecord, ControlChannel
+from repro.openflow.channel import ControlChannel
 from repro.openflow.errors import (
     ControlMessageLostError,
     FlowModRejectedError,
@@ -41,7 +41,7 @@ class FaultyControlChannel:
 
     Duck-types the channel interface (``send_flow_mod``,
     ``send_packet_out``, ``send_barrier``, ``request_flow_stats``,
-    ``clock``, ``switch``, ``history``, ...); anything not intercepted
+    ``clock``, ``switch``, ``messages``, ...); anything not intercepted
     delegates to the wrapped channel, so every channel send must be
     intercepted here, or it skips the fault gates.  Per-channel
     injection counters are exposed for tests and reports.
@@ -75,10 +75,6 @@ class FaultyControlChannel:
     def clock(self):
         return self.inner.clock
 
-    @property
-    def history(self) -> List[ChannelRecord]:
-        return self.inner.history
-
     # -- fault gates -----------------------------------------------------------
     def _switch_name(self) -> str:
         return self.inner.switch.name
@@ -98,7 +94,7 @@ class FaultyControlChannel:
             self.inner.clock.advance(extra)
 
     # -- intercepted channel API -----------------------------------------------
-    def send_flow_mod(self, flow_mod: FlowMod) -> ChannelRecord:
+    def send_flow_mod(self, flow_mod: FlowMod) -> None:
         self._gate_connection()
         self._apply_stall()
         if (
@@ -115,7 +111,7 @@ class FaultyControlChannel:
             self.injected_rejects += 1
             self.inner.clock.advance(self.plan.reject_detect_ms)
             raise FlowModRejectedError()
-        return self.inner.send_flow_mod(flow_mod)
+        self.inner.send_flow_mod(flow_mod)
 
     def send_packet_out(self, packet_out: PacketOut) -> float:
         """Probe packets: outages and injected reply loss surface as timeouts.

@@ -8,14 +8,12 @@ as Tango measures through a real OpenFlow connection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.openflow.messages import (
     BarrierReply,
     BarrierRequest,
     FlowMod,
-    FlowModCommand,
     FlowStatsReply,
     FlowStatsRequest,
     PacketOut,
@@ -27,28 +25,6 @@ from repro.sim.rng import SeededRng
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.switches.base import SimulatedSwitch
 
-#: ChannelRecord kind of each flow_mod command.
-_FLOW_MOD_KINDS = {command: f"flow_mod:{command.value}" for command in FlowModCommand}
-
-
-@dataclass
-class ChannelRecord:
-    """Timing record of one control-channel exchange.
-
-    Slotted: the channel keeps one per message.  ``result`` is set only
-    on barrier and flow-stats records.
-    """
-
-    __slots__ = ("kind", "sent_at_ms", "completed_at_ms", "result")
-
-    kind: str
-    sent_at_ms: float
-    completed_at_ms: float
-
-    @property
-    def latency_ms(self) -> float:
-        return self.completed_at_ms - self.sent_at_ms
-
 
 class ControlChannel:
     """A latency-modelled, in-process controller-to-switch channel.
@@ -58,6 +34,10 @@ class ControlChannel:
         clock: shared virtual clock (defaults to the switch's clock).
         rtt: one-way channel latency model applied in each direction.
         rng: randomness source for channel jitter.
+
+    ``messages`` counts completed flow_mod, barrier and flow-stats
+    exchanges; :meth:`total_control_time_ms` sums completed flow_mods'
+    round trips.  No per-message record outlives its message.
     """
 
     #: RTT reported for a probe packet whose reply never arrived.
@@ -78,22 +58,20 @@ class ControlChannel:
         self._one_way = rtt if rtt is not None else ConstantLatency(0.05)
         self._rng = rng if rng is not None else SeededRng(0).child("channel")
         self.probe_loss_probability = probe_loss_probability
-        self.history: List[ChannelRecord] = []
+        self.messages = 0
+        self._control_ms = 0.0
         self._xid = 0
         self.probes_lost = 0
 
-    def _round_trip(self, kind: str, process) -> ChannelRecord:
-        sent = self.clock.now_ms
+    def _round_trip(self, process):
         self.clock.advance(self._one_way.sample(self._rng))
         result = process()
         self.clock.advance(self._one_way.sample(self._rng))
-        record = ChannelRecord(kind=kind, sent_at_ms=sent, completed_at_ms=self.clock.now_ms)
-        self.history.append(record)
-        record.result = result  # type: ignore[attr-defined]
-        return record
+        self.messages += 1
+        return result
 
     # -- public API ----------------------------------------------------------
-    def send_flow_mod(self, flow_mod: FlowMod) -> ChannelRecord:
+    def send_flow_mod(self, flow_mod: FlowMod) -> None:
         """Send one flow_mod; clock advances by channel + switch latency.
 
         Raises whatever OpenFlow error the switch raises (e.g. table full),
@@ -106,13 +84,8 @@ class ControlChannel:
             self.switch.apply_flow_mod(flow_mod)
         finally:
             clock.advance(self._one_way.sample(self._rng))
-        record = ChannelRecord(
-            kind=_FLOW_MOD_KINDS[flow_mod.command],
-            sent_at_ms=sent,
-            completed_at_ms=clock.now_ms,
-        )
-        self.history.append(record)
-        return record
+        self.messages += 1
+        self._control_ms += clock.now_ms - sent
 
     def send_barrier(self) -> BarrierReply:
         """Barrier round trip; switch drains any queued work first."""
@@ -123,8 +96,7 @@ class ControlChannel:
             self.switch.drain(BarrierRequest(xid=xid))
             return BarrierReply(xid=xid, completed_at_ms=self.clock.now_ms)
 
-        record = self._round_trip("barrier", process)
-        return record.result  # type: ignore[attr-defined]
+        return self._round_trip(process)
 
     def send_packet_out(self, packet_out: PacketOut) -> float:
         """Inject a probe packet and return its measured RTT in ms.
@@ -151,15 +123,9 @@ class ControlChannel:
         return clock.now_ms - start
 
     def request_flow_stats(self, request: FlowStatsRequest) -> FlowStatsReply:
-        record = self._round_trip(
-            "flow_stats", lambda: self.switch.collect_flow_stats(request)
-        )
-        return record.result  # type: ignore[attr-defined]
+        return self._round_trip(lambda: self.switch.collect_flow_stats(request))
 
     # -- introspection --------------------------------------------------------
     def total_control_time_ms(self) -> float:
-        """Sum of latencies of all flow_mod exchanges so far."""
-        return sum(r.latency_ms for r in self.history if r.kind.startswith("flow_mod"))
-
-    def reset_history(self) -> None:
-        self.history.clear()
+        """Sum of the round trips of all completed flow_mods so far."""
+        return self._control_ms

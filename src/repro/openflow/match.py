@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 
 class MatchKind(enum.Enum):
@@ -25,6 +25,10 @@ class MatchKind(enum.Enum):
     L2 = "l2"
     L3 = "l3"
     L2_L3 = "l2+l3"
+
+    # Members are singletons, so identity is equality; the inherited
+    # hash runs as Python code on every dict lookup keyed by a kind.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -90,46 +94,36 @@ class Match:
     ip_proto: Optional[int] = None
     tp_src: Optional[int] = None
     tp_dst: Optional[int] = None
+    # Derived once in __post_init__; ClassVar so fields/eq/hash/repr ignore them.
+    kind: ClassVar[MatchKind]
+    _key: ClassVar[Tuple[Optional[int], ...]]
 
     def __post_init__(self) -> None:
-        if (
-            self.eth_src is None
-            and self.eth_dst is None
-            and self.eth_type is None
-            and self.ip_src is None
-            and self.ip_dst is None
-            and self.ip_proto is None
-            and self.tp_src is None
-            and self.tp_dst is None
-        ):
-            raise ValueError("a Match must constrain at least one field")
-
-    # -- classification -----------------------------------------------------
-    @property
-    def has_l2(self) -> bool:
-        """True when the match constrains MAC addresses.
-
-        ``eth_type`` is deliberately excluded: every L3 rule carries an
-        EtherType qualifier, yet the paper's Table 1 counts such rules as
-        single-wide L3 entries.
-        """
-        return self.eth_src is not None or self.eth_dst is not None
-
-    @property
-    def has_l3(self) -> bool:
-        return (
-            self.ip_src is not None
-            or self.ip_dst is not None
-            or self.ip_proto is not None
-            or self.tp_src is not None
-            or self.tp_dst is not None
+        ip_src, ip_dst = self.ip_src, self.ip_dst
+        key = (
+            self.eth_src,
+            self.eth_dst,
+            self.eth_type,
+            None if ip_src is None else ip_src.value,
+            None if ip_src is None else ip_src.length,
+            None if ip_dst is None else ip_dst.value,
+            None if ip_dst is None else ip_dst.length,
+            self.ip_proto,
+            self.tp_src,
+            self.tp_dst,
         )
-
-    @property
-    def kind(self) -> MatchKind:
-        if self.has_l3:
-            return MatchKind.L2_L3 if self.has_l2 else MatchKind.L3
-        return MatchKind.L2
+        if all(value is None for value in key):
+            raise ValueError("a Match must constrain at least one field")
+        # L2 means MAC addresses.  ``eth_type`` is deliberately excluded:
+        # every L3 rule carries an EtherType qualifier, yet the paper's
+        # Table 1 counts such rules as single-wide L3 entries.
+        has_l2 = self.eth_src is not None or self.eth_dst is not None
+        if any(value is not None for value in key[3:]):  # IP and port fields
+            kind = MatchKind.L2_L3 if has_l2 else MatchKind.L3
+        else:
+            kind = MatchKind.L2
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_key", key)
 
     # -- packet matching ----------------------------------------------------
     def matches_packet(self, packet: "PacketFields") -> bool:
@@ -193,18 +187,10 @@ class Match:
                 return False
         return True
 
-    def key(self) -> Tuple:
-        """A hashable identity for exact-duplicate detection."""
-        return (
-            self.eth_src,
-            self.eth_dst,
-            self.eth_type,
-            self.ip_src,
-            self.ip_dst,
-            self.ip_proto,
-            self.tp_src,
-            self.tp_dst,
-        )
+    def key(self) -> Tuple[Optional[int], ...]:
+        """Exact-duplicate identity, equal iff the matches are: a flat tuple
+        of ints and ``None`` (a prefix as value, length) that hashes in C."""
+        return self._key
 
 
 #: Exact-match fields :class:`OverlapIndex` may bucket on, in tie-break

@@ -23,6 +23,9 @@ class FlowModCommand(enum.Enum):
     MODIFY = "mod"
     DELETE = "del"
 
+    # Members are singletons: hash by identity, in C (see MatchKind).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class FlowMod:

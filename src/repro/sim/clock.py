@@ -8,13 +8,15 @@ consistent timeline.
 
 from __future__ import annotations
 
+import math
+
 
 class VirtualClock:
     """A monotonically advancing virtual clock measured in milliseconds."""
 
     def __init__(self, start_ms: float = 0.0) -> None:
-        if start_ms < 0:
-            raise ValueError(f"start_ms must be non-negative, got {start_ms}")
+        if not 0 <= start_ms < math.inf:
+            raise ValueError(f"start_ms must be finite and non-negative, got {start_ms}")
         self._now_ms = float(start_ms)
 
     @property
@@ -26,10 +28,10 @@ class VirtualClock:
         """Advance the clock by ``delta_ms`` and return the new time.
 
         Raises:
-            ValueError: if ``delta_ms`` is negative.
+            ValueError: if ``delta_ms`` is negative or NaN.
         """
-        if delta_ms < 0:
-            raise ValueError(f"cannot advance clock backwards by {delta_ms}")
+        if not delta_ms >= 0:
+            raise ValueError(f"clock advance must be non-negative, got {delta_ms}")
         self._now_ms += delta_ms
         return self._now_ms
 

@@ -9,6 +9,7 @@ RTT clustering in the inference engine has realistic input.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -35,8 +36,9 @@ class ConstantLatency(LatencyModel):
     value_ms: float
 
     def __post_init__(self) -> None:
-        if self.value_ms < 0:
-            raise ValueError(f"latency must be non-negative, got {self.value_ms}")
+        # Written so that NaN fails too: a NaN sample poisons the clock.
+        if not 0 <= self.value_ms < math.inf:
+            raise ValueError(f"latency must be finite and non-negative, got {self.value_ms}")
 
     def sample(self, rng: SeededRng) -> float:
         return self.value_ms
@@ -59,8 +61,10 @@ class GaussianLatency(LatencyModel):
     floor: float = -1.0  # sentinel: computed as 0.1 * mean
 
     def __post_init__(self) -> None:
-        if self.mean < 0 or self.std < 0:
-            raise ValueError("mean and std must be non-negative")
+        if not (0 <= self.mean < math.inf and 0 <= self.std < math.inf):
+            raise ValueError("mean and std must be finite and non-negative")
+        if not math.isfinite(self.floor):
+            raise ValueError(f"floor must be finite, got {self.floor}")
         # Resolved once: every forwarded packet samples a path delay.
         object.__setattr__(
             self, "_floor_ms", self.floor if self.floor >= 0 else 0.1 * self.mean
@@ -86,8 +90,8 @@ class ShiftedExponentialLatency(LatencyModel):
     tail_scale: float
 
     def __post_init__(self) -> None:
-        if self.minimum < 0 or self.tail_scale < 0:
-            raise ValueError("minimum and tail_scale must be non-negative")
+        if not (0 <= self.minimum < math.inf and 0 <= self.tail_scale < math.inf):
+            raise ValueError("minimum and tail_scale must be finite and non-negative")
 
     def sample(self, rng: SeededRng) -> float:
         return self.minimum + rng.exponential(self.tail_scale)

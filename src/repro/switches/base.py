@@ -20,6 +20,7 @@ that makes naive probing disturb cache state (Section 5).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -84,9 +85,11 @@ class ControlCostModel:
             "mod_ms",
             "del_ms",
             "table_size_ms",
+            "jitter_std_frac",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            # Written so that NaN fails too: a NaN cost poisons the clock.
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if not 0 < self.batch_discount <= 1.0:
             raise ValueError("batch_discount must be in (0, 1]")
 

@@ -12,7 +12,7 @@ four per-flow attributes that OpenFlow switches maintain anyway:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.openflow.actions import Action
@@ -34,9 +34,12 @@ class FlowAttribute(enum.Enum):
 SERIAL_ATTRIBUTES = frozenset({FlowAttribute.INSERTION, FlowAttribute.USE_TIME})
 
 
-@dataclass
+@dataclass(init=False)
 class FlowEntry:
     """A rule installed in a switch plus its dynamic attributes.
+
+    Slotted, with an explicit ``__init__`` (``dataclass(slots=True)``
+    needs Python 3.10): a switch keeps one per installed rule.
 
     Args:
         match: the rule's match condition.
@@ -46,13 +49,41 @@ class FlowEntry:
         inserted_at_ms: virtual time of installation.
     """
 
+    __slots__ = (
+        "match",
+        "priority",
+        "actions",
+        "entry_id",
+        "inserted_at_ms",
+        "last_used_at_ms",
+        "traffic_count",
+    )
+
     match: Match
     priority: int
     actions: Tuple[Action, ...]
     entry_id: int
     inserted_at_ms: float
-    last_used_at_ms: float = field(default=-1.0)
-    traffic_count: int = 0
+    last_used_at_ms: float
+    traffic_count: int
+
+    def __init__(
+        self,
+        match: Match,
+        priority: int,
+        actions: Tuple[Action, ...],
+        entry_id: int,
+        inserted_at_ms: float,
+        last_used_at_ms: float = -1.0,
+        traffic_count: int = 0,
+    ) -> None:
+        self.match = match
+        self.priority = priority
+        self.actions = actions
+        self.entry_id = entry_id
+        self.inserted_at_ms = inserted_at_ms
+        self.last_used_at_ms = last_used_at_ms
+        self.traffic_count = traffic_count
 
     def touch(self, now_ms: float, packets: int = 1) -> None:
         """Record ``packets`` matching packets at virtual time ``now_ms``."""

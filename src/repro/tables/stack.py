@@ -68,6 +68,15 @@ class TableLayer:
             raise ValueError("give either capacity or geometry, not both")
 
 
+def _file(index: Dict, key: object, entry_id: int) -> None:
+    """File ``entry_id`` under ``key``; a new key's list has one slot, not four."""
+    bucket = index.get(key)
+    if bucket is None:
+        index[key] = [entry_id]
+    else:
+        bucket.append(entry_id)
+
+
 class RankedTableStack:
     """Rules ranked by cache policy, spread across table layers.
 
@@ -110,10 +119,11 @@ class RankedTableStack:
         self._by_ip_dst: Dict[int, List[int]] = {}
         self._by_eth_dst: Dict[int, List[int]] = {}
         self._wildcards: List[int] = []
-        # Sorted ascending by score; the best-ranked entry is last.
-        self._ranked: List[Tuple[Tuple, int]] = []
+        # Policy scores sorted ascending; the best-ranked entry is last.
+        # Each score ends in float(entry_id), so it is the rank key as is.
+        self._ranked: List[Tuple[float, ...]] = []
         # entry_id -> the rank key filed in _ranked for that entry.
-        self._keys: Dict[int, Tuple[Tuple, int]] = {}
+        self._keys: Dict[int, Tuple[float, ...]] = {}
         self._next_id = 0
         self._boundaries_dirty = True
         self._boundaries: List[int] = []
@@ -141,7 +151,7 @@ class RankedTableStack:
 
     def entries_by_rank(self) -> List[FlowEntry]:
         """Entries from best-ranked (fastest layer) to worst."""
-        return [self._entries[eid] for _, eid in reversed(self._ranked)]
+        return [self._entries[int(key[-1])] for key in reversed(self._ranked)]
 
     def worst_entries(self, count: int = 1) -> List[FlowEntry]:
         """The ``count`` worst-ranked entries, worst first.
@@ -150,7 +160,7 @@ class RankedTableStack:
         cache hierarchy relegates to its slowest layer (or would push
         out entirely).  O(count) — the ranking is already maintained.
         """
-        return [self._entries[eid] for _, eid in self._ranked[:count]]
+        return [self._entries[int(key[-1])] for key in self._ranked[:count]]
 
     def lookup_exact(self, match: Match, priority: Optional[int] = None) -> Optional[FlowEntry]:
         """Find an entry with exactly this match (and priority, if given)."""
@@ -161,22 +171,19 @@ class RankedTableStack:
         return None
 
     # -- ranking internals -----------------------------------------------------
-    def _rank_key(self, entry: FlowEntry) -> Tuple[Tuple, int]:
-        return (self.policy.score(entry), entry.entry_id)
-
-    def _filed_key(self, entry: FlowEntry) -> Tuple[Tuple, int]:
+    def _filed_key(self, entry: FlowEntry) -> Tuple[float, ...]:
         key = self._keys.get(entry.entry_id)
         if key is None:
             raise AssertionError("entry missing from ranking")
         return key
 
-    def _index_of(self, key: Tuple[Tuple, int]) -> int:
+    def _index_of(self, key: Tuple[float, ...]) -> int:
         index = bisect.bisect_left(self._ranked, key)
         if index >= len(self._ranked) or self._ranked[index] != key:
             raise AssertionError("ranked index out of sync")
         return index
 
-    def _ranked_insert(self, entry: FlowEntry, key: Tuple[Tuple, int]) -> None:
+    def _ranked_insert(self, entry: FlowEntry, key: Tuple[float, ...]) -> None:
         self._keys[entry.entry_id] = key
         bisect.insort(self._ranked, key)
         self._boundaries_dirty = True
@@ -226,7 +233,7 @@ class RankedTableStack:
                     rank = min(total, rank + int(layer.geometry.slot_units // cost))
                 else:
                     if ordered is None:
-                        ordered = [self._entries[eid] for _, eid in reversed(self._ranked)]
+                        ordered = self.entries_by_rank()
                     budget = layer.geometry.slot_units
                     while rank < total:
                         entry_cost = self._layer_cost(layer, ordered[rank])
@@ -288,7 +295,7 @@ class RankedTableStack:
                 ratio = count / layer.capacity if layer.capacity else 1.0
             elif layer.geometry is not None:
                 if ordered is None:
-                    ordered = [self._entries[eid] for _, eid in reversed(self._ranked)]
+                    ordered = self.entries_by_rank()
                 used = sum(
                     self._layer_cost(layer, entry)
                     for entry in ordered[previous : boundaries[index]]
@@ -331,8 +338,8 @@ class RankedTableStack:
         if total_capacity is not None:
             return len(self._entries) + 1 <= total_capacity
 
-        ordered = [self._entries[eid] for _, eid in reversed(self._ranked)]
-        candidate_key = self._rank_key(candidate)
+        ordered = self.entries_by_rank()
+        candidate_key = self.policy.score(candidate)
         insert_at = len(self._ranked) - bisect.bisect_left(self._ranked, candidate_key)
         ordered.insert(insert_at, candidate)
         rank = 0
@@ -374,18 +381,18 @@ class RankedTableStack:
             raise TableFullError(capacity=len(self._entries))
         self._next_id += 1
         self._entries[entry.entry_id] = entry
-        self._by_key.setdefault(match.key(), []).append(entry.entry_id)
+        _file(self._by_key, match.key(), entry.entry_id)
         index, address = self._address_index(match)
         if index is None:
             self._wildcards.append(entry.entry_id)
         else:
-            index.setdefault(address, []).append(entry.entry_id)
+            _file(index, address, entry.entry_id)
         count = self._kind_counts.get(kind, 0)
         if not count:
             self._resident_kinds = self._resident_kinds | {kind}
             self._capacity_memo.clear()
         self._kind_counts[kind] = count + 1
-        self._ranked_insert(entry, self._rank_key(entry))
+        self._ranked_insert(entry, self.policy.score(entry))
         return entry
 
     def _address_index(
@@ -439,7 +446,7 @@ class RankedTableStack:
             return
         old_key = self._filed_key(entry)
         entry.touch(now_ms, packets=packets)
-        key = self._rank_key(entry)
+        key = self.policy.score(entry)
         if key != old_key:
             self._ranked_remove(entry)
             self._ranked_insert(entry, key)
@@ -448,7 +455,7 @@ class RankedTableStack:
         """Change an entry's priority (flow MODIFY with a new priority)."""
         self._ranked_remove(entry)
         entry.priority = priority
-        self._ranked_insert(entry, self._rank_key(entry))
+        self._ranked_insert(entry, self.policy.score(entry))
 
     # -- packet lookup -------------------------------------------------------------
     def match_packet(self, packet: PacketFields) -> Optional[FlowEntry]:

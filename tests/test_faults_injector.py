@@ -80,8 +80,8 @@ def test_proxy_delegates_channel_surface():
     assert wrapped.switch is channel.switch
     assert wrapped.clock is channel.clock
     wrapped.send_flow_mod(_flow_mod(1))
-    assert wrapped.history is channel.history
-    assert len(channel.history) == 1
+    assert wrapped.messages == channel.messages == 1
+    assert wrapped.total_control_time_ms() == channel.total_control_time_ms() == 1.0
     assert wrapped.LOSS_TIMEOUT_MS == channel.LOSS_TIMEOUT_MS
 
 
@@ -95,7 +95,9 @@ def test_loss_injection_costs_detect_time_and_counts():
         wrapped.send_flow_mod(_flow_mod(1))
     assert channel.clock.now_ms == before + 7.0
     assert wrapped.injected_losses == 1
-    assert len(channel.history) == 0  # the switch never saw the message
+    # The switch never saw the message: neither counter moves.
+    assert channel.messages == 0
+    assert channel.total_control_time_ms() == 0.0
 
 
 def test_reject_injection_costs_detect_time_and_counts():
@@ -107,6 +109,8 @@ def test_reject_injection_costs_detect_time_and_counts():
         wrapped.send_flow_mod(_flow_mod(1))
     assert channel.clock.now_ms == before + 3.0
     assert wrapped.injected_rejects == 1
+    assert channel.messages == 0
+    assert channel.total_control_time_ms() == 0.0
 
 
 def test_probe_loss_reports_timeout_rtt():
@@ -133,7 +137,7 @@ def test_disconnect_window_fails_fast_with_reconnect_time():
     # After the window the same message goes through.
     channel.clock.advance_to(50.0)
     wrapped.send_flow_mod(_flow_mod(1))
-    assert len(channel.history) == 1
+    assert channel.messages == 1
 
 
 def test_disconnect_also_times_out_probes():

@@ -1,7 +1,10 @@
 """Tests for messages, errors, and the control channel."""
 
+import gc
+
 import pytest
 
+from repro.core.probing import ProbingEngine
 from repro.openflow.actions import OutputAction
 from repro.openflow.channel import ControlChannel
 from repro.openflow.errors import TableFullError
@@ -12,13 +15,15 @@ from repro.openflow.messages import (
     FlowStatsRequest,
     PacketOut,
 )
-from repro.sim.latency import ConstantLatency
+from repro.sim.latency import ConstantLatency, GaussianLatency
+from repro.sim.rng import SeededRng
 from repro.switches.base import ControlCostModel, SimulatedSwitch
+from repro.switches.profiles import VENDOR_PROFILES
 from repro.tables.policies import FIFO
 from repro.tables.stack import TableLayer
 
 
-def _tiny_switch(capacity=4):
+def _tiny_switch(capacity=4, jitter_std_frac=0.0):
     return SimulatedSwitch(
         name="tiny",
         layers=[TableLayer("tcam", capacity=capacity)],
@@ -31,7 +36,7 @@ def _tiny_switch(capacity=4):
             priority_group_ms=0.0,
             mod_ms=0.5,
             del_ms=0.5,
-            jitter_std_frac=0.0,
+            jitter_std_frac=jitter_std_frac,
         ),
         seed=1,
     )
@@ -65,18 +70,25 @@ def test_output_action_validates_port():
 def test_flow_mod_advances_clock_by_channel_and_switch_time():
     switch = _tiny_switch()
     channel = ControlChannel(switch, rtt=ConstantLatency(0.1))
-    record = channel.send_flow_mod(FlowMod(FlowModCommand.ADD, _match(1)))
+    assert channel.send_flow_mod(FlowMod(FlowModCommand.ADD, _match(1))) is None
     # 0.1 down + 1.0 switch + 0.1 up.
-    assert record.latency_ms == pytest.approx(1.2)
+    assert switch.clock.now_ms == pytest.approx(1.2)
+    assert channel.total_control_time_ms() == pytest.approx(1.2)
 
 
-def test_channel_history_accumulates():
+def test_channel_counts_each_exchange():
     switch = _tiny_switch()
     channel = ControlChannel(switch, rtt=ConstantLatency(0.0))
+    assert channel.messages == 0
     channel.send_flow_mod(FlowMod(FlowModCommand.ADD, _match(1)))
     channel.send_flow_mod(FlowMod(FlowModCommand.MODIFY, _match(1)))
-    kinds = [r.kind for r in channel.history]
-    assert kinds == ["flow_mod:add", "flow_mod:mod"]
+    assert channel.messages == 2
+    channel.send_barrier()
+    channel.request_flow_stats(FlowStatsRequest())
+    channel.send_packet_out(PacketOut(PacketFields(ip_dst=1)))
+    # Barrier and stats exchanges count; probe packets do not.
+    assert channel.messages == 4
+    # Only flow_mods are control time: 1.0 add + 0.5 modify.
     assert channel.total_control_time_ms() == pytest.approx(1.5)
 
 
@@ -88,6 +100,50 @@ def test_channel_charges_time_even_on_rejection():
     with pytest.raises(TableFullError):
         channel.send_flow_mod(FlowMod(FlowModCommand.ADD, _match(2)))
     assert switch.clock.now_ms > before
+    # A rejected flow_mod adds to neither counter.
+    assert channel.messages == 1
+    assert channel.total_control_time_ms() == pytest.approx(1.2)
+
+
+def test_control_time_is_the_in_order_sum_of_flow_mod_clock_deltas():
+    """Bit-exact against a left-to-right float sum (not ``sum()``, which
+    is compensated from Python 3.12 on), with switch and channel jitter."""
+    switch = _tiny_switch(capacity=8, jitter_std_frac=0.05)
+    channel = ControlChannel(
+        switch, rtt=GaussianLatency(0.05, 0.01), rng=SeededRng(4).child("channel")
+    )
+    commands = [FlowModCommand.ADD, FlowModCommand.MODIFY, FlowModCommand.DELETE]
+    expected = 0.0
+    for i in range(60):
+        flow_mod = FlowMod(commands[i % 3], _match(i // 3 % 5))
+        before = switch.clock.now_ms
+        channel.send_flow_mod(flow_mod)
+        expected += switch.clock.now_ms - before
+        if i % 7 == 0:
+            channel.send_barrier()
+    assert channel.messages == 60 + 9
+    assert channel.total_control_time_ms().hex() == expected.hex()
+
+
+def _install_then_delete(channel, flows):
+    engine = ProbingEngine(channel, rng=SeededRng(2).child("probing"))
+    for _ in range(flows):
+        engine.install_new_flow()
+    engine.remove_all_flows()
+
+
+def test_probe_messages_leave_no_tracked_objects():
+    """Probe flow_mods keep nothing alive once their flows are gone."""
+    switch = VENDOR_PROFILES["ovs"].build(seed=1)
+    channel = ControlChannel(switch)
+    # The first round fills the process-wide probe-flow cache.
+    _install_then_delete(channel, 2000)
+    gc.collect()
+    before = len(gc.get_objects())
+    _install_then_delete(channel, 2000)
+    gc.collect()
+    assert channel.messages == 8000
+    assert len(gc.get_objects()) - before < 100
 
 
 def test_packet_out_returns_rtt_with_path_delay():
@@ -130,12 +186,3 @@ def test_flow_stats_filtered_by_match():
     channel.send_flow_mod(FlowMod(FlowModCommand.ADD, _match(2)))
     reply = channel.request_flow_stats(FlowStatsRequest(match=_match(2)))
     assert len(reply.entries) == 1
-
-
-def test_reset_history():
-    switch = _tiny_switch()
-    channel = ControlChannel(switch, rtt=ConstantLatency(0.0))
-    channel.send_flow_mod(FlowMod(FlowModCommand.ADD, _match(1)))
-    channel.reset_history()
-    assert channel.history == []
-    assert channel.total_control_time_ms() == 0.0

@@ -1,5 +1,8 @@
 """Tests for OpenFlow match semantics (overlap, cover, packet matching)."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -197,3 +200,76 @@ def test_key_is_hashable_and_distinct():
     assert a.key() == Match(eth_type=0x0800, ip_dst=IpPrefix(1, 32)).key()
     assert a.key() != b.key()
     assert hash(a.key()) is not None
+
+
+# -- derived kind and key ---------------------------------------------------------
+_small = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
+_small_prefix = st.one_of(
+    st.none(),
+    st.sampled_from([IpPrefix(0, 0), IpPrefix(0, 1), IpPrefix(0, 32), IpPrefix(1, 32)]),
+)
+
+
+@st.composite
+def _any_match(draw):
+    """Matches over every field, drawn from few values so that equal
+    pairs are common."""
+    fields = dict(
+        eth_src=draw(_small),
+        eth_dst=draw(_small),
+        eth_type=draw(_small),
+        ip_src=draw(_small_prefix),
+        ip_dst=draw(_small_prefix),
+        ip_proto=draw(_small),
+        tp_src=draw(_small),
+        tp_dst=draw(_small),
+    )
+    if all(value is None for value in fields.values()):
+        fields["eth_type"] = 0x0800
+    return Match(**fields)
+
+
+def _reference_kind(match):
+    """The width classification as the ``has_l2`` / ``has_l3``
+    properties computed it on every call, before ``kind`` was derived
+    at construction."""
+    has_l2 = match.eth_src is not None or match.eth_dst is not None
+    has_l3 = (
+        match.ip_src is not None
+        or match.ip_dst is not None
+        or match.ip_proto is not None
+        or match.tp_src is not None
+        or match.tp_dst is not None
+    )
+    if has_l3:
+        return MatchKind.L2_L3 if has_l2 else MatchKind.L3
+    return MatchKind.L2
+
+
+@given(_any_match(), _any_match())
+def test_derived_kind_and_key_agree_with_fields(a, b):
+    assert a.kind is _reference_kind(a)
+    assert (a.key() == b.key()) == (a == b)
+    assert all(v is None or type(v) is int for v in a.key())
+    if a == b:
+        assert hash(a.key()) == hash(b.key())
+
+
+@given(_any_match())
+def test_derived_kind_and_key_survive_pickle_and_replace(m):
+    restored = pickle.loads(pickle.dumps(m))
+    assert restored == m
+    assert restored.kind is m.kind and restored.key() == m.key()
+    moved = dataclasses.replace(m, eth_dst=7)
+    assert moved.kind is _reference_kind(moved)
+    assert moved.key() == m.key()[:1] + (7,) + m.key()[2:]
+
+
+def test_derived_attributes_are_not_fields():
+    m = Match(eth_dst=1, ip_dst=IpPrefix(2, 32))
+    names = [f.name for f in dataclasses.fields(m)]
+    assert names == [
+        "eth_src", "eth_dst", "eth_type", "ip_src", "ip_dst", "ip_proto", "tp_src", "tp_dst"
+    ]
+    assert "kind" not in repr(m) and "_key" not in repr(m)
+    assert hash(m) == hash(Match(eth_dst=1, ip_dst=IpPrefix(2, 32)))

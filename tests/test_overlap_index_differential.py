@@ -99,7 +99,7 @@ def _reference_check_rules(flow_mods, location=""):
                         "TNG001",
                         Severity.ERROR,
                         f"ADD #{b_index} duplicates ADD #{a_index} "
-                        f"(match {a.match.key()}, priority {a.priority}) "
+                        f"(match {a.match}, priority {a.priority}) "
                         "with different actions",
                         location=location,
                         hint="drop one rule or give them distinct priorities",

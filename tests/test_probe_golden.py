@@ -28,7 +28,7 @@ def run_digest(engine: SwitchInferenceEngine) -> str:
     engines = [
         {
             "stats": dataclasses.asdict(probe.channel.switch.stats),
-            "history": len(probe.channel.history),
+            "history": probe.channel.messages,
         }
         for probe in engine.probe_engines
     ]

@@ -3,7 +3,7 @@
 `SwitchInferenceEngine` builds a fresh simulated switch per probe
 measurement.  Once a measurement is over, the switch's rules and the
 probing engine's handles are dropped, while its clock, counters, switch
-stats and channel history stay for `virtual_cost_ms()` / `probe_ops()`.
+stats and channel counters stay for `virtual_cost_ms()` / `probe_ops()`.
 """
 
 import pytest
@@ -29,7 +29,7 @@ def test_infer_retires_every_probe_switch():
     assert_all_retired(engine)
     # Retired switches keep what the accounting reads.
     assert all(p.channel.clock.now_ms > 0 for p in engine.probe_engines)
-    assert all(p.channel.history for p in engine.probe_engines)
+    assert all(p.channel.messages for p in engine.probe_engines)
     assert all(p.channel.switch.stats.adds > 0 for p in engine.probe_engines)
     assert engine.probe_ops() > 0
 

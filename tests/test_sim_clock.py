@@ -57,3 +57,16 @@ def test_advance_to_past_is_noop():
 
 def test_repr_contains_time():
     assert "3.000" in repr(VirtualClock(start_ms=3.0))
+
+
+@pytest.mark.parametrize("start", [float("nan"), float("inf")])
+def test_non_finite_start_rejected(start):
+    with pytest.raises(ValueError):
+        VirtualClock(start_ms=start)
+
+
+def test_advance_by_nan_rejected_and_clock_kept():
+    clock = VirtualClock(start_ms=2.0)
+    with pytest.raises(ValueError):
+        clock.advance(float("nan"))
+    assert clock.now_ms == 2.0

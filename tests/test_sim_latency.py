@@ -65,3 +65,33 @@ def test_shifted_exponential_mean(rng):
 def test_shifted_exponential_negative_rejected():
     with pytest.raises(ValueError):
         ShiftedExponentialLatency(minimum=-1.0, tail_scale=1.0)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_constant_non_finite_rejected(value):
+    with pytest.raises(ValueError):
+        ConstantLatency(value)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(mean=NAN, std=0.1),
+        dict(mean=1.0, std=NAN),
+        dict(mean=INF, std=0.1),
+        dict(mean=1.0, std=0.1, floor=NAN),
+    ],
+)
+def test_gaussian_non_finite_rejected(kwargs):
+    with pytest.raises(ValueError):
+        GaussianLatency(**kwargs)
+
+
+@pytest.mark.parametrize("minimum, tail", [(NAN, 0.1), (1.0, NAN), (INF, 0.1), (1.0, INF)])
+def test_shifted_exponential_non_finite_rejected(minimum, tail):
+    with pytest.raises(ValueError):
+        ShiftedExponentialLatency(minimum, tail)

@@ -7,8 +7,9 @@ ranking changes and memoises its admission arithmetic.  The reference
 below does none of that: it rescores every entry with the ATTRIB formula
 (``direction.value * attribute_value``) and re-sorts on every query.
 Random insert / remove / touch / update_priority / clear sequences over
-L2, L3 and L2+L3 matches must give identical rankings, layers, occupancy
-and accept/reject decisions under every standard policy.
+L2, L3 and L2+L3 matches must give identical rankings, worst-entry
+lists, layers, occupancy and accept/reject decisions under every
+standard policy.
 """
 
 from typing import Dict, List, Optional
@@ -84,6 +85,9 @@ class ReferenceStack:
             key=lambda e: (_reference_score(self.policy, e), e.entry_id),
             reverse=True,
         )
+
+    def worst_entries(self, count: int) -> List[FlowEntry]:
+        return self.entries_by_rank()[::-1][:count]
 
     def _walk(self, ordered: List[FlowEntry]) -> List[int]:
         kinds = {entry.match.kind for entry in ordered}
@@ -174,6 +178,10 @@ def _state(stack, entries):
     """Everything observable about a stack, for comparing the two."""
     return (
         [e.entry_id for e in stack.entries_by_rank()],
+        [
+            [e.entry_id for e in stack.worst_entries(count)]
+            for count in range(len(entries) + 2)
+        ],
         [_outcome(lambda e=e: stack.layer_of(e)) for e in entries],
         _outcome(stack.layer_occupancy),
         _outcome(stack.occupancy_snapshot),

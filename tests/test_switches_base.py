@@ -56,6 +56,24 @@ def test_cost_model_validation():
         )
 
 
+@pytest.mark.parametrize("name", ["add_base_ms", "del_ms", "jitter_std_frac"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_cost_model_rejects_non_finite(name, value):
+    """A NaN cost once became 0.0 under jitter and a NaN clock without."""
+    params = dict(add_base_ms=1, shift_ms=0, priority_group_ms=0, mod_ms=0, del_ms=0)
+    params[name] = value
+    with pytest.raises(ValueError):
+        ControlCostModel(**params)
+
+
+def test_cost_model_rejects_negative_jitter():
+    with pytest.raises(ValueError):
+        ControlCostModel(
+            add_base_ms=1, shift_ms=0, priority_group_ms=0, mod_ms=0, del_ms=0,
+            jitter_std_frac=-0.1,
+        )
+
+
 def test_mismatched_delay_models_rejected():
     with pytest.raises(ValueError):
         SimulatedSwitch(
