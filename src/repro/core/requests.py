@@ -133,8 +133,7 @@ class RequestDag:
             install_by_ms=install_by_ms,
         )
         self.add_request(request)
-        for parent in after:
-            self.add_dependency(parent, request)
+        self._link_sink(after, request.request_id)
         return request
 
     def add_request(self, request: SwitchRequest) -> None:
@@ -157,11 +156,11 @@ class RequestDag:
         Args:
             check_cycle: reject the edge if ``first`` is reachable from
                 ``then`` (one search of ``then``'s descendants).  When
-                ``then`` is a sink -- every ``new_request(after=...)``
-                edge -- only ``first is then`` can close a cycle, and the
-                check is O(1).  Bulk constructors that add edges
-                in a known topological order (e.g. ACL index order) may
-                disable the check and call :meth:`validate_acyclic` once.
+                ``then`` is a sink, only ``first is then`` can close a
+                cycle, and the check is O(1).  Bulk constructors that add
+                edges in a known topological order (e.g. ACL index order)
+                may disable the check and call :meth:`validate_acyclic`
+                once.
 
         Raises:
             KeyError: either endpoint was never added to this DAG.
@@ -191,6 +190,40 @@ class RequestDag:
             self._pending[tid] += 1
             self._ready.discard(tid)
         self._critical_cache = None
+
+    def _link_sink(self, parents: Iterable[SwitchRequest], rid: int) -> None:
+        """Add ``parent -> rid`` for each parent of the fresh sink ``rid``.
+
+        Leaves the edges, counters and errors (with the state up to the
+        failing parent) that :meth:`add_dependency` per parent would, in
+        one pass: a sink has no descendants, so only ``parent is rid``
+        closes a cycle, and each new edge costs one ``cycle_visits``.
+        """
+        requests, succ, done = self._requests, self._succ, self._done
+        preds = self._pred[rid]
+        blocking = 0
+        try:
+            for parent in parents:
+                pid = parent.request_id
+                if pid in preds:
+                    continue  # idempotent: the constraint already holds
+                if pid not in requests:
+                    raise KeyError(f"unknown request {pid}")
+                if pid == rid:
+                    self.ops.cycle_visits += 1
+                    raise ValueError("dependency would create a cycle")
+                succ[pid][rid] = None
+                preds[pid] = None
+                if pid not in done:
+                    blocking += 1
+        finally:
+            if preds:
+                self._edge_count += len(preds)
+                self.ops.cycle_visits += len(preds)
+                self._critical_cache = None
+            if blocking:
+                self._pending[rid] += blocking
+                self._ready.discard(rid)
 
     def _reaches(self, source: int, target: int) -> bool:
         """True when ``target`` is ``source`` or one of its descendants."""

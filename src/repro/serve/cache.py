@@ -20,11 +20,11 @@ truth — and makes three kinds of decisions:
   inferred policy that *differs* still works, at an O(n) scan per
   victim.
 * **Wildcard aggregation**: when the table fills, compatible sibling
-  ``/32`` rules (same priority, same actions, addresses sharing a
-  ``aggregate_prefix_len`` prefix) are replaced by one wildcard rule,
-  trading match precision for ``k - 1`` reclaimed slots — the paper's
-  multi-level-cache observation that a shorter prefix can stand in for
-  a hot cluster of exact rules.
+  ``/32`` rules (same priority, actions and EtherType, no other match
+  field, addresses sharing a ``aggregate_prefix_len`` prefix) are
+  replaced by one wildcard rule, trading match precision for ``k - 1``
+  reclaimed slots — the paper's multi-level-cache observation that a
+  shorter prefix can stand in for a hot cluster of exact rules.
 
 All planning is expressed as :class:`PlannedOp` lists (DELETEs then
 ADDs) that the serving loop turns into a request DAG for the existing
@@ -97,6 +97,12 @@ class PlannedOp:
     priority: int
     reason: str
     actions: Tuple[Action, ...] = (OutputAction(port=1),)
+
+
+#: An aggregation group: (prefix base, priority, EtherType, actions).
+_GroupKey = Tuple[int, int, Optional[int], Tuple[Action, ...]]
+#: The match fields besides eth_type and ip_dst, all wildcarded.
+_UNSET = (None,) * 6
 
 
 def derive_capacity(tables, kind) -> Optional[int]:
@@ -242,20 +248,31 @@ class RuleCacheManager:
                 return entry
         return None
 
-    def _aggregation_groups(
-        self, excluded: set
-    ) -> List[Tuple[Tuple[int, int, Tuple[Action, ...]], List[FlowEntry]]]:
-        """Aggregatable groups, largest first (deterministic tie-break)."""
-        groups: Dict[Tuple[int, int, Tuple[Action, ...]], List[FlowEntry]] = {}
+    def _aggregation_groups(self, excluded: set) -> List[Tuple[_GroupKey, List[FlowEntry]]]:
+        """Aggregatable groups, largest first (deterministic tie-break).
+
+        Only rules matching nothing but an EtherType and a ``/32``
+        destination fold: the wildcard keeps the EtherType and widens the
+        destination, so it covers exactly the packets its members did
+        plus the rest of the prefix.
+        """
+        groups: Dict[_GroupKey, List[FlowEntry]] = {}
         shift = 32 - self.aggregate_prefix_len
         for entry in self.switch.tables.entries:
             if entry.entry_id in excluded:
                 continue
             match = entry.match
-            if match.ip_dst is None or match.ip_dst.length != 32:
+            ip_dst = match.ip_dst
+            if ip_dst is None or ip_dst.length != 32:
                 continue
-            key = (match.ip_dst.value >> shift, entry.priority, entry.actions)
-            groups.setdefault(key, []).append(entry)
+            others = (
+                match.eth_src, match.eth_dst, match.ip_src,
+                match.ip_proto, match.tp_src, match.tp_dst,
+            )
+            if others != _UNSET:
+                continue
+            group = (ip_dst.value >> shift, entry.priority, match.eth_type, entry.actions)
+            groups.setdefault(group, []).append(entry)
         eligible = [
             (key, members)
             for key, members in groups.items()
@@ -274,8 +291,8 @@ class RuleCacheManager:
         eligible = self._aggregation_groups(excluded)
         if not eligible:
             return None
-        (group_base, priority, actions), members = eligible[0]
-        wild = self._aggregate_match(members[0].match.eth_type, group_base)
+        (group_base, priority, eth_type, actions), members = eligible[0]
+        wild = self._aggregate_match(eth_type, group_base)
         ops = [
             PlannedOp(
                 FlowModCommand.DELETE,
@@ -314,6 +331,9 @@ class RuleCacheManager:
         planned_keys = set()
         planned_wilds = set()
         claimed: set = set()  # entry ids consumed by planned deletes
+        # Planning only reads the table and ``claimed`` only grows, so once
+        # no group is left none appears later in this batch.
+        may_aggregate = True
         tables = self.switch.tables
         free: Optional[int] = None
         if self.capacity is not None:
@@ -330,9 +350,11 @@ class RuleCacheManager:
             ):
                 self.stats.coalesced += 1
                 continue
-            if free is not None and free < 1:
+            if free is not None and free < 1 and may_aggregate:
                 aggregation = self.plan_aggregation(claimed)
-                if aggregation is not None:
+                if aggregation is None:
+                    may_aggregate = False
+                else:
                     ops.extend(aggregation)
                     planned_wilds.add(aggregation[-1].match.key())
                     free += len(aggregation) - 2  # k deletes, 1 add

@@ -1,6 +1,10 @@
 """Tests for switch requests and the request DAG."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.requests import RequestDag, SwitchRequest
 from repro.openflow.match import IpPrefix, Match
@@ -346,3 +350,95 @@ def test_simulation_seeded_with_done_set():
     assert sim.ready() == [requests[2]]
     sim.complete([requests[2].request_id])
     assert sim.is_done()
+
+
+# -- new_request(after=...) against the per-edge loop ----------------------------
+@st.composite
+def sink_link_specs(draw):
+    """A base DAG (forward edges, some nodes done) plus the parent list of
+    one new request: node indices with repeats, and now and then an
+    unknown request or the new request itself."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    done = draw(st.lists(node, max_size=n))
+    parent = st.one_of(node, node, node, st.sampled_from(["unknown", "self"]))
+    return n, edges, done, draw(st.lists(parent, max_size=3 * n))
+
+
+def _sink_link_base(n, edges, done):
+    dag = RequestDag()
+    requests = [dag.new_request("s1", FlowModCommand.ADD, _match(i)) for i in range(n)]
+    for a, b in edges:
+        if a < b:
+            dag.add_dependency(requests[a], requests[b])
+    for i in done:
+        dag.mark_done(requests[i])
+    return dag, requests
+
+
+def _sink_link_parents(dag, requests, tokens):
+    def resolve(token):
+        if token == "unknown":
+            return SwitchRequest(10_000, "s1", FlowModCommand.ADD, _match(0))
+        if token == "self":  # the id the new request is about to get
+            return SwitchRequest(len(dag), "s1", FlowModCommand.ADD, _match(0))
+        return requests[token]
+
+    return [resolve(token) for token in tokens]
+
+
+def _sink_link_state(dag):
+    state = (
+        [(rid, list(succ)) for rid, succ in dag._succ.items()],
+        [(rid, list(pred)) for rid, pred in dag._pred.items()],
+        dag._edge_count,
+        dict(dag._pending),
+        sorted(dag._ready),
+        dag._critical_cache,
+        dataclasses.asdict(dag.ops),
+    )
+    return state + (
+        [r.request_id for r in dag.independent_requests()],
+        dag.critical_path_lengths(),
+        dataclasses.asdict(dag.ops),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(sink_link_specs())
+def test_new_request_after_matches_per_edge_loop(spec):
+    """``new_request(after=...)`` leaves exactly the edges (in order),
+    counters and ready state that ``add_dependency`` per parent leaves,
+    including after the ``KeyError``/``ValueError`` of a bad parent."""
+    n, edges, done, tokens = spec
+    outcomes = []
+    for one_step in (True, False):
+        dag, requests = _sink_link_base(n, edges, done)
+        parents = _sink_link_parents(dag, requests, tokens)
+        try:
+            if one_step:
+                dag.new_request("s1", FlowModCommand.ADD, _match(n), after=iter(parents))
+            else:
+                request = dag.new_request("s1", FlowModCommand.ADD, _match(n))
+                for parent in parents:
+                    dag.add_dependency(parent, request)
+            error = None
+        except (KeyError, ValueError) as exc:
+            error = (type(exc), str(exc))
+        outcomes.append((error, _sink_link_state(dag)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_new_request_after_keeps_edges_before_unknown_parent():
+    dag = RequestDag()
+    a = dag.new_request("s", FlowModCommand.ADD, _match(0))
+    b = dag.new_request("s", FlowModCommand.ADD, _match(1))
+    stranger = SwitchRequest(999, "s", FlowModCommand.ADD, _match(2))
+    with pytest.raises(KeyError, match="999"):
+        dag.new_request("s", FlowModCommand.ADD, _match(3), after=[a, stranger, b])
+    assert dag.edge_ids() == [(a.request_id, 2)]
+    assert dag.ops.cycle_visits == 1
+    assert [r.request_id for r in dag.independent_requests()] == [0, 1]
+    dag.mark_done(a)
+    assert [r.request_id for r in dag.independent_requests()] == [1, 2]

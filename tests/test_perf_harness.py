@@ -27,6 +27,7 @@ from repro.perf.harness import (
 from repro.perf.harness import bench_chain_schedule as _chain_case
 from repro.perf.harness import bench_descending_shifts as _shifts_case
 from repro.perf.harness import bench_prefix_lookahead as _lookahead_case
+from repro.perf.harness import bench_serve_churn as _serve_case
 from repro.perf.workloads import chain_dag, fast_executor, layered_dag, unlock_groups_dag
 
 
@@ -297,6 +298,21 @@ def test_checked_in_baseline_covers_quick_sizes():
         ratio = record.ops / baseline[record.key]
         assert ratio <= REGRESSION_THRESHOLD
         assert ratio >= 1.0 / REGRESSION_THRESHOLD  # baseline not stale-high
+
+
+def test_serve_churn_episode_matches_baseline_exactly():
+    """5,000 arrivals is one tangobench ``serve_churn`` episode: its op
+    count must equal the checked-in entry, not only stay within the
+    gate's ratio."""
+    from pathlib import Path
+
+    baseline_path = (
+        Path(__file__).resolve().parent.parent / "benchmarks" / "perf_baseline.json"
+    )
+    baseline = json.loads(baseline_path.read_text())
+    record = _serve_case(5000)
+    assert record.key == "serve_churn:5000"
+    assert record.ops == baseline[record.key] == 9665
 
 
 def test_bench_records_carry_op_attribution():

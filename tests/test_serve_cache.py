@@ -1,11 +1,15 @@
 """Tests for FDRC-style rule caching (admission, eviction, aggregation)."""
 
+import random
+from functools import partial
+
 import pytest
 
+from repro.openflow.match import IpPrefix, Match
 from repro.openflow.messages import FlowMod, FlowModCommand
-from repro.serve.cache import RuleCacheManager, derive_capacity
+from repro.serve.cache import PlannedOp, RuleCacheManager, derive_capacity
 from repro.serve.stream import flow_address, flow_match
-from repro.switches.profiles import make_cache_test_profile
+from repro.switches.profiles import SWITCH_1, make_cache_test_profile
 from repro.tables.policies import FIFO, LRU
 
 
@@ -186,3 +190,138 @@ def test_worst_entries_matches_ranking():
         manager.lookup(flow_match(t, 1), priority=1, now_ms=when)
     worst = switch.tables.worst_entries(2)
     assert [e.match for e in worst] == [flow_match(1, 1), flow_match(2, 1)]
+
+
+def test_aggregation_groups_share_eth_type_and_plain_matches_only():
+    """A wildcard keeps one EtherType and matches nothing but it and the
+    prefix, so IPv4 and IPv6 siblings never fold together and a rule
+    that also matches a port is left alone."""
+    switch = SWITCH_1.build(seed=1)
+    manager = RuleCacheManager(switch, capacity=8)
+    base = flow_address(3, 0)
+
+    def add(host, eth_type=0x0800, **fields):
+        match = Match(eth_type=eth_type, ip_dst=IpPrefix(base + host, 32), **fields)
+        switch.apply_flow_mod(FlowMod(command=FlowModCommand.ADD, match=match, priority=5))
+        return match
+
+    ipv4 = [add(0), add(1)]
+    add(2, 0x86DD), add(3, 0x86DD)
+    assert manager.plan_aggregation(set()) is None  # two of each type only
+    assert manager.stats.aggregations == 0
+    plain = [add(4), add(5)]
+    port = add(6, tp_dst=80)
+    ops = manager.plan_aggregation(set())
+    deleted = [op.match for op in ops if op.reason == "aggregate-member"]
+    assert deleted == ipv4 + plain
+    assert port not in deleted
+    assert ops[-1].match == Match(eth_type=0x0800, ip_dst=IpPrefix(base, 28))
+    assert manager.stats.aggregated_rules == 4
+
+
+def _reference_plan_installs(manager, items):
+    """``plan_installs`` asking for an aggregation at every full slot,
+    even after one call found no group."""
+    ops, planned_keys, planned_wilds, claimed = [], set(), set(), set()
+    tables = manager.switch.tables
+    free = None if manager.capacity is None else manager.capacity - len(tables)
+    for item in items:
+        key = item.match.key()
+        if key in planned_keys or tables.lookup_exact(item.match, item.priority):
+            manager.stats.coalesced += 1
+            continue
+        wild = manager.wildcard_match(item.match)
+        if wild is not None and (
+            wild.key() in planned_wilds
+            or tables.lookup_exact(wild, item.priority) is not None
+        ):
+            manager.stats.coalesced += 1
+            continue
+        if free is not None and free < 1:
+            aggregation = manager.plan_aggregation(claimed)
+            if aggregation is not None:
+                ops.extend(aggregation)
+                planned_wilds.add(aggregation[-1].match.key())
+                free += len(aggregation) - 2
+        if free is not None and free < 1:
+            victim = manager._victim(claimed)
+            if victim is None:
+                manager.stats.rejected += 1
+                continue
+            claimed.add(victim.entry_id)
+            ops.append(PlannedOp(FlowModCommand.DELETE, victim.match, victim.priority, "evict"))
+            manager.stats.evictions += 1
+            free += 1
+        ops.append(PlannedOp(FlowModCommand.ADD, item.match, item.priority, "install"))
+        planned_keys.add(key)
+        manager.stats.installs += 1
+        if free is not None:
+            free -= 1
+    return ops
+
+
+def _count_aggregation_calls(manager):
+    calls = [0]
+    plan = manager.plan_aggregation
+
+    def counted(excluded):
+        calls[0] += 1
+        return plan(excluded)
+
+    manager.plan_aggregation = counted
+    return calls
+
+
+@pytest.mark.parametrize("policy", [None, FIFO], ids=["stack-ranked", "sorted"])
+def test_plan_installs_matches_every_slot_reference(policy):
+    """Seeded random tables and batches, clustered (aggregatable groups
+    form) or spread (none do): skipping aggregation after a call found
+    no group plans the same ops with the same stats, on both victim
+    paths, while asking for fewer aggregations."""
+    totals = {"aggregations": 0, "skipped_calls": 0, "batches": 0}
+    for seed in range(16):
+        rng = random.Random(seed)
+        capacity = rng.choice([6, 12, 24])
+        spread = rng.choice([16, 32, 64])
+        min_rules = rng.choice([2, 3, 4])
+        managers = [
+            RuleCacheManager(
+                _switch(fast=capacity),
+                policy=policy,
+                capacity=capacity,
+                aggregate_min_rules=min_rules,
+            )
+            for _ in range(2)
+        ]
+        assert managers[0]._trust_stack_ranking is (policy is None)
+        calls = [_count_aggregation_calls(manager) for manager in managers]
+        planners = (managers[0].plan_installs, partial(_reference_plan_installs, managers[1]))
+        now = 0.0
+        for _ in range(25):
+            batch = [
+                _Arrival(rng.randrange(3), rng.randrange(spread), rng.choice((1, 1, 2)))
+                for _ in range(rng.randrange(1, 16))
+            ]
+            touched = [
+                (flow_match(rng.randrange(3), rng.randrange(spread)), rng.choice((1, 2)))
+                for _ in range(rng.randrange(8))
+            ]
+            now += 5.0
+            before = [c[0] for c in calls]
+            plans = []
+            for manager, plan in zip(managers, planners):
+                for match, priority in touched:
+                    manager.lookup(match, priority, now)
+                plans.append(plan(batch))
+                _apply(manager, plans[-1])
+            assert plans[0] == plans[1]
+            assert managers[0].stats == managers[1].stats
+            assert len(managers[0].switch.tables) <= capacity
+            totals["batches"] += 1
+            totals["aggregations"] += sum(op.reason == "aggregate" for op in plans[0])
+            totals["skipped_calls"] += (calls[1][0] - before[1]) - (calls[0][0] - before[0])
+        assert sorted(e.match.key() for e in managers[0].switch.tables.entries) == sorted(
+            e.match.key() for e in managers[1].switch.tables.entries
+        )
+    assert totals["aggregations"] > 10
+    assert totals["skipped_calls"] > 50
