@@ -9,9 +9,9 @@ this linter walks the package's ASTs and enforces it:
 * **TNG030 wall clock** — calls to ``time.time``/``time.monotonic``/
   ``time.perf_counter`` (and their ``_ns`` variants)/``datetime.now``/
   ``datetime.utcnow``/
-  ``datetime.today`` outside the simulation substrate (``sim/``) and
-  the wall-clock bench harness (``perf/``).  Virtual experiments must
-  read virtual clocks.
+  ``datetime.today`` outside the simulation substrate (``sim/``).
+  Virtual experiments must read virtual clocks; wall time is measured
+  outside the package, by ``tangobench/``.
 * **TNG031 unseeded randomness** — any use of the stdlib ``random``
   module, or of ``numpy.random``'s module-level functions, outside
   ``sim/rng.py``.  Unseeded draws silently break reproducibility.

@@ -60,9 +60,10 @@ class SwitchRequest:
 class DagOpCounters:
     """Algorithmic-work counters for the DAG's scheduling queries.
 
-    These feed the scalability guard tests and the ``tango-bench``
-    harness: they count *operations*, not wall time, so an accidental
-    O(V*E)-per-round regression fails loudly and deterministically.
+    These feed the scalability guard tests and the op-count bench cases
+    (:mod:`repro.perf.harness`): they count *operations*, not wall time,
+    so an accidental O(V*E)-per-round regression fails loudly and
+    deterministically.
 
     Attributes:
         edge_visits: successor/predecessor edges touched while

@@ -15,7 +15,7 @@ which hands out shared no-op handles when no registry is attached::
     assert registry.counter("scheduler.batches").value == 3
 
 Snapshots are plain sorted dicts, so they serialise deterministically
-into ``BENCH_scheduler.json`` and the Prometheus text dump.
+into the bench records' op attribution and the Prometheus text dump.
 """
 
 from __future__ import annotations

@@ -1,18 +1,19 @@
-"""Hot-path micro-benchmarks with a deterministic regression gate.
+"""Hot-path micro-benchmarks with exact, deterministic op counts.
 
 Each bench case runs the shipping implementation on a deterministic
-workload and counts its operations.  A case regresses when its op count
-exceeds the checked-in baseline (``benchmarks/perf_baseline.json``) by
-more than :data:`REGRESSION_THRESHOLD`, which is 1.0: any growth fails.
-Op counts are exact functions of the workload, the same under every
-``PYTHONHASHSEED``: DAG edge visits + ready yields for the schedulers
-(:class:`repro.core.requests.DagOpCounters`), list element moves for
-the shift model, probe operations for the fleets, and the serve loop's
-lookup + DAG + issue-record total.  Nothing here reads the host clock,
-so the gate cannot flake with machine load; wall-clock measurement
-lives in ``tangobench/``.
+workload and counts its operations.  ``benchmarks/perf_baseline.json``
+lists every gated ``case:n`` key with its expected count, and
+``tests/test_perf_harness.py`` asserts each one exactly: any change in
+a count is an algorithmic change and comes with a hand-edited baseline
+entry.  Op counts are exact functions of the workload, the same under
+every ``PYTHONHASHSEED``: DAG edge visits + ready yields for the
+schedulers (:class:`repro.core.requests.DagOpCounters`), list element
+moves for the shift model, probe operations for the fleets, and the
+serve loop's lookup + DAG + issue-record total.  Nothing here reads the
+host clock, so the counts cannot flake with machine load; wall-clock
+measurement lives in ``tangobench/``.
 
-Cases (``n`` is the suite size knob):
+Cases (``n`` is the size knob):
 
 * ``chain_schedule``     -- n-request dependency chain, Basic scheduler.
 * ``layered_schedule``   -- n requests in width-50 layers, Basic scheduler.
@@ -24,16 +25,16 @@ Cases (``n`` is the suite size knob):
   :class:`repro.core.planner.TailCostPlanner`; the planner's stats land
   in the detail.
 * ``faulted_schedule``   -- the layered workload under a seeded fault
-  plan (5% control loss + one early disconnect window).  Gates the cost
-  of fault-deferral bookkeeping: re-enqueued requests revisit DAG
+  plan (5% control loss + one early disconnect window).  Counts the
+  cost of fault-deferral bookkeeping: re-enqueued requests revisit DAG
   edges, so a fault-handling change that loops instead of deferring
   shows up as an op-count blowup.
 * ``fleet_infer``        -- concurrent fleet inference over 3 tiny
-  distinct profiles, at most :data:`FLEET_MEMBER_CAP` members.
+  distinct profiles, n members.
 * ``sharded_fleet``      -- fleet inference through
   :class:`repro.core.shard.ShardedFleetEngine` (4 shards, tier
-  partition, inline backend) over at most :data:`SHARDED_MEMBER_CAP`
-  distinct-fingerprint tier-named profiles.
+  partition, inline backend) over n distinct-fingerprint tier-named
+  profiles.
 * ``serve_churn``        -- n churning flow arrivals served by
   :class:`repro.serve.ServeLoop` against a 96-rule budget (FDRC
   admission, policy-ranked eviction, wildcard aggregation).
@@ -45,8 +46,8 @@ replaced is pinned by the tier-1 differential tests, not here.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.core.scheduler import BasicTangoScheduler, PrefixTangoScheduler
 from repro.faults import DisconnectWindow, FaultInjector, FaultPlan
@@ -70,24 +71,6 @@ from repro.perf.workloads import (
 )
 from repro.tables.tcam import PriorityShiftModel
 
-#: Largest op count / baseline ratio the gate passes.  Counts are exact,
-#: so 1.0: any growth is an algorithmic change and must come with a
-#: refreshed baseline.
-REGRESSION_THRESHOLD = 1.0
-
-#: Suite sizes: full run and the CI ``--quick`` run.
-FULL_SIZES: Tuple[int, ...] = (1000, 5000, 20000)
-QUICK_SIZES: Tuple[int, ...] = (1000,)
-
-#: Member cap of the single-queue ``fleet_infer`` case (its gate was
-#: calibrated at 12 members; see ``fleet_infer:12``).
-FLEET_MEMBER_CAP = 12
-
-#: Member cap of the ``sharded_fleet`` case: enough members for every
-#: one of its 4 shards to do real work, cross-shard coalescing included.
-SHARDED_MEMBER_CAP = 64
-
-
 @dataclass
 class BenchRecord:
     """One (case, n) op count."""
@@ -105,10 +88,10 @@ class BenchRecord:
 def _bench_schedule(case: str, build_dag, n: int) -> BenchRecord:
     dag = build_dag(n)
     dag.ops.clear()
-    # The case runs with a live metrics registry attached: the op
-    # attribution lands in the report, and -- because the op-count gate
-    # compares against the uninstrumented baseline -- any instrumentation
-    # cost that leaked into the hot path would trip the threshold.
+    # The case runs with a live metrics registry attached so the record
+    # carries the op attribution.  The registry adds no ops:
+    # verify_noop checks that attached instruments leave a Basic
+    # schedule's op count unchanged.
     registry = MetricsRegistry()
     scheduler = BasicTangoScheduler(
         fast_executor(), instruments=Instruments(metrics=registry)
@@ -178,7 +161,7 @@ def bench_prefix_lookahead(n: int) -> BenchRecord:
 
 
 #: The faulted case's plan: enough churn to exercise deferral paths at
-#: every suite size, few enough faults that rounds stay bounded.
+#: every baseline size, few enough faults that rounds stay bounded.
 FAULTED_PLAN = FaultPlan(
     seed=97,
     loss_probability=0.05,
@@ -229,14 +212,12 @@ def bench_fleet_infer(n: int) -> BenchRecord:
     installs + RTT measurements across every full probe run) -- a pure
     function of (profiles, seed, knobs).  A change that defeats the
     model cache or the single-flight coalescing multiplies full probe
-    runs and blows the op count up ~4x, which the gate catches; the
-    virtual makespan/sequential-sum ratio lands in the detail for the
-    BENCH trajectory.
+    runs and blows the op count up ~4x; the virtual
+    makespan/sequential-sum ratio lands in the detail.
     """
-    size = min(n, FLEET_MEMBER_CAP)
     registry = MetricsRegistry()
     engine = FleetInferenceEngine(
-        build_fleet(fleet_bench_profiles(), size),
+        build_fleet(fleet_bench_profiles(), n),
         seed=3,
         instruments=Instruments(metrics=registry),
         **FLEET_BENCH_KNOBS,
@@ -244,7 +225,7 @@ def bench_fleet_infer(n: int) -> BenchRecord:
     result = engine.infer_fleet(include_policy=False)
     return BenchRecord(
         case="fleet_infer",
-        n=size,
+        n=n,
         ops=result.probe_ops,
         detail={**_fleet_detail(result), "attribution": registry.snapshot()},
     )
@@ -259,10 +240,9 @@ def bench_serve_churn(n: int) -> BenchRecord:
     every DAG edge visit, ready yield, and issued request across all
     install batches — a pure function of ``n``, so a caching change
     that defeats admission coalescing or plans redundant evictions
-    shows up as an op-count blowup the gate catches.  The ``detail``
-    carries the full serving summary (requests/sec, p50/p99 install
-    latency, hit/evict/aggregate counters, final occupancy) — the
-    ``serve_churn`` BENCH block EXPERIMENTS.md interprets.
+    shows up as an op-count blowup.  The ``detail`` carries the full
+    serving summary (requests/sec, p50/p99 install latency,
+    hit/evict/aggregate counters, final occupancy).
     """
     from repro.serve import ServeLoop
 
@@ -286,16 +266,15 @@ def bench_sharded_fleet(n: int) -> BenchRecord:
     profiles, merged back into the global record order.
 
     Ops are the merged fleet's deterministic probe-operation total, a
-    pure function of (profiles, seed, knobs, shard count), so the gate
-    catches both classic op blowups (defeated cache/coalescing) and
+    pure function of (profiles, seed, knobs, shard count), so the count
+    moves on both classic op blowups (defeated cache/coalescing) and
     merge bugs that drop or duplicate shard journals.  The merge's
     byte-identity with the single-queue engine at this exact geometry
     is pinned by ``tests/test_core_shard.py``.  Runs the ``inline``
-    backend so gated numbers carry no process-pool noise.
+    backend so the numbers carry no process-pool noise.
     """
-    size = min(n, SHARDED_MEMBER_CAP)
     engine = ShardedFleetEngine(
-        build_fleet(sharded_fleet_profiles(size), size),
+        build_fleet(sharded_fleet_profiles(n), n),
         seed=3,
         shards=4,
         partition="tier",
@@ -305,14 +284,14 @@ def bench_sharded_fleet(n: int) -> BenchRecord:
     result = engine.infer_fleet(include_policy=False)
     return BenchRecord(
         case="sharded_fleet",
-        n=size,
+        n=n,
         ops=result.probe_ops,
         detail={**_fleet_detail(result), "shards": engine.shard_stats},
     )
 
 
-#: Case-name -> bench function, in suite order, for
-#: ``run_suite(cases=...)`` / ``--cases``.
+#: Case-name -> bench function; the case half of every
+#: ``benchmarks/perf_baseline.json`` key.
 CASE_NAMES: Dict[str, Callable[[int], BenchRecord]] = {
     "chain_schedule": bench_chain_schedule,
     "layered_schedule": bench_layered_schedule,
@@ -487,101 +466,3 @@ def verify_noop(n: int = 1000) -> Dict[str, object]:
             summary.update(accesses=races.accesses, findings=len(races.findings))
         payload[name] = summary
     return payload
-
-
-def run_suite(
-    sizes: Optional[Sequence[int]] = None,
-    quick: bool = False,
-    cases: Optional[Sequence[str]] = None,
-) -> List[BenchRecord]:
-    """Run the selected cases at every size; dedupe (case, n) collisions.
-
-    ``cases`` filters by name (see :data:`CASE_NAMES`); ``None`` runs
-    them all.  Unknown names raise :class:`ValueError`.
-    """
-    if sizes is None:
-        sizes = QUICK_SIZES if quick else FULL_SIZES
-    if cases is None:
-        selected = list(CASE_NAMES.values())
-    else:
-        unknown = [name for name in cases if name not in CASE_NAMES]
-        if unknown:
-            raise ValueError(
-                f"unknown bench cases {unknown}; known: {sorted(CASE_NAMES)}"
-            )
-        selected = [CASE_NAMES[name] for name in cases]
-    # Attachments must be free: instruments, a zero-fault injector or the
-    # race sanitizer altering the deterministic op counts would also
-    # poison the regression gate below.
-    verify_noop()
-    records: List[BenchRecord] = []
-    seen = set()
-    for n in sizes:
-        for case in selected:
-            record = case(n)
-            if record.key in seen:
-                continue  # e.g. fleet_infer capped to the same size
-            seen.add(record.key)
-            records.append(record)
-    return records
-
-
-def compare_to_baseline(
-    records: Sequence[BenchRecord], baseline: Dict[str, int]
-) -> List[Dict[str, object]]:
-    """Op-count regressions vs the checked-in baseline.
-
-    Only keys present in both are compared, so a quick run gates against
-    the quick-size subset of the full baseline.
-    """
-    regressions: List[Dict[str, object]] = []
-    for record in records:
-        expected = baseline.get(record.key)
-        if expected is None:
-            continue
-        if expected == 0:
-            # A zero baseline still gates: any ops at all is a regression
-            # (ratio is undefined, reported as null).
-            if record.ops > 0:
-                regressions.append(
-                    {
-                        "key": record.key,
-                        "baseline_ops": expected,
-                        "ops": record.ops,
-                        "ratio": None,
-                    }
-                )
-            continue
-        ratio = record.ops / expected
-        if ratio > REGRESSION_THRESHOLD:
-            regressions.append(
-                {
-                    "key": record.key,
-                    "baseline_ops": expected,
-                    "ops": record.ops,
-                    "ratio": round(ratio, 3),
-                }
-            )
-    return regressions
-
-
-def baseline_from_records(records: Sequence[BenchRecord]) -> Dict[str, int]:
-    return {record.key: record.ops for record in records}
-
-
-def records_to_report(
-    records: Sequence[BenchRecord],
-    regressions: Sequence[Dict[str, object]],
-    quick: bool,
-    baseline_path: Optional[str],
-) -> Dict[str, object]:
-    """The ``BENCH_scheduler.json`` document."""
-    return {
-        "suite": "scheduler-hot-paths",
-        "quick": quick,
-        "threshold": REGRESSION_THRESHOLD,
-        "baseline_path": baseline_path,
-        "results": [asdict(record) for record in records],
-        "regressions": list(regressions),
-        "ok": not regressions,
-    }

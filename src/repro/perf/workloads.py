@@ -1,4 +1,4 @@
-"""Deterministic workload builders for the ``tango-bench`` suite.
+"""Deterministic workload builders for the op-count bench cases.
 
 Every builder is a pure function of its arguments: same ``n`` -> same
 DAG, same priorities, same request ids.  The executor is a single
@@ -161,7 +161,7 @@ FLEET_BENCH_KNOBS = {
 
 #: Rule budget of the serve_churn bench switch: small enough that the
 #: Zipf working set overflows it and eviction/aggregation churn is
-#: sustained at every suite size.
+#: sustained at every baseline size.
 SERVE_CHURN_CAPACITY = 96
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.obs import Instruments, MetricsRegistry
@@ -141,18 +142,9 @@ def _make_collector(args):
     return collector
 
 
-def _run_once(args, profile):
-    """One full serving run; returns (result, collector, races)."""
-    policy = None
-    capacity = args.capacity
-    if args.infer:
-        from repro.core.inference import SwitchInferenceEngine
-
-        model = SwitchInferenceEngine(profile, seed=args.seed).infer()
-        policy = policy_from_model(model)
-        if capacity is None:
-            capacity = model.fast_table_size
-    config = ServeConfig(
+def _build_config(args) -> ServeConfig:
+    """The run's config; raises :class:`ValueError` on an out-of-range knob."""
+    return ServeConfig(
         stream=StreamConfig(
             arrivals=args.arrivals,
             tenants=args.tenants,
@@ -164,11 +156,23 @@ def _run_once(args, profile):
             seed=args.seed,
         ),
         batch_size=args.batch,
-        capacity=capacity,
+        capacity=args.capacity,
         admission_threshold=args.admission_threshold,
         idle_timeout_ms=args.idle_timeout,
         aggregate_min_rules=args.aggregate_min,
     )
+
+
+def _run_once(args, config, profile):
+    """One full serving run; returns (result, collector, races)."""
+    policy = None
+    if args.infer:
+        from repro.core.inference import SwitchInferenceEngine
+
+        model = SwitchInferenceEngine(profile, seed=args.seed).infer()
+        policy = policy_from_model(model)
+        if config.capacity is None:
+            config = replace(config, capacity=model.fast_table_size)
     sanitizer = None
     if args.sanitize:
         from repro.analysis.racecheck import RaceSanitizer
@@ -262,13 +266,18 @@ def _render_text(args, result, collector, races, out) -> None:
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     profile = VENDOR_PROFILES[args.profile]
+    try:
+        config = _build_config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    result, collector, races = _run_once(args, profile)
+    result, collector, races = _run_once(args, config, profile)
 
     if args.verify_determinism:
-        second, recollector, _ = _run_once(args, profile)
+        second, recollector, _ = _run_once(args, config, profile)
         if _signature(result, collector) != _signature(second, recollector):
             print("determinism FAILED: two same-seed runs diverged", file=out)
             return 2

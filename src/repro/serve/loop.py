@@ -94,6 +94,10 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.admission_threshold < 1:
+            raise ValueError("admission_threshold must be at least 1")
+        if self.aggregate_min_rules < 2:
+            raise ValueError("aggregate_min_rules must be at least 2")
         if self.idle_timeout_ms <= 0:
             raise ValueError("idle_timeout_ms must be positive")
         if self.maintenance_interval_ms <= 0:

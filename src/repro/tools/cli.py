@@ -327,6 +327,9 @@ def _run_fleet(args, out) -> int:
     if args.fleet < 1:
         print(f"--fleet must be positive, got {args.fleet}", file=out)
         return 2
+    if args.max_in_flight is not None and args.max_in_flight < 1:
+        print(f"--max-in-flight must be positive, got {args.max_in_flight}", file=out)
+        return 2
     if args.shards is not None:
         if args.shards < 1:
             print(f"--shards must be positive, got {args.shards}", file=out)
@@ -497,6 +500,11 @@ def _run_schedule(args, out) -> int:
     from repro.netem.scenarios import LinkFailureScenario, TrafficEngineeringScenario
     from repro.netem.topology import triangle_topology
     from repro.sim.rng import SeededRng
+
+    for flag, value in (("--flows", args.flows), ("--requests", args.requests)):
+        if value < 1:
+            print(f"{flag} must be positive, got {value}", file=out)
+            return 2
 
     def build_network():
         network = EmulatedNetwork(

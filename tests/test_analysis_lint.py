@@ -26,7 +26,7 @@ def test_wall_clock_allowed_inside_sim():
 
 
 def test_wall_clock_flagged_inside_perf():
-    """tango-bench gates deterministic op counts only; wall time is
+    """The perf bench cases count deterministic ops only; wall time is
     measured outside the package, by tangobench/."""
     assert _codes("import time\nt = time.perf_counter()\n", "perf/harness.py") == [
         "TNG030"

@@ -1,11 +1,14 @@
-"""Tests for the tango-bench perf harness (repro.perf).
+"""Tests for the deterministic op-count bench cases (repro.perf).
 
-Also home of the Basic scheduler's differential oracle: the retired
-per-round-rescan implementation the incremental ready set replaced.
+``test_op_count_matches_baseline`` asserts every entry of
+``benchmarks/perf_baseline.json`` exactly; the file is the one list of
+gated (case, n) pairs.  Also home of the Basic scheduler's differential
+oracle: the retired per-round-rescan implementation the incremental
+ready set replaced.
 """
 
-import io
 import json
+from pathlib import Path
 from typing import Dict, List, Set
 
 import pytest
@@ -16,19 +19,21 @@ from repro.core.scheduler import (
     ScheduleResult,
     _count_deadline_misses,
 )
-from repro.perf.cli import main as _bench_cli_main
-from repro.perf.harness import (
-    REGRESSION_THRESHOLD,
-    baseline_from_records,
-    compare_to_baseline,
-    records_to_report,
-    run_suite,
-)
+from repro.perf.harness import CASE_NAMES
 from repro.perf.harness import bench_chain_schedule as _chain_case
 from repro.perf.harness import bench_descending_shifts as _shifts_case
 from repro.perf.harness import bench_prefix_lookahead as _lookahead_case
-from repro.perf.harness import bench_serve_churn as _serve_case
 from repro.perf.workloads import chain_dag, fast_executor, layered_dag, unlock_groups_dag
+
+BASELINE_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "perf_baseline.json"
+BASELINE: Dict[str, int] = json.loads(BASELINE_PATH.read_text())
+
+#: The cases whose op count has a closed form in n.
+CLOSED_FORMS = {
+    "chain_schedule": lambda n: 2 * n - 1,
+    "layered_schedule": lambda n: 2 * n - 50,
+    "descending_shifts": lambda n: n * (n + 1) // 2,
+}
 
 
 class ReferenceBasicTangoScheduler(BasicTangoScheduler):
@@ -123,8 +128,8 @@ def test_workloads_are_deterministic():
 
 # -- Basic scheduler vs the retired rescan -------------------------------------
 def test_reference_scheduler_matches_optimized_bit_for_bit():
-    """Small layered DAG, then the chain and layered gate workloads at
-    the gate's own size (n=1000)."""
+    """Small layered DAG, then the chain and layered baseline workloads
+    at their smallest baseline size (n=1000)."""
     builds = (
         lambda: layered_dag(80, width=8),
         lambda: chain_dag(1000),
@@ -155,164 +160,18 @@ def test_shift_case_counts_quadratic_reference_work():
     assert record.ops == n * (n + 1) // 2  # list element moves
 
 
-def test_run_suite_quick_sizes_and_keys():
-    records = run_suite(sizes=[50])
-    keys = [record.key for record in records]
-    assert keys == [
-        "chain_schedule:50",
-        "layered_schedule:50",
-        "descending_shifts:50",
-        "prefix_lookahead:50",
-        "faulted_schedule:50",
-        "fleet_infer:12",  # fleet size is capped at FLEET_MEMBER_CAP
-        "sharded_fleet:50",
-        "serve_churn:50",
-    ]
-
-
-# -- regression gate ----------------------------------------------------------
-def test_compare_to_baseline_flags_only_regressions():
-    records = run_suite(sizes=[40])
-    baseline = baseline_from_records(records)
-    assert compare_to_baseline(records, baseline) == []
-    # Shrink one baseline entry so the same run now "regresses".
-    key = records[0].key
-    baseline[key] = int(records[0].ops / (REGRESSION_THRESHOLD * 2))
-    regressions = compare_to_baseline(records, baseline)
-    assert [r["key"] for r in regressions] == [key]
-    # Unknown keys in the run (absent from baseline) are not gated.
-    assert compare_to_baseline(records, {}) == []
-
-
-def test_compare_to_baseline_gates_zero_baseline():
-    """A baseline of 0 ops is a real entry, not a missing one: any ops at
-    all regress against it (with an undefined ratio reported as None)."""
-    records = run_suite(sizes=[40])
-    baseline = baseline_from_records(records)
-    key = records[0].key
-    assert records[0].ops > 0
-    baseline[key] = 0
-    regressions = compare_to_baseline(records, baseline)
-    assert [r["key"] for r in regressions] == [key]
-    assert regressions[0]["ratio"] is None
-    assert regressions[0]["baseline_ops"] == 0
-
-
-def test_report_document_shape():
-    records = run_suite(sizes=[30])
-    report = records_to_report(records, [], quick=True, baseline_path=None)
-    assert set(report) == {
-        "suite", "quick", "threshold", "baseline_path", "results",
-        "regressions", "ok",
-    }
-    assert report["ok"] is True
-    assert report["suite"] == "scheduler-hot-paths"
-    assert len(report["results"]) == 8
-    for result in report["results"]:
-        assert set(result) == {"case", "n", "ops", "detail"}
-
-
-def test_run_suite_cases_filter():
-    records = run_suite(sizes=[40], cases=["prefix_lookahead"])
-    assert [record.case for record in records] == ["prefix_lookahead"]
-    with pytest.raises(ValueError, match="unknown bench cases"):
-        run_suite(sizes=[40], cases=["no_such_case"])
-
-
-# -- CLI ----------------------------------------------------------------------
-def _run_cli(args):
-    out = io.StringIO()
-    code = _bench_cli_main(args, out=out)
-    return code, out.getvalue()
-
-
-def test_cli_update_baseline_then_gate_passes(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    output = tmp_path / "BENCH_scheduler.json"
-    code, _ = _run_cli(
-        ["--sizes", "40", "--baseline", str(baseline), "--output", str(output), "--update-baseline"]
-    )
-    assert code == 0
-    assert json.loads(baseline.read_text())
-
-    code, text = _run_cli(
-        ["--sizes", "40", "--baseline", str(baseline), "--output", str(output)]
-    )
-    assert code == 0
-    assert "perf gate ok" in text
-    report = json.loads(output.read_text())
-    assert report["ok"] is True
-    assert report["regressions"] == []
-
-
-def test_cli_fails_on_regression(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    output = tmp_path / "BENCH_scheduler.json"
-    # A baseline claiming near-zero ops makes any real run a regression.
-    baseline.write_text(json.dumps({"chain_schedule:40": 1}))
-    code, text = _run_cli(
-        ["--sizes", "40", "--baseline", str(baseline), "--output", str(output)]
-    )
-    assert code == 1
-    assert "REGRESSION chain_schedule:40" in text
-    report = json.loads(output.read_text())
-    assert report["ok"] is False
-
-
-def test_cli_missing_baseline_skips_gate(tmp_path):
-    output = tmp_path / "BENCH_scheduler.json"
-    code, text = _run_cli(
-        ["--sizes", "30", "--baseline", str(tmp_path / "absent.json"),
-         "--output", str(output)]
-    )
-    assert code == 0
-    assert "regression gate skipped" in text
-
-
-def test_cli_cases_filter_runs_selected_case_only(tmp_path):
-    output = tmp_path / "BENCH_prefix_scaling.json"
-    code, text = _run_cli(
-        ["--cases", "prefix_lookahead", "--sizes", "40",
-         "--baseline", str(tmp_path / "absent.json"),
-         "--output", str(output)]
-    )
-    assert code == 0
-    report = json.loads(output.read_text())
-    assert [r["case"] for r in report["results"]] == ["prefix_lookahead"]
-
-
-def test_checked_in_baseline_covers_quick_sizes():
-    """CI's --quick run must actually gate: every quick-size key needs a
-    checked-in baseline entry."""
-    from pathlib import Path
-
-    from repro.perf.harness import QUICK_SIZES
-
-    baseline_path = (
-        Path(__file__).resolve().parent.parent / "benchmarks" / "perf_baseline.json"
-    )
-    baseline = json.loads(baseline_path.read_text())
-    records = run_suite(sizes=QUICK_SIZES)
-    for record in records:
-        assert record.key in baseline, record.key
-        ratio = record.ops / baseline[record.key]
-        assert ratio <= REGRESSION_THRESHOLD
-        assert ratio >= 1.0 / REGRESSION_THRESHOLD  # baseline not stale-high
-
-
-def test_serve_churn_episode_matches_baseline_exactly():
-    """5,000 arrivals is one tangobench ``serve_churn`` episode: its op
-    count must equal the checked-in entry, not only stay within the
-    gate's ratio."""
-    from pathlib import Path
-
-    baseline_path = (
-        Path(__file__).resolve().parent.parent / "benchmarks" / "perf_baseline.json"
-    )
-    baseline = json.loads(baseline_path.read_text())
-    record = _serve_case(5000)
-    assert record.key == "serve_churn:5000"
-    assert record.ops == baseline[record.key] == 9665
+# -- the op-count baseline ----------------------------------------------------
+@pytest.mark.parametrize("key", sorted(BASELINE))
+def test_op_count_matches_baseline(key):
+    """Each count is exact: after a deliberate algorithm change, edit the
+    entry in benchmarks/perf_baseline.json to the measured count."""
+    case, size = key.split(":")
+    n = int(size)
+    record = CASE_NAMES[case](n)
+    assert record.key == key
+    assert record.ops == BASELINE[key], f"{key} measured {record.ops} ops"
+    if case in CLOSED_FORMS:
+        assert record.ops == CLOSED_FORMS[case](n)
 
 
 def test_bench_records_carry_op_attribution():
@@ -375,30 +234,28 @@ def test_verify_noop_passes():
 
 
 def test_fleet_infer_case_is_trajectory_only_and_deterministic():
-    from repro.perf.harness import FLEET_MEMBER_CAP, bench_fleet_infer
+    from repro.perf.harness import bench_fleet_infer
 
-    cap = FLEET_MEMBER_CAP
-    assert cap == 12  # the checked-in fleet_infer:12 baseline key
-    first = bench_fleet_infer(1000)
-    second = bench_fleet_infer(1000)
-    assert first.n == second.n == cap  # capped fleet size
+    size = 12  # the checked-in fleet_infer:12 baseline key
+    first = bench_fleet_infer(size)
+    second = bench_fleet_infer(size)
+    assert first.n == second.n == size
     assert first.ops == second.ops > 0
     assert first.detail["makespan_ms"] == second.detail["makespan_ms"]
     # 3 distinct profiles -> 3 full probes; the rest coalesce or hit cache.
     assert first.detail["full_probe_runs"] == 3
     assert (
         first.detail["cache_hits"] + first.detail["coalesced_joins"]
-        == cap - 3
+        == size - 3
     )
     assert first.detail["speedup_virtual"] > 1.0
-    # Below the cap the fleet is exactly n members.
     assert bench_fleet_infer(5).n == 5
 
 
 def test_sharded_fleet_case_is_deterministic_and_reports_shard_stats():
     from repro.perf.harness import bench_sharded_fleet
 
-    # A 12-member fleet (size = min(n, cap)) at the case's own geometry.
+    # A 12-member fleet at the case's own geometry.
     first = bench_sharded_fleet(12)
     second = bench_sharded_fleet(12)
     assert first.n == second.n == 12
@@ -419,10 +276,3 @@ def test_faulted_schedule_case_is_deterministic_and_counts_faults():
     assert first.detail["makespan_ms"] == second.detail["makespan_ms"]
     assert first.detail["fault_retries"] == second.detail["fault_retries"] > 0
     assert first.detail["injected"]["disconnects"] > 0
-
-
-def test_run_suite_includes_faulted_case():
-    from repro.perf.harness import run_suite
-
-    records = run_suite(sizes=[300])
-    assert any(record.case == "faulted_schedule" for record in records)

@@ -291,9 +291,9 @@ def unreached_exports() -> Dict[str, str]:
     return missing
 
 
-def test_roots_are_the_seven_console_scripts_and_the_root_directories():
+def test_roots_are_the_six_console_scripts_and_the_root_directories():
     modules = entry_modules()
-    assert len(modules) == 7
+    assert len(modules) == 6
     assert all(module_path(m) is not None for m in modules)
     assert all(any((REPO / d).glob("*.py")) for d in ROOT_DIRS)
 

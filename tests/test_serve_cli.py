@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from repro.serve.cli import main
 
 _FAST = [
@@ -87,3 +89,24 @@ def test_report_file_is_written(tmp_path):
     text = report.read_text()
     assert text.startswith("# Tango serving report")
     assert "## Sustained serving" in text
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tenants", "0", "need at least one tenant"),
+        ("--destinations", "0", "destinations_per_tenant must be in [1, 4096]"),
+        ("--admission-threshold", "0", "admission_threshold must be at least 1"),
+        ("--idle-timeout", "-1", "idle_timeout_ms must be positive"),
+    ],
+)
+def test_out_of_range_values_are_usage_errors(capsys, flag, value, message):
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exit_info:
+        main(_FAST + [flag, value], out=out)
+    assert exit_info.value.code == 2
+    assert out.getvalue() == ""  # rejected before any run
+    error_lines = [
+        line for line in capsys.readouterr().err.splitlines() if "error:" in line
+    ]
+    assert error_lines == [f"tango-serve: error: {message}"]

@@ -163,3 +163,25 @@ def test_policy_from_model_handles_missing_probe():
         policy_probe = _Probe()
 
     assert policy_from_model(_Model()) == "inferred:ut"
+
+
+def test_attachments_change_nothing_on_the_bench_workload():
+    """The ``serve_churn`` op-count baseline is taken with a metrics
+    registry attached; neither the instruments nor the race sanitizer
+    may alter what the loop does."""
+    from repro.analysis.racecheck import RaceSanitizer
+    from repro.obs import Tracer
+    from repro.perf.workloads import serve_bench_profile, serve_churn_config
+
+    def signature(**attachments):
+        loop = ServeLoop(serve_churn_config(1000), serve_bench_profile(), **attachments)
+        result = loop.run()
+        return result.op_count, result.to_dict(), result.table_signature
+
+    bare = signature()
+    assert bare[0] == 1923
+    instruments = Instruments(Tracer(), MetricsRegistry(), _collector())
+    assert signature(instruments=instruments) == bare
+    assert len(instruments.tracer) > 0 and len(instruments.metrics) > 0
+    assert instruments.telemetry.samples
+    assert signature(sanitizer=RaceSanitizer()) == bare

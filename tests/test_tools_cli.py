@@ -66,6 +66,24 @@ def test_schedule_subcommand_te():
     assert "vs Dionysus" in out.getvalue()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--flows", "0"], "--flows must be positive, got 0"),
+        (["--flows", "-1"], "--flows must be positive, got -1"),
+        (["--scenario", "te1", "--requests", "0"], "--requests must be positive, got 0"),
+        (["--scenario", "te2", "--requests", "-2"], "--requests must be positive, got -2"),
+    ],
+)
+def test_schedule_rejects_non_positive_counts(args, message):
+    """With no requests the first arm's makespan is 0, and the "vs
+    Dionysus" percentage would divide by it: the counts are refused
+    before any arm runs."""
+    out = io.StringIO()
+    assert main(["schedule", *args], out=out) == 2
+    assert out.getvalue().strip() == message
+
+
 def test_schedule_subcommand_strict_verifies_before_scheduling():
     out = io.StringIO()
     assert (
@@ -230,6 +248,12 @@ def test_fleet_rejects_bad_sizes_and_profiles():
         out=out,
     ) == 2
     assert "unknown fleet profile(s): nope" in out.getvalue()
+    out = io.StringIO()
+    assert main(
+        ["infer", "--profile", "switch3", "--fleet", "2", "--max-in-flight", "0"],
+        out=out,
+    ) == 2
+    assert out.getvalue().strip() == "--max-in-flight must be positive, got 0"
 
 
 # -- race sanitizer -----------------------------------------------------------
