@@ -86,11 +86,11 @@ CASES = [
         + (
             "--arrivals", "20000", "--seed", "7", "--tenants", "16",
             "--destinations", "64", "--churn-interval", "200", "--capacity", "96",
-            "--admission-threshold", "2", "--idle-timeout", "400", "--sanitize",
+            "--admission-threshold", "2", "--idle-timeout", "400",
             "--telemetry", "P", "--json",
         ),
         {
-            "stdout": "637fbfff88167c8cd691bf54802272bedc525d041681466c705d6dc331a14bdd",
+            "stdout": "063aa7db1df40fe646e9f55925d491766832cfb9a9fefd6ee0dec90c8fe653fb",
             "P.telemetry.jsonl": "3efc4d78e1fddacaf4cbf5bff7aaad63a4987fbb41fb46bf926e54c3ac8d88e4",
             "P.alerts.jsonl": "e9d0006b7f9165d1c2f1aed711fa3af7c11c8637bccf017b0421e133c9ad4c6c",
         },
