@@ -6,7 +6,7 @@ The package provides five checkers sharing one diagnostic model
 * :mod:`repro.analysis.rulecheck` — rule-set overlap/shadowing (TNG00x)
 * :mod:`repro.analysis.dagcheck` — request-DAG validity (TNG01x)
 * :mod:`repro.analysis.capacity` — TCAM admission control (TNG02x)
-* :mod:`repro.analysis.lint` — source determinism + shard-safety linter
+* :mod:`repro.analysis.lint` — source determinism + event-order linter
   (TNG03x, TNG041–TNG043)
 * :mod:`repro.analysis.racecheck` — virtual-time tie-break race detector
   and determinism sanitizer (TNG040)

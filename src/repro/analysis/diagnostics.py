@@ -14,7 +14,7 @@ Code ranges (one block per checker):
 * ``TNG01x`` — request-DAG checks (:mod:`repro.analysis.dagcheck`)
 * ``TNG02x`` — capacity admission checks (:mod:`repro.analysis.capacity`)
 * ``TNG03x`` — determinism linter (:mod:`repro.analysis.lint`)
-* ``TNG04x`` — race detector + shard-safety lint rules
+* ``TNG04x`` — race detector + event-order lint rules
   (:mod:`repro.analysis.racecheck`, :mod:`repro.analysis.lint`)
 """
 
@@ -62,7 +62,7 @@ CODE_CATALOG: Dict[str, str] = {
     "TNG033": "mutable default argument",
     "TNG034": "unparseable source: the file is not valid Python",
     "TNG035": "swallowed exception: bare/broad except handler without a raise",
-    # racecheck + shard-safety lint ----------------------------------------
+    # racecheck + event-order lint -----------------------------------------
     "TNG040": "tie-break race: conflicting same-virtual-time accesses with no "
     "happens-before edge",
     "TNG041": "module-level mutable state in simulator/core code",

@@ -34,14 +34,16 @@ this linter walks the package's ASTs and enforces it:
   :class:`~repro.openflow.errors.TableFullError` — the size probe's stop
   condition — and turns deterministic failures into silent divergence.
 
-The TNG04x shard-safety rules complement the dynamic race detector
-(:mod:`repro.analysis.racecheck`): they flag source patterns that make
-state *inherently* unsafe to split across per-shard event queues:
+The TNG04x event-order rules complement the dynamic race detector
+(:mod:`repro.analysis.racecheck`): they flag source patterns that put
+state outside the event queue's ordering, where neither the
+happens-before order nor a same-seed replay covers it:
 
 * **TNG041 module-level mutable state** — a module-level ``list``/
   ``dict``/``set`` (display or constructor call) bound to a
   non-constant name inside ``sim/`` or ``core/``.  Module globals are
-  process-wide: sharded fleets would silently share them across queues.
+  process-wide: they outlive one run, so a second engine in the same
+  process starts from the first one's leftovers instead of its seed.
   Dunder names (``__all__``) and ``UPPER_CASE`` constant-convention
   bindings are exempt — constants are fine, mutable *state* is not.
 * **TNG042 generator shared-state mutation** — a resumable generator
@@ -87,8 +89,8 @@ WALL_CLOCK_ALLOWED = ("sim/",)
 RANDOM_ALLOWED = ("sim/rng.py",)
 
 #: Module paths where TNG041 (module-level mutable state) applies: the
-#: simulation substrate and the core engines — exactly the code the
-#: sharding roadmap splits across per-shard event queues.
+#: simulation substrate and the core engines — the code whose state
+#: must be a function of one run's seed and event order.
 SHARED_STATE_PATHS = ("sim/", "core/")
 
 #: Per-line suppression: ``# tango-lint: disable=TNG033`` (or a

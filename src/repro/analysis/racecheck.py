@@ -2,14 +2,15 @@
 
 The whole reproduction leans on one ordering rule: same-virtual-time
 events fire in the event queue's ``(time, sequence)`` insertion order.
-That tie-break is an *artifact of a single queue* — the moment the fleet
-is sharded across per-shard queues (ROADMAP), same-time events from
-different shards merge in an order no single counter defines.  Any pair
-of shared-state accesses whose outcome depends on the tie-break is
-therefore latent nondeterminism waiting for the sharding PR to surface
-it.
+That tie-break is an *artifact of admission order*: reorder the fleet's
+members or change ``--max-in-flight`` and the same-time events of
+different members get different sequence numbers.  Any pair of
+shared-state accesses whose outcome depends on the tie-break is
+therefore latent nondeterminism, and a fleet experiment that varies the
+admission order would measure the tie-break instead of the workload.
 
-This module certifies which accesses are shard-safe:
+This module certifies which accesses are independent of admission
+order:
 
 * **Access-logging sanitizer proxies** wrap the shared mutable state a
   fleet run touches — :class:`~repro.core.scores.TangoScoreDatabase`
@@ -34,8 +35,8 @@ each other; a gauge ``set`` (last-writer-wins) or a TangoDB ``put`` is
 order-dependent and does.
 
 Accesses made outside any event (straight-line setup/teardown around
-``sim.run()``) execute in program order on every shard layout, so they
-are never part of a race.
+``sim.run()``) execute in program order under every admission order, so
+they are never part of a race.
 
 Run it end to end with ``tango-probe infer --fleet N --sanitize``; the
 deliberately racy regression fixture (:func:`run_racy_fixture`) pins the
@@ -562,7 +563,8 @@ def check_races(
     virtual time from different events with no happens-before path
     (scheduling ancestry, per ``provenance``) between them, and at least
     one is a non-commutative write.  Root-context accesses (made outside
-    any event) run in program order on any shard layout and never race.
+    any event) run in program order under any admission order and never
+    race.
     Each finding carries the racy location's full access trace.
     """
     report = report if report is not None else DiagnosticReport()

@@ -282,36 +282,6 @@ class ModelCache:
         return findings
 
 
-# -- shared fleet-policy predicates --------------------------------------------
-def coalescing_allowed(fault_injector: Any) -> bool:
-    """Whether same-fingerprint probes may single-flight coalesce.
-
-    With an active fault plan, fault streams are per switch *name*:
-    each member must run its own probes, so coalescing is off (cache
-    lookups of clean models stay on).  Shared by the event-driven
-    :class:`FleetInferenceEngine` and the sharded engine
-    (:class:`repro.core.shard.ShardedFleetEngine`), whose merge applies
-    the same rule *across* shards.
-    """
-    if fault_injector is None:
-        return True
-    plan = getattr(fault_injector, "plan", None)
-    return plan is not None and plan.is_noop()
-
-
-def cache_store_allowed(model: InferredSwitchModel, fault_injector: Any) -> bool:
-    """Whether a freshly probed model may seed the fingerprint cache.
-
-    Only clean runs qualify: a degraded or faulted model must not be
-    replicated fleet-wide.  Shared across both fleet engines so a
-    worker-side probe and the in-process engine make the identical
-    store decision.
-    """
-    if model.confidence < 1.0:
-        return False
-    return coalescing_allowed(fault_injector)
-
-
 # -- fleet results -------------------------------------------------------------
 @dataclass
 class FleetMemberResult:
@@ -424,10 +394,9 @@ class FleetResult:
 class MemberDriver:
     """Steps one member's inference generator and meters its virtual cost.
 
-    Public because both fleet drivers use it: the in-process
-    :class:`FleetInferenceEngine` steps drivers on one shared event
-    queue, and each :class:`repro.core.shard.ShardedFleetEngine` worker
-    steps its shard's drivers on a shard-local queue.
+    :class:`FleetInferenceEngine` steps one driver per member on its
+    shared event queue; a driver can also be stepped on its own, as the
+    probe-ledger tests do.
     """
 
     def __init__(
@@ -580,8 +549,27 @@ class FleetInferenceEngine:
             **self.engine_knobs,
         )
 
+    def _coalescing_allowed(self) -> bool:
+        """Whether same-fingerprint probes may single-flight coalesce.
+
+        With an active fault plan, fault streams are per switch *name*:
+        each member must run its own probes, so coalescing is off (cache
+        lookups of clean models stay on).
+        """
+        if self.fault_injector is None:
+            return True
+        plan = getattr(self.fault_injector, "plan", None)
+        return plan is not None and plan.is_noop()
+
     def _cache_store_allowed(self, model: InferredSwitchModel) -> bool:
-        return cache_store_allowed(model, self.fault_injector)
+        """Whether a freshly probed model may seed the fingerprint cache.
+
+        Only clean runs qualify: a degraded or faulted model must not be
+        replicated fleet-wide.
+        """
+        if model.confidence < 1.0:
+            return False
+        return self._coalescing_allowed()
 
     # -- the driver ------------------------------------------------------------
     def infer_fleet(self, include_policy: bool = True) -> FleetResult:
@@ -603,7 +591,7 @@ class FleetInferenceEngine:
         # fingerprint -> names of members waiting on an in-flight probe
         waiters: Dict[str, List[Tuple[FleetMember, float]]] = {}
         leaders: Dict[str, str] = {}
-        coalesce_ok = coalescing_allowed(self.fault_injector)
+        coalesce_ok = self._coalescing_allowed()
         ins = self.instruments
 
         ins.counter("fleet.members").inc(len(self.members))
@@ -858,7 +846,5 @@ __all__ = [
     "MemberDriver",
     "ModelCache",
     "build_fleet",
-    "cache_store_allowed",
-    "coalescing_allowed",
     "profile_fingerprint",
 ]

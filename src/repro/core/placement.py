@@ -18,9 +18,8 @@ the hardware fast path.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.core.inference import InferredSwitchModel
 from repro.core.latency_curves import PriorityPattern
@@ -139,106 +138,3 @@ class FlowPlacer:
         if forwarding_gain <= 0:
             return float("inf") if install_penalty > 0 else 0.0
         return max(0.0, install_penalty / forwarding_gain)
-
-
-# -- topology tiers and shard partitioning -------------------------------------
-class SwitchTier(enum.Enum):
-    """Fat-tree topology tier of a switch (core / aggregation / edge).
-
-    The tiered-controller pattern from the SDN survey literature: work
-    local to one pod (one tier slice) is embarrassingly parallel, and
-    only cross-tier dependencies need synchronisation.  The sharded
-    fleet engine's ``tier`` partition strategy keeps same-tier switches
-    on the same worker.
-    """
-
-    CORE = "core"
-    AGGREGATION = "aggregation"
-    EDGE = "edge"
-
-
-#: Name-prefix conventions recognised by :func:`assign_tier`.  Matching
-#: is on the name stem (lowercased, before any ``#N`` fleet suffix).
-TIER_NAME_PREFIXES: Tuple[Tuple[str, SwitchTier], ...] = (
-    ("core", SwitchTier.CORE),
-    ("spine", SwitchTier.CORE),
-    ("aggr", SwitchTier.AGGREGATION),
-    ("agg", SwitchTier.AGGREGATION),
-    ("pod", SwitchTier.AGGREGATION),
-    ("distribution", SwitchTier.AGGREGATION),
-)
-
-#: Partition order: core switches first, then aggregation, then edge,
-#: so tier-aware chunking keeps each tier contiguous.
-_TIER_RANKS: Tuple[SwitchTier, ...] = (
-    SwitchTier.CORE,
-    SwitchTier.AGGREGATION,
-    SwitchTier.EDGE,
-)
-
-
-def assign_tier(name: str) -> SwitchTier:
-    """The topology tier a switch name implies (default: edge).
-
-    Deterministic and purely lexical: ``core-3`` and ``spine7`` are
-    core, ``aggr-1``/``agg2``/``pod0-sw``/``distribution-a`` are
-    aggregation, everything else -- including every vendor profile
-    name -- is an edge switch.  The fleet's ``name#2`` duplicate
-    suffixes are stripped before matching.
-    """
-    stem = name.split("#", 1)[0].strip().lower()
-    for prefix, tier in TIER_NAME_PREFIXES:
-        if stem.startswith(prefix):
-            return tier
-    return SwitchTier.EDGE
-
-
-def partition_names(
-    names: Sequence[str], shards: int, strategy: str = "round_robin"
-) -> List[List[int]]:
-    """Split member indices ``0..len(names)-1`` into ``shards`` groups.
-
-    Strategies:
-
-    * ``round_robin`` -- index ``i`` goes to shard ``i % shards``;
-      tier-blind, maximally balanced.
-    * ``tier`` -- names are stably ordered core -> aggregation -> edge
-      and dealt out in balanced contiguous chunks, so each shard holds
-      (mostly) one tier's pod-local work and cross-tier edges land on
-      as few shard boundaries as possible.
-
-    Groups come back sorted by member index (the sharded fleet engine
-    relies on ascending order so the global single-flight leader of a
-    fingerprint is the lowest-indexed member, exactly as in the
-    single-queue engine).  Empty groups are kept so the caller can see
-    ``shards > len(names)``.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be positive, got {shards}")
-    if strategy not in PARTITION_STRATEGIES:
-        raise ValueError(
-            f"unknown partition strategy {strategy!r}; "
-            f"known: {sorted(PARTITION_STRATEGIES)}"
-        )
-    groups: List[List[int]] = [[] for _ in range(shards)]
-    if strategy == "round_robin":
-        for index in range(len(names)):
-            groups[index % shards].append(index)
-        return groups
-    rank = {tier: position for position, tier in enumerate(_TIER_RANKS)}
-    ordered = sorted(
-        range(len(names)), key=lambda index: (rank[assign_tier(names[index])], index)
-    )
-    total = len(ordered)
-    base, extra = divmod(total, shards)
-    start = 0
-    for shard in range(shards):
-        size = base + (1 if shard < extra else 0)
-        groups[shard] = sorted(ordered[start : start + size])
-        start += size
-    return groups
-
-
-#: Partition strategies :func:`partition_names` understands (also the
-#: ``tango-probe infer --partition`` choices).
-PARTITION_STRATEGIES: Tuple[str, ...] = ("round_robin", "tier")

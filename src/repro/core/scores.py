@@ -101,16 +101,6 @@ class TangoScoreDatabase:
         """The full stored record (value + timestamp + provenance)."""
         return self._records.get(ScoreKey.make(switch, metric, **params))
 
-    def get_by_key(self, key: ScoreKey) -> Optional[ScoreRecord]:
-        """The stored record for an already-built :class:`ScoreKey`.
-
-        The keyed twin of :meth:`get_record`, for callers that carry
-        keys around -- e.g. the sharded fleet engine's merge journal,
-        which replays worker-side records into the caller's database
-        without re-deriving each key's parameters.
-        """
-        return self._records.get(key)
-
     def has(self, switch: str, metric: str, **params: Any) -> bool:
         return ScoreKey.make(switch, metric, **params) in self._records
 

@@ -31,10 +31,6 @@ Cases (``n`` is the size knob):
   shows up as an op-count blowup.
 * ``fleet_infer``        -- concurrent fleet inference over 3 tiny
   distinct profiles, n members.
-* ``sharded_fleet``      -- fleet inference through
-  :class:`repro.core.shard.ShardedFleetEngine` (4 shards, tier
-  partition, inline backend) over n distinct-fingerprint tier-named
-  profiles.
 * ``serve_churn``        -- n churning flow arrivals served by
   :class:`repro.serve.ServeLoop` against a 96-rule budget (FDRC
   admission, policy-ranked eviction, wildcard aggregation).
@@ -54,10 +50,8 @@ from repro.faults import DisconnectWindow, FaultInjector, FaultPlan
 from repro.obs import NULL_INSTRUMENTS, Instruments, MetricsRegistry
 from repro.core.fleet import FleetInferenceEngine, FleetResult, build_fleet
 from repro.core.scores import TangoScoreDatabase
-from repro.core.shard import ShardedFleetEngine
 from repro.perf.workloads import (
     FLEET_BENCH_KNOBS,
-    SHARDED_BENCH_KNOBS,
     UNLOCK_ESTIMATES,
     chain_dag,
     descending_priorities,
@@ -66,7 +60,6 @@ from repro.perf.workloads import (
     layered_dag,
     serve_bench_profile,
     serve_churn_config,
-    sharded_fleet_profiles,
     unlock_groups_dag,
 )
 from repro.tables.tcam import PriorityShiftModel
@@ -261,35 +254,6 @@ def bench_serve_churn(n: int) -> BenchRecord:
     )
 
 
-def bench_sharded_fleet(n: int) -> BenchRecord:
-    """Sharded fleet inference over tier-named, distinct-fingerprint
-    profiles, merged back into the global record order.
-
-    Ops are the merged fleet's deterministic probe-operation total, a
-    pure function of (profiles, seed, knobs, shard count), so the count
-    moves on both classic op blowups (defeated cache/coalescing) and
-    merge bugs that drop or duplicate shard journals.  The merge's
-    byte-identity with the single-queue engine at this exact geometry
-    is pinned by ``tests/test_core_shard.py``.  Runs the ``inline``
-    backend so the numbers carry no process-pool noise.
-    """
-    engine = ShardedFleetEngine(
-        build_fleet(sharded_fleet_profiles(n), n),
-        seed=3,
-        shards=4,
-        partition="tier",
-        backend="inline",
-        **SHARDED_BENCH_KNOBS,
-    )
-    result = engine.infer_fleet(include_policy=False)
-    return BenchRecord(
-        case="sharded_fleet",
-        n=n,
-        ops=result.probe_ops,
-        detail={**_fleet_detail(result), "shards": engine.shard_stats},
-    )
-
-
 #: Case-name -> bench function; the case half of every
 #: ``benchmarks/perf_baseline.json`` key.
 CASE_NAMES: Dict[str, Callable[[int], BenchRecord]] = {
@@ -299,7 +263,6 @@ CASE_NAMES: Dict[str, Callable[[int], BenchRecord]] = {
     "prefix_lookahead": bench_prefix_lookahead,
     "faulted_schedule": bench_faulted_schedule,
     "fleet_infer": bench_fleet_infer,
-    "sharded_fleet": bench_sharded_fleet,
     "serve_churn": bench_serve_churn,
 }
 

@@ -212,48 +212,6 @@ def serve_churn_config(n: int):
     )
 
 
-#: Engine knobs for the sharded-fleet bench: the smallest layer/batch
-#: geometry that still runs every probe stage, so a large fleet stays
-#: tractable (one full probe is ~300 virtual ops instead of the fleet
-#: case's ~800).
-SHARDED_BENCH_KNOBS = {
-    "size_probe_max_rules": 16,
-    "latency_batch_sizes": (4, 8),
-}
-
-
-def sharded_fleet_profiles(count: int) -> List[SwitchProfile]:
-    """``count`` tier-named profiles with pairwise-distinct fingerprints.
-
-    Each profile's first-layer mean delay carries a per-index epsilon,
-    so every member fingerprints uniquely and a cold sharded run does
-    ``count`` genuinely independent probes (shared fingerprints would
-    let single-flight coalescing collapse the work).  Names follow the fat-tree tiers
-    :func:`repro.core.placement.assign_tier` recognises (1/8 core, 3/8
-    aggregation, the rest edge), so the ``tier`` partition strategy has
-    real structure to keep pod-local.
-    """
-    policies = (FIFO, LRU, LIFO)
-    profiles: List[SwitchProfile] = []
-    for index in range(count):
-        slot = index % 8
-        if slot == 0:
-            name = f"core-{index}"
-        elif slot < 4:
-            name = f"aggr-{index}"
-        else:
-            name = f"edge-{index}"
-        profiles.append(
-            make_cache_test_profile(
-                policies[index % len(policies)],
-                layer_sizes=(8 + index % 5, None),
-                layer_means_ms=(0.4 + index * 1e-4, 4.0 + (index % 9) * 0.1),
-                name=name,
-            )
-        )
-    return profiles
-
-
 def fleet_bench_profiles() -> List[SwitchProfile]:
     """Three small, distinct, deterministic profiles for fleet benches.
 

@@ -12,8 +12,8 @@ Examples::
     # Replay-check: two same-seed runs must be byte-identical:
     python -m repro.serve.cli --arrivals 5000 --verify-determinism
 
-Exit codes: 0 success, 1 race findings under ``--sanitize``, 2
-determinism divergence under ``--verify-determinism``.
+Exit codes: 0 success, 2 determinism divergence under
+``--verify-determinism`` or an out-of-range option.
 """
 
 from __future__ import annotations
@@ -101,11 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(Algorithm 2 output) and inferred fast-table budget",
     )
     parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run maintenance events under the race sanitizer (exit 1 on findings)",
-    )
-    parser.add_argument(
         "--verify-determinism",
         action="store_true",
         help="run twice with the same seed; exit 2 unless results, telemetry, "
@@ -164,7 +159,7 @@ def _build_config(args) -> ServeConfig:
 
 
 def _run_once(args, config, profile):
-    """One full serving run; returns (result, collector, races)."""
+    """One full serving run; returns (result, collector)."""
     policy = None
     if args.infer:
         from repro.core.inference import SwitchInferenceEngine
@@ -173,22 +168,14 @@ def _run_once(args, config, profile):
         policy = policy_from_model(model)
         if config.capacity is None:
             config = replace(config, capacity=model.fast_table_size)
-    sanitizer = None
-    if args.sanitize:
-        from repro.analysis.racecheck import RaceSanitizer
-
-        sanitizer = RaceSanitizer()
     collector = _make_collector(args)
     loop = ServeLoop(
         config,
         profile,
         policy=policy,
         instruments=Instruments(metrics=MetricsRegistry(), telemetry=collector),
-        sanitizer=sanitizer,
     )
-    result = loop.run()
-    races = sanitizer.check() if sanitizer is not None else None
-    return result, collector, races
+    return loop.run(), collector
 
 
 def _signature(result, collector):
@@ -206,7 +193,7 @@ def _signature(result, collector):
     return "\x00".join(parts)
 
 
-def _render_text(args, result, collector, races, out) -> None:
+def _render_text(args, result, collector, out) -> None:
     cache = result.cache
     print(
         f"serve [{args.profile}] seed {args.seed}: "
@@ -256,12 +243,6 @@ def _render_text(args, result, collector, races, out) -> None:
             f"{stats['ticks']} ticks, {len(collector.alerts)} alerts",
             file=out,
         )
-    if races is not None:
-        print(
-            f"  race check       : {races.accesses} accesses over "
-            f"{races.events} events, {len(races.findings)} finding(s)",
-            file=out,
-        )
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
@@ -274,10 +255,10 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    result, collector, races = _run_once(args, config, profile)
+    result, collector = _run_once(args, config, profile)
 
     if args.verify_determinism:
-        second, recollector, _ = _run_once(args, config, profile)
+        second, recollector = _run_once(args, config, profile)
         if _signature(result, collector) != _signature(second, recollector):
             print("determinism FAILED: two same-seed runs diverged", file=out)
             return 2
@@ -292,11 +273,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         payload = {"serve": result.to_dict()}
         if collector is not None:
             payload["telemetry"] = collector.stats()
-        if races is not None:
-            payload["races"] = races.summary()
         print(json.dumps(payload, indent=2), file=out)
     else:
-        _render_text(args, result, collector, races, out)
+        _render_text(args, result, collector, out)
 
     if collector is not None:
         from repro.obs.slo import write_alerts_jsonl
@@ -321,7 +300,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         if not args.json:
             print(f"serving report written to {args.report}", file=out)
 
-    return 1 if races is not None and races.findings else 0
+    return 0
 
 
 if __name__ == "__main__":

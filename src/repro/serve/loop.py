@@ -71,8 +71,9 @@ class ServeConfig:
         batch_size: flow misses accumulated before one scheduled install
             batch (amortises scheduler rounds, exactly like real
             controllers coalesce flow-mods).
-        capacity: rule-budget override; default derives the bounded
-            capacity of the switch's table stack (None = unbounded).
+        capacity: rule-budget override, at least 1; default derives the
+            bounded capacity of the switch's table stack (None =
+            unbounded).
         admission_threshold: packet-ins before a rule is installed (FDRC).
         admission_window_ms: admission-counting window.
         aggregate_prefix_len: wildcard aggregate prefix length.
@@ -94,6 +95,8 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.capacity is not None and self.capacity < 1:
+            raise ValueError("capacity must be at least 1")
         if self.admission_threshold < 1:
             raise ValueError("admission_threshold must be at least 1")
         if self.aggregate_min_rules < 2:
@@ -162,8 +165,6 @@ class ServeLoop:
             collector receives installs, per-flow updates, and cadence
             occupancy samples, and its registry the
             ``serve.install_ms`` histogram.
-        sanitizer: optional race sanitizer; the maintenance simulator is
-            built through it so expiry events carry provenance.
     """
 
     def __init__(
@@ -172,14 +173,10 @@ class ServeLoop:
         profile: SwitchProfile,
         policy: Optional[CachePolicy] = None,
         instruments: Instruments = NULL_INSTRUMENTS,
-        sanitizer=None,
     ) -> None:
         self.config = config
         self.clock = VirtualClock()
-        if sanitizer is not None:
-            self.sim = sanitizer.make_simulator(self.clock)
-        else:
-            self.sim = Simulator(self.clock)
+        self.sim = Simulator(self.clock)
         seed = config.stream.seed
         self.switch = profile.build(clock=self.clock, seed=seed)
         channel = ControlChannel(

@@ -166,10 +166,9 @@ class Simulator:
         #: provenance, and the access context for sanitizer proxies.
         self.current_event: Optional[Event] = None
         #: Total events whose actions :meth:`run` has executed.  Pure
-        #: bookkeeping (never read by the run loop), exposed so callers
-        #: that merge several simulators -- the sharded fleet engine's
-        #: per-worker streams -- can report deterministic per-queue
-        #: event totals without instrumenting every action.
+        #: bookkeeping (never read by the run loop), exposed so a
+        #: profiler can report a deterministic event total without
+        #: instrumenting every action.
         self.processed_events: int = 0
 
     def _push(self, time_ms: float, action: Callable[[], None]) -> Event:

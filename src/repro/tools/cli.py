@@ -9,7 +9,6 @@ Usage::
     python -m repro.tools.cli probe --profile switch2
     python -m repro.tools.cli probe --profile switch1 --policy --seed 7
     python -m repro.tools.cli infer --profile switch2 --fleet 16 --max-in-flight 8
-    python -m repro.tools.cli infer --profile switch2 --fleet 64 --shards 4
     python -m repro.tools.cli infer --profile switch2 --fleet 16 --sanitize
     python -m repro.tools.cli infer --profile switch2 --sanitize-fixture racy
     python -m repro.tools.cli profiles
@@ -17,12 +16,8 @@ Usage::
 ``infer`` is an alias of ``probe``; with ``--fleet N`` the command runs
 the event-driven fleet engine (``repro.core.fleet``) over N switches
 concurrently in virtual time and reports makespan vs. the one-at-a-time
-sum plus model-cache statistics.  ``--shards N`` runs the same fleet
-through the sharded engine (``repro.core.shard``) across N worker
-processes; the deterministic merge keeps the report — ``--json``
-included — byte-identical to the single-queue engine at every shard
-count.  ``--sanitize`` runs the fleet under the
-:mod:`repro.analysis.racecheck` sanitizer and appends the TNG040
+sum plus model-cache statistics.  ``--sanitize`` runs the fleet under
+the :mod:`repro.analysis.racecheck` sanitizer and appends the TNG040
 tie-break race report (exit 1 on findings); ``--sanitize-fixture racy``
 runs the seeded racy regression fixture instead of a real fleet.
 """
@@ -34,7 +29,6 @@ import sys
 from typing import List, Optional
 
 from repro.core.inference import SwitchInferenceEngine
-from repro.core.placement import PARTITION_STRATEGIES
 from repro.switches.profiles import VENDOR_PROFILES
 
 
@@ -75,21 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="K",
         help="probe at most K fleet members concurrently (default unbounded)",
-    )
-    probe.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the fleet sharded across N worker processes "
-        "(repro.core.shard; merge is byte-identical to the single-queue "
-        "engine, so --json output matches at every shard count)",
-    )
-    probe.add_argument(
-        "--partition",
-        default="round_robin",
-        choices=sorted(PARTITION_STRATEGIES),
-        help="shard partition strategy for --shards (default: round_robin)",
     )
     probe.add_argument(
         "--no-fleet-cache",
@@ -330,25 +309,6 @@ def _run_fleet(args, out) -> int:
     if args.max_in_flight is not None and args.max_in_flight < 1:
         print(f"--max-in-flight must be positive, got {args.max_in_flight}", file=out)
         return 2
-    if args.shards is not None:
-        if args.shards < 1:
-            print(f"--shards must be positive, got {args.shards}", file=out)
-            return 2
-        conflicts = []
-        if args.max_in_flight is not None:
-            conflicts.append("--max-in-flight")
-        if args.sanitize or args.sanitize_fixture:
-            conflicts.append("--sanitize")
-        if args.trace:
-            conflicts.append("--trace")
-        if conflicts:
-            print(
-                f"--shards cannot be combined with {', '.join(conflicts)}: "
-                "the sharded engine has no admission bound, sanitizer, or "
-                "tracer (see repro.core.shard)",
-                file=out,
-            )
-            return 2
     if args.fleet_profiles:
         names = [name.strip() for name in args.fleet_profiles.split(",") if name.strip()]
     else:
@@ -384,37 +344,19 @@ def _run_fleet(args, out) -> int:
         from repro.analysis.racecheck import RaceSanitizer
 
         sanitizer = RaceSanitizer()
-    shard_stats = None
-    if args.shards is not None:
-        from repro.core.shard import ShardedFleetEngine
-
-        engine = ShardedFleetEngine(
-            members,
-            seed=args.seed,
-            shards=args.shards,
-            partition=args.partition,
-            use_cache=not args.no_fleet_cache,
-            fault_injector=fault_injector,
-            retry_policy=retry_policy,
-            size_probe_max_rules=args.max_rules,
-            latency_batch_sizes=(100, 400, 900),
-        )
-        result = engine.infer_fleet(include_policy=args.policy)
-        shard_stats = engine.shard_stats
-    else:
-        engine = FleetInferenceEngine(
-            members,
-            seed=args.seed,
-            max_in_flight=args.max_in_flight,
-            use_cache=not args.no_fleet_cache,
-            fault_injector=fault_injector,
-            retry_policy=retry_policy,
-            size_probe_max_rules=args.max_rules,
-            latency_batch_sizes=(100, 400, 900),
-            sanitizer=sanitizer,
-            instruments=instruments,
-        )
-        result = engine.infer_fleet(include_policy=args.policy)
+    engine = FleetInferenceEngine(
+        members,
+        seed=args.seed,
+        max_in_flight=args.max_in_flight,
+        use_cache=not args.no_fleet_cache,
+        fault_injector=fault_injector,
+        retry_policy=retry_policy,
+        size_probe_max_rules=args.max_rules,
+        latency_batch_sizes=(100, 400, 900),
+        sanitizer=sanitizer,
+        instruments=instruments,
+    )
+    result = engine.infer_fleet(include_policy=args.policy)
     races = sanitizer.check() if sanitizer is not None else None
     if args.json:
         if races is not None:
@@ -460,32 +402,6 @@ def _run_fleet(args, out) -> int:
             f"finish {member.finished_ms / 1000.0:8.2f} s  {source}",
             file=out,
         )
-    if shard_stats is not None:
-        print(
-            f"  sharded: {shard_stats['shards']} shards "
-            f"({shard_stats['partition']} partition, "
-            f"{shard_stats['backend']} backend, "
-            f"{shard_stats['workers']} workers)",
-            file=out,
-        )
-        print(
-            f"    cross-shard coalesced : {shard_stats['cross_shard_coalesced']}"
-            f"  (wasted probe ops {shard_stats['wasted_probe_ops']})",
-            file=out,
-        )
-        print(
-            f"    merge                 : {shard_stats['merge_events']} events, "
-            f"{shard_stats['merge_records']} records",
-            file=out,
-        )
-        for shard in shard_stats["per_shard"]:
-            print(
-                f"    shard {shard['shard']}: {shard['members']} members, "
-                f"{shard['full_probes']} probes, "
-                f"{shard['cache_hits']} cache hits, "
-                f"makespan {shard['makespan_ms'] / 1000.0:8.2f} s",
-                file=out,
-            )
     if races is not None:
         _render_races_text(races, out)
     _write_trace_outputs(args, instruments, out)

@@ -207,48 +207,6 @@ def render_serve(
     return lines
 
 
-def render_shards(
-    summary: Dict[str, Any], heading: str = "### Sharded fleet"
-) -> List[str]:
-    """Markdown lines for a sharded-fleet run's shard statistics.
-
-    Accepts the payload :attr:`repro.core.shard.ShardedFleetEngine.shard_stats`
-    produces (the form the ``sharded_fleet`` bench stores in
-    ``extra_info["shards"]``): shard geometry, the cross-shard
-    single-flight coalesce count, the merge protocol's deterministic
-    cost (events interleaved, records applied), and each shard's
-    member count, probe totals, and virtual makespan.
-    """
-    lines = [heading, ""]
-    lines.append(
-        f"- geometry: {summary.get('shards', 0)} shards / "
-        f"{summary.get('workers', 0)} workers "
-        f"({summary.get('partition', '?')} partition, "
-        f"{summary.get('backend', '?')} backend) over "
-        f"{summary.get('members', 0)} members"
-    )
-    lines.append(
-        f"- cross-shard coalesced: {summary.get('cross_shard_coalesced', 0)} "
-        f"duplicate probes dropped at merge "
-        f"({summary.get('wasted_probe_ops', 0)} wasted probe ops)"
-    )
-    lines.append(
-        f"- merge cost: {summary.get('merge_events', 0)} events interleaved, "
-        f"{summary.get('merge_records', 0)} records applied"
-    )
-    per_shard = summary.get("per_shard") or ()
-    for shard in per_shard:
-        lines.append(
-            f"- shard {shard.get('shard', '?')}: "
-            f"{shard.get('members', 0)} members, "
-            f"{shard.get('full_probes', 0)} full probes, "
-            f"{shard.get('cache_hits', 0)} cache hits, "
-            f"makespan {shard.get('makespan_ms', 0.0):.1f} ms"
-        )
-    lines.append("")
-    return lines
-
-
 def render_report(data: Dict[str, Any]) -> str:
     """Markdown report from a pytest-benchmark JSON payload."""
     lines = ["# Tango reproduction — benchmark report", ""]
@@ -276,7 +234,6 @@ def render_report(data: Dict[str, Any]) -> str:
         flow_telemetry = extra.pop("flow_telemetry", None)
         races = extra.pop("races", None)
         serve = extra.pop("serve", None)
-        shards = extra.pop("shards", None)
         if extra:
             lines.append("Reported results:")
             for key, value in extra.items():
@@ -291,7 +248,6 @@ def render_report(data: Dict[str, Any]) -> str:
             and flow_telemetry is None
             and races is None
             and serve is None
-            and shards is None
         ):
             lines.append("(no extra_info recorded)")
         if diagnostics:
@@ -303,9 +259,6 @@ def render_report(data: Dict[str, Any]) -> str:
         if serve:
             lines.append("")
             lines.extend(render_serve(serve))
-        if shards:
-            lines.append("")
-            lines.extend(render_shards(shards))
         if telemetry:
             lines.append("")
             lines.extend(render_telemetry(telemetry))

@@ -127,57 +127,3 @@ def test_end_to_end_with_real_inference():
         placer.score("switch2", latency_sensitive).install_ms
         > placer.score("ovs", latency_sensitive).install_ms
     )
-
-
-# -- topology tiers and shard partitioning -------------------------------------
-def test_assign_tier_recognises_prefixes_and_fleet_suffixes():
-    from repro.core.placement import SwitchTier, assign_tier
-
-    assert assign_tier("core-3") is SwitchTier.CORE
-    assert assign_tier("Spine7") is SwitchTier.CORE
-    assert assign_tier("aggr-1") is SwitchTier.AGGREGATION
-    assert assign_tier("agg2") is SwitchTier.AGGREGATION
-    assert assign_tier("pod0-sw") is SwitchTier.AGGREGATION
-    assert assign_tier("distribution-a") is SwitchTier.AGGREGATION
-    # Vendor names and unknowns default to the edge tier.
-    assert assign_tier("switch1") is SwitchTier.EDGE
-    assert assign_tier("ovs") is SwitchTier.EDGE
-    # build_fleet duplicate suffixes are stripped before matching.
-    assert assign_tier("core-3#2") is SwitchTier.CORE
-    assert assign_tier("aggr-1#17") is SwitchTier.AGGREGATION
-
-
-def test_partition_names_round_robin_and_validation():
-    from repro.core.placement import partition_names
-
-    names = [f"sw-{i}" for i in range(7)]
-    groups = partition_names(names, 3)
-    assert groups == [[0, 3, 6], [1, 4], [2, 5]]
-    # Empty groups are kept when shards exceed members.
-    assert partition_names(["a"], 3) == [[0], [], []]
-    with pytest.raises(ValueError, match="shards must be positive"):
-        partition_names(names, 0)
-    with pytest.raises(ValueError, match="unknown partition strategy"):
-        partition_names(names, 2, strategy="hash")
-
-
-def test_partition_names_tier_is_balanced_ascending_and_deterministic():
-    from repro.core.placement import assign_tier, partition_names
-
-    names = ["edge-0", "core-0", "aggr-0", "edge-1", "core-1", "aggr-1", "edge-2"]
-    groups = partition_names(names, 3, strategy="tier")
-    # Balanced: sizes differ by at most one and cover every index once.
-    sizes = sorted(len(group) for group in groups)
-    assert sizes == [2, 2, 3]
-    assert sorted(index for group in groups for index in group) == list(range(7))
-    # Ascending member order inside every group: the sharded engine's
-    # global single-flight leader must be the lowest-indexed member.
-    assert all(group == sorted(group) for group in groups)
-    # Cores land together, ahead of aggregation, ahead of edge.
-    tiers_by_group = [
-        {assign_tier(names[index]).value for index in group} for group in groups
-    ]
-    assert tiers_by_group[0] == {"core", "aggregation"} or tiers_by_group[0] == {
-        "core"
-    }
-    assert partition_names(names, 3, strategy="tier") == groups

@@ -252,21 +252,6 @@ def test_fleet_infer_case_is_trajectory_only_and_deterministic():
     assert bench_fleet_infer(5).n == 5
 
 
-def test_sharded_fleet_case_is_deterministic_and_reports_shard_stats():
-    from repro.perf.harness import bench_sharded_fleet
-
-    # A 12-member fleet at the case's own geometry.
-    first = bench_sharded_fleet(12)
-    second = bench_sharded_fleet(12)
-    assert first.n == second.n == 12
-    assert first.ops == second.ops > 0
-    stats = first.detail["shards"]
-    assert stats["shards"] == 4 and stats["backend"] == "inline"
-    assert stats["partition"] == "tier"
-    assert len(stats["per_shard"]) == 4
-    assert stats == second.detail["shards"]
-
-
 def test_faulted_schedule_case_is_deterministic_and_counts_faults():
     from repro.perf.harness import bench_faulted_schedule
 

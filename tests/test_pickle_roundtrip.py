@@ -1,12 +1,12 @@
-"""Pickle round-trip regression tests for shard-crossing state.
+"""Pickle round-trip regression tests for state a process boundary would carry.
 
-The sharded fleet engine (repro.core.shard) ships tasks to worker
-processes and journals back score records and inferred models, so every
-object on that path must survive ``pickle`` with value equality intact:
-a spawn-start worker re-imports everything from scratch, and a model
-that pickles into a different repr would silently break the merge
-protocol's byte-identity guarantee (TangoDB signatures compare
-``repr(value)``).
+Inferred models, score records, fleet cache entries, fault plans and
+stream configs are plain values, so each must survive ``pickle`` with
+value equality intact: a model that pickled into a different repr would
+change a TangoDB signature (signatures compare ``repr(value)``).  No
+fleet driver ships them between processes today; these tests keep the
+types ready for one (EXPERIMENTS.md records what a two-process fleet
+measured).
 """
 
 import pickle
@@ -49,9 +49,9 @@ def test_inferred_switch_model_roundtrips_by_value():
 def test_switch_profile_fingerprint_survives_pickling():
     profile = _profile()
     copy = _roundtrip(profile)
-    # Fingerprints key the cross-shard model cache: a profile that
-    # pickles into a different fingerprint would defeat coalescing in
-    # every worker process.
+    # Fingerprints key the fleet model cache: a profile that pickles
+    # into a different fingerprint would miss the cache and defeat
+    # single-flight coalescing.
     assert profile_fingerprint(copy) == profile_fingerprint(profile)
     assert profile_fingerprint(copy, max_rules=48) == profile_fingerprint(
         profile, max_rules=48

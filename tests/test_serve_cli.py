@@ -53,12 +53,6 @@ def test_verify_determinism_passes():
     assert "determinism ok" in out.getvalue()
 
 
-def test_sanitize_reports_zero_findings():
-    out = io.StringIO()
-    assert main(_FAST + ["--sanitize"], out=out) == 0
-    assert "0 finding(s)" in out.getvalue()
-
-
 def test_infer_runs_with_the_inferred_policy():
     out = io.StringIO()
     args = ["--profile", "switch1", "--arrivals", "800", "--tenants", "8",
@@ -98,6 +92,8 @@ def test_report_file_is_written(tmp_path):
         ("--destinations", "0", "destinations_per_tenant must be in [1, 4096]"),
         ("--admission-threshold", "0", "admission_threshold must be at least 1"),
         ("--idle-timeout", "-1", "idle_timeout_ms must be positive"),
+        ("--capacity", "-3", "capacity must be at least 1"),
+        ("--capacity", "0", "capacity must be at least 1"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, flag, value, message):

@@ -421,71 +421,3 @@ def test_faults_telemetry_streams_are_deterministic(tmp_path):
         return stream, alerts
 
     assert run("first") == run("second")
-
-
-# -- sharded fleet inference (--shards) ----------------------------------------
-def _fleet_json(argv):
-    import json
-
-    out = io.StringIO()
-    assert main(argv, out=out) == 0
-    return json.loads(out.getvalue()), out.getvalue()
-
-
-def test_infer_shards_json_is_byte_identical_across_shard_counts():
-    base = [
-        "infer", "--profile", "switch1", "--fleet", "6",
-        "--fleet-profiles", "switch1,switch3", "--max-rules", "64", "--json",
-    ]
-    _, legacy_text = _fleet_json(base)
-    _, one_shard_text = _fleet_json(base + ["--shards", "1"])
-    _, three_shard_text = _fleet_json(
-        base + ["--shards", "3", "--partition", "tier"]
-    )
-    assert one_shard_text == legacy_text
-    assert three_shard_text == legacy_text
-
-
-def test_infer_shards_text_report_appends_shard_section():
-    out = io.StringIO()
-    assert (
-        main(
-            [
-                "infer", "--profile", "switch3", "--fleet", "4",
-                "--max-rules", "64", "--shards", "2", "--partition",
-                "round_robin",
-            ],
-            out=out,
-        )
-        == 0
-    )
-    text = out.getvalue()
-    assert "fleet inference: 4 switches" in text
-    assert "sharded: 2 shards (round_robin partition" in text
-    assert "cross-shard coalesced" in text
-    assert "shard 0:" in text and "shard 1:" in text
-
-
-def test_infer_shards_rejects_incompatible_flags():
-    base = ["infer", "--profile", "switch1", "--fleet", "4", "--shards", "2"]
-    for extra in (
-        ["--max-in-flight", "2"],
-        ["--sanitize"],
-        ["--trace", "/tmp/t"],
-    ):
-        out = io.StringIO()
-        assert main(base + extra, out=out) == 2
-        assert "--shards cannot be combined" in out.getvalue()
-    out = io.StringIO()
-    assert main(base[:-2] + ["--shards", "0"], out=out) == 2
-    assert "--shards must be positive" in out.getvalue()
-
-
-def test_infer_shards_with_fault_scenario_matches_legacy():
-    base = [
-        "infer", "--profile", "switch1", "--fleet", "4", "--max-rules", "64",
-        "--fault-scenario", "lossy", "--seed", "3", "--json",
-    ]
-    _, legacy_text = _fleet_json(base)
-    _, sharded_text = _fleet_json(base + ["--shards", "2"])
-    assert sharded_text == legacy_text

@@ -242,80 +242,3 @@ def test_render_report_includes_serve_extra_info():
     rendered = render_report(payload)
     assert "### Sustained serving" in rendered
     assert "2000.0 req/s sustained" in rendered
-
-
-def test_render_shards_section():
-    from repro.tools.report import render_shards
-
-    summary = {
-        "shards": 4,
-        "workers": 4,
-        "partition": "tier",
-        "backend": "process",
-        "members": 64,
-        "cross_shard_coalesced": 5,
-        "wasted_probe_ops": 420,
-        "merge_events": 320,
-        "merge_records": 640,
-        "cpu_count": 4,
-        "per_shard": [
-            {
-                "shard": 0,
-                "members": 16,
-                "full_probes": 16,
-                "cache_hits": 0,
-                "makespan_ms": 954.1,
-                "events": 80,
-                "records": 160,
-            },
-            {
-                "shard": 1,
-                "members": 16,
-                "full_probes": 14,
-                "cache_hits": 2,
-                "makespan_ms": 900.0,
-                "events": 72,
-                "records": 150,
-            },
-        ],
-    }
-    lines = render_shards(summary)
-    text = "\n".join(lines)
-    assert lines[0] == "### Sharded fleet"
-    assert lines[-1] == ""
-    assert "4 shards / 4 workers (tier partition, process backend)" in text
-    assert "64 members" in text
-    assert "5 duplicate probes dropped at merge (420 wasted probe ops)" in text
-    assert "320 events interleaved, 640 records applied" in text
-    assert "shard 0: 16 members, 16 full probes, 0 cache hits" in text
-    assert "makespan 954.1 ms" in text
-    assert "shard 1: 16 members, 14 full probes, 2 cache hits" in text
-
-
-def test_render_report_includes_shards_extra_info():
-    payload = {
-        "benchmarks": [
-            {
-                "name": "bench_sharded_fleet",
-                "stats": {"mean": 1.5},
-                "extra_info": {
-                    "shards": {
-                        "shards": 2,
-                        "workers": 2,
-                        "partition": "round_robin",
-                        "backend": "inline",
-                        "members": 8,
-                        "cross_shard_coalesced": 0,
-                        "wasted_probe_ops": 0,
-                        "merge_events": 40,
-                        "merge_records": 80,
-                        "per_shard": [],
-                    }
-                },
-            }
-        ]
-    }
-    rendered = render_report(payload)
-    assert "### Sharded fleet" in rendered
-    assert "2 shards / 2 workers (round_robin partition, inline backend)" in rendered
-    assert "(no extra_info recorded)" not in rendered
