@@ -300,12 +300,12 @@ def test_roots_are_the_six_console_scripts_and_the_root_directories():
 
 def test_the_walk_follows_re_exports_lazy_names_and_local_imports():
     assert resolve("repro.core", "Tango") == ("name", "repro.core.api", "Tango")
-    assert resolve("repro.analysis", "check_races") == (
-        "name", "repro.analysis.racecheck", "check_races",
+    assert resolve("repro.analysis", "lint_paths") == (
+        "name", "repro.analysis.lint", "lint_paths",
     )
-    tree = ast.parse("def main():\n    from repro.analysis import RaceSanitizer\n")
-    assert "repro.analysis.racecheck" in set(imported_modules(tree))
-    assert ("repro.analysis.racecheck", "RaceSanitizer") not in uses(tree, None)
+    tree = ast.parse("def main():\n    from repro.analysis import lint_paths\n")
+    assert "repro.analysis.lint" in set(imported_modules(tree))
+    assert ("repro.analysis.lint", "lint_paths") not in uses(tree, None)
 
 
 def test_every_module_is_reached_from_a_root():
