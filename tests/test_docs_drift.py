@@ -1,6 +1,6 @@
-"""Doc-drift guard: API.md must keep up with the public surface.
+"""Doc-drift guard: the docs must keep up with the public surface.
 
-Two invariants, both cheap and purely static:
+Three invariants, all cheap and purely static:
 
 * every public *package* under ``src/repro`` has an API.md heading that
   names it (``## ... `repro.x` ...``), so a new subsystem cannot land
@@ -8,7 +8,10 @@ Two invariants, both cheap and purely static:
 * every public *module* is reachable from API.md — either its dotted
   path appears verbatim, or at least one public top-level name it
   defines does (word-boundary match), so a module cannot drift into
-  being entirely undocumented.
+  being entirely undocumented;
+* every ``--flag`` on a ``tango-probe`` / ``tango-serve`` command line
+  in README.md, OPERATIONS.md and API.md is one that script's parser
+  defines, so a removed option cannot linger in a documented command.
 
 CI runs this file as the doc-drift check.
 """
@@ -16,6 +19,9 @@ CI runs this file as the doc-drift check.
 import ast
 import re
 from pathlib import Path
+
+from repro.serve.cli import _build_parser as serve_parser
+from repro.tools.cli import _build_parser as probe_parser
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -88,3 +94,57 @@ def test_console_scripts_are_documented():
     assert scripts, "no console scripts found in pyproject.toml"
     missing = [script for script in scripts if f"`{script}" not in API]
     assert not missing, f"console scripts absent from API.md: {missing}"
+
+
+#: Documented command prefixes -> that script's argument parser.
+COMMANDS = {
+    "tango-probe": probe_parser,
+    "python -m repro.tools.cli": probe_parser,
+    "tango-serve": serve_parser,
+    "python -m repro.serve.cli": serve_parser,
+}
+COMMAND = re.compile("|".join(re.escape(prefix) for prefix in COMMANDS))
+
+
+def _options(parser):
+    return {flag for action in parser._actions for flag in action.option_strings}
+
+
+def _subparsers(parser):
+    for action in parser._actions:
+        if isinstance(action.choices, dict):
+            return action.choices
+    return {}
+
+
+def _command_lines(text):
+    """Yield (prefix, words) for each documented command invocation.
+
+    A command inside an inline code span ends with the span; one on a
+    code-block line (continuations joined) ends at a comment, pipe or
+    ``&&``.
+    """
+    for line in text.replace("\\\n", " ").splitlines():
+        for match in COMMAND.finditer(line):
+            rest = line[match.end():]
+            if line.count("`", 0, match.start()) % 2:
+                rest = rest.split("`", 1)[0]
+            else:
+                rest = re.split(r"\s#|\||&&", rest, maxsplit=1)[0]
+            yield match.group(0), rest.split()
+
+
+def test_documented_command_flags_exist():
+    stale = []
+    for doc in ("README.md", "OPERATIONS.md", "API.md"):
+        text = (REPO / doc).read_text(encoding="utf-8")
+        for prefix, words in _command_lines(text):
+            parser = COMMANDS[prefix]()
+            known = _options(parser)
+            sub = _subparsers(parser).get(words[0]) if words else None
+            if sub is not None:
+                known |= _options(sub)
+            for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", " ".join(words)):
+                if flag not in known:
+                    stale.append(f"{doc}: {prefix} {' '.join(words[:1])} {flag}")
+    assert not stale, f"documented flags the parser does not define: {stale}"
