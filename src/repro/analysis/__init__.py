@@ -1,6 +1,6 @@
 """Pre-execution static verification for Tango control plans.
 
-The package provides five checkers sharing one diagnostic model
+The package provides four checkers sharing one diagnostic model
 (:mod:`repro.analysis.diagnostics`):
 
 * :mod:`repro.analysis.rulecheck` — rule-set overlap/shadowing (TNG00x)
@@ -8,8 +8,6 @@ The package provides five checkers sharing one diagnostic model
 * :mod:`repro.analysis.capacity` — TCAM admission control (TNG02x)
 * :mod:`repro.analysis.lint` — source determinism + event-order linter
   (TNG03x, TNG041–TNG043)
-* :mod:`repro.analysis.racecheck` — virtual-time tie-break race detector
-  and determinism sanitizer (TNG040)
 
 :func:`analyze_dag` bundles the plan-facing checks (DAG + rules +
 capacity) into the single call the strict scheduler mode and the CLI
@@ -51,22 +49,14 @@ __all__ = [
     "group_by_location",
     "lint_paths",
     "lint_source",
-    "RaceSanitizer",
-    "check_races",
-    "run_racy_fixture",
 ]
 
 #: Lazily imported names -> providing submodule.  Lint is lazy so
 #: ``python -m repro.analysis.lint`` does not trigger runpy's
-#: double-import warning; racecheck is lazy because it pulls in
-#: :mod:`repro.core` (fleet, scores), which this package must not import
-#: eagerly.
+#: double-import warning.
 _LAZY = {
     "lint_paths": "lint",
     "lint_source": "lint",
-    "RaceSanitizer": "racecheck",
-    "check_races": "racecheck",
-    "run_racy_fixture": "racecheck",
 }
 
 

@@ -14,15 +14,14 @@ Code ranges (one block per checker):
 * ``TNG01x`` — request-DAG checks (:mod:`repro.analysis.dagcheck`)
 * ``TNG02x`` — capacity admission checks (:mod:`repro.analysis.capacity`)
 * ``TNG03x`` — determinism linter (:mod:`repro.analysis.lint`)
-* ``TNG04x`` — race detector + event-order lint rules
-  (:mod:`repro.analysis.racecheck`, :mod:`repro.analysis.lint`)
+* ``TNG04x`` — event-order lint rules (:mod:`repro.analysis.lint`)
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 
 class Severity(enum.Enum):
@@ -62,9 +61,7 @@ CODE_CATALOG: Dict[str, str] = {
     "TNG033": "mutable default argument",
     "TNG034": "unparseable source: the file is not valid Python",
     "TNG035": "swallowed exception: bare/broad except handler without a raise",
-    # racecheck + event-order lint -----------------------------------------
-    "TNG040": "tie-break race: conflicting same-virtual-time accesses with no "
-    "happens-before edge",
+    # event-order lint -----------------------------------------------------
     "TNG041": "module-level mutable state in simulator/core code",
     "TNG042": "shared module state mutated inside a resumable generator, "
     "bypassing the event queue",
@@ -84,9 +81,6 @@ class Diagnostic:
         location: where it was found — a switch name, ``request <id>``,
             or ``path:line`` for lint findings.
         hint: optional suggestion for fixing the problem.
-        trace: optional supporting evidence, one line per entry — the
-            race detector (TNG040) attaches the full ``(time, sequence,
-            owner, operation)`` access trace of the racy location here.
     """
 
     code: str
@@ -94,7 +88,6 @@ class Diagnostic:
     message: str
     location: str = ""
     hint: Optional[str] = None
-    trace: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.code not in CODE_CATALOG:
@@ -117,8 +110,6 @@ class Diagnostic:
             payload["location"] = self.location
         if self.hint:
             payload["hint"] = self.hint
-        if self.trace:
-            payload["trace"] = list(self.trace)
         return payload
 
 
@@ -141,7 +132,6 @@ class DiagnosticReport:
         message: str,
         location: str = "",
         hint: Optional[str] = None,
-        trace: Tuple[str, ...] = (),
     ) -> Diagnostic:
         """Create, record, and return one diagnostic."""
         diagnostic = Diagnostic(
@@ -150,7 +140,6 @@ class DiagnosticReport:
             message=message,
             location=location,
             hint=hint,
-            trace=tuple(trace),
         )
         self.diagnostics.append(diagnostic)
         return diagnostic

@@ -34,10 +34,9 @@ this linter walks the package's ASTs and enforces it:
   :class:`~repro.openflow.errors.TableFullError` — the size probe's stop
   condition — and turns deterministic failures into silent divergence.
 
-The TNG04x event-order rules complement the dynamic race detector
-(:mod:`repro.analysis.racecheck`): they flag source patterns that put
-state outside the event queue's ordering, where neither the
-happens-before order nor a same-seed replay covers it:
+The TNG04x event-order rules flag source patterns that put state
+outside the event queue's ordering, where neither the queue's order
+nor a same-seed replay covers it:
 
 * **TNG041 module-level mutable state** — a module-level ``list``/
   ``dict``/``set`` (display or constructor call) bound to a
@@ -50,7 +49,7 @@ happens-before order nor a same-seed replay covers it:
   (the fleet's ``infer_steps`` pattern) assigning to, or calling a
   mutating method on, a ``global``/``nonlocal`` name.  Generator frames
   are suspended and resumed by the event queue; side channels around the
-  queue break the happens-before order racecheck certifies.
+  queue escape the order it imposes.
 * **TNG043 object-identity ordering** — ``id(...)`` used as a sort key
   (``sorted``/``min``/``max``/``.sort`` with ``key=id`` or an
   ``id``-calling lambda) or in an ordering comparison.  CPython ids are

@@ -62,15 +62,6 @@ class Instruments:
         self.trace_requests = trace_requests
         self.enabled = not (tracer is None and metrics is None and telemetry is None)
 
-    def wrap_metrics(self, wrap: Callable[["Instruments"], Any]) -> "Instruments":
-        """A copy whose metrics go through ``wrap(self)``.
-
-        The race sanitizer's access-logging proxy wraps this handle's
-        metric lookups, so it sees every metric update even when no
-        registry is attached.
-        """
-        return Instruments(self.tracer, wrap(self), self.telemetry, self.trace_requests)
-
     # -- metrics ----------------------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
         """The registry's counter, or a shared no-op one without a registry."""

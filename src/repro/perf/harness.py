@@ -328,7 +328,7 @@ def _noop_prefix(n: int, instruments: Instruments, injector=None):
     return _signature(result, dag.ops.total())
 
 
-def _noop_fleet(n: int, instruments: Instruments, injector=None, sanitizer=None):
+def _noop_fleet(n: int, instruments: Instruments, injector=None):
     scores = TangoScoreDatabase()
     engine = FleetInferenceEngine(
         build_fleet(fleet_bench_profiles()[:2], 3),
@@ -336,7 +336,6 @@ def _noop_fleet(n: int, instruments: Instruments, injector=None, sanitizer=None)
         seed=9,
         max_in_flight=2,
         fault_injector=injector,
-        sanitizer=sanitizer,
         instruments=instruments,
         **FLEET_BENCH_KNOBS,
     )
@@ -346,7 +345,7 @@ def _noop_fleet(n: int, instruments: Instruments, injector=None, sanitizer=None)
 
 #: The no-op check's workloads: the layered schedule, the prefix
 #: planner (its hot path) on the unlock workload, and a small concurrent
-#: fleet inference -- the one run the race sanitizer attaches to.
+#: fleet inference.
 NOOP_WORKLOADS: Dict[str, Callable[..., Tuple]] = {
     "layered": _noop_layered,
     "prefix": _noop_prefix,
@@ -385,13 +384,11 @@ def verify_noop(n: int = 1000) -> Dict[str, object]:
       telemetry collector; one workload's collectors must also stream
       byte-identical telemetry JSONL;
     * a zero-fault :class:`~repro.faults.FaultInjector`, which must
-      inject nothing (so no request is retried);
-    * a :class:`~repro.analysis.racecheck.RaceSanitizer`, on the fleet.
+      inject nothing (so no request is retried).
 
     Raises :class:`AssertionError` on any divergence; returns per
     workload the bare op count and what the attachments recorded.
     """
-    from repro.analysis.racecheck import RaceSanitizer
     from repro.obs.telemetry import telemetry_jsonl_lines
 
     payload: Dict[str, object] = {}
@@ -415,17 +412,10 @@ def verify_noop(n: int = 1000) -> Dict[str, object]:
         full = arms[-1][1]  # every sink attached
         tracer, metrics, collector = full.tracer, full.metrics, full.telemetry
         assert tracer is not None and metrics is not None and collector is not None
-        summary: Dict[str, object] = {
+        payload[name] = {
             "ops": bare[0],
             "trace_events": len(tracer),
             "metrics": len(metrics),
             "telemetry_samples": len(collector.samples),
         }
-        if name == "fleet":
-            sanitizer = RaceSanitizer()
-            if run(n, NULL_INSTRUMENTS, sanitizer=sanitizer) != bare:
-                raise AssertionError("the race sanitizer changed the fleet run")
-            races = sanitizer.check()
-            summary.update(accesses=races.accesses, findings=len(races.findings))
-        payload[name] = summary
     return payload

@@ -7,13 +7,7 @@ data-plane round-trip times -- is produced by models in this package.
 """
 
 from repro.sim.clock import VirtualClock
-from repro.sim.events import (
-    NULL_PROVENANCE,
-    Event,
-    EventQueue,
-    ProvenanceRecorder,
-    Simulator,
-)
+from repro.sim.events import Event, EventQueue, Simulator
 from repro.sim.latency import (
     ConstantLatency,
     GaussianLatency,
@@ -26,8 +20,6 @@ __all__ = [
     "VirtualClock",
     "Event",
     "EventQueue",
-    "NULL_PROVENANCE",
-    "ProvenanceRecorder",
     "Simulator",
     "LatencyModel",
     "ConstantLatency",

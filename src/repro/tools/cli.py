@@ -9,17 +9,12 @@ Usage::
     python -m repro.tools.cli probe --profile switch2
     python -m repro.tools.cli probe --profile switch1 --policy --seed 7
     python -m repro.tools.cli infer --profile switch2 --fleet 16 --max-in-flight 8
-    python -m repro.tools.cli infer --profile switch2 --fleet 16 --sanitize
-    python -m repro.tools.cli infer --profile switch2 --sanitize-fixture racy
     python -m repro.tools.cli profiles
 
 ``infer`` is an alias of ``probe``; with ``--fleet N`` the command runs
 the event-driven fleet engine (``repro.core.fleet``) over N switches
 concurrently in virtual time and reports makespan vs. the one-at-a-time
-sum plus model-cache statistics.  ``--sanitize`` runs the fleet under
-the :mod:`repro.analysis.racecheck` sanitizer and appends the TNG040
-tie-break race report (exit 1 on findings); ``--sanitize-fixture racy``
-runs the seeded racy regression fixture instead of a real fleet.
+sum plus model-cache statistics.
 """
 
 from __future__ import annotations
@@ -74,21 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-fleet-cache",
         action="store_true",
         help="disable the profile-fingerprint model cache for the fleet run",
-    )
-    probe.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run the fleet under the race sanitizer "
-        "(repro.analysis.racecheck) and print the TNG040 race report; "
-        "exits 1 if any race is found (requires --fleet)",
-    )
-    probe.add_argument(
-        "--sanitize-fixture",
-        choices=("racy",),
-        metavar="NAME",
-        help="run a named sanitizer regression fixture instead of a real "
-        "fleet ('racy': the deliberately racy two-member fleet TNG040 "
-        "must flag); implies --sanitize",
     )
     probe.add_argument(
         "--fault-scenario",
@@ -268,36 +248,6 @@ def _write_trace_outputs(args, instruments, out) -> None:
     )
 
 
-def _render_races_text(races, out) -> None:
-    """Human-readable race-check section (traces included)."""
-    print(
-        f"race check: {races.accesses} accesses over {races.events} events, "
-        f"{len(races.findings)} finding(s)",
-        file=out,
-    )
-    for diagnostic in races.report:
-        print(f"  {diagnostic.format()}", file=out)
-        for line in diagnostic.trace:
-            print(f"    {line}", file=out)
-
-
-def _run_sanitize_fixture(args, out) -> int:
-    import json
-
-    from repro.analysis.racecheck import run_racy_fixture
-
-    races = run_racy_fixture(seed=args.seed)
-    if args.json:
-        print(json.dumps(races.summary(), indent=2), file=out)
-    else:
-        print(
-            f"sanitizer fixture '{args.sanitize_fixture}' (seed {args.seed}):",
-            file=out,
-        )
-        _render_races_text(races, out)
-    return 1 if races.findings else 0
-
-
 def _run_fleet(args, out) -> int:
     import json
 
@@ -339,11 +289,6 @@ def _run_fleet(args, out) -> int:
         plan = FAULT_SCENARIOS[args.fault_scenario].plan(args.seed)
         fault_injector = FaultInjector(plan)
         retry_policy = RetryPolicy()
-    sanitizer = None
-    if args.sanitize:
-        from repro.analysis.racecheck import RaceSanitizer
-
-        sanitizer = RaceSanitizer()
     engine = FleetInferenceEngine(
         members,
         seed=args.seed,
@@ -353,19 +298,13 @@ def _run_fleet(args, out) -> int:
         retry_policy=retry_policy,
         size_probe_max_rules=args.max_rules,
         latency_batch_sizes=(100, 400, 900),
-        sanitizer=sanitizer,
         instruments=instruments,
     )
     result = engine.infer_fleet(include_policy=args.policy)
-    races = sanitizer.check() if sanitizer is not None else None
     if args.json:
-        if races is not None:
-            payload = {"fleet": result.summary(), "races": races.summary()}
-        else:
-            payload = result.summary()
-        print(json.dumps(payload, indent=2), file=out)
+        print(json.dumps(result.summary(), indent=2), file=out)
         _write_trace_outputs(args, instruments, out)
-        return 1 if races is not None and races.findings else 0
+        return 0
     in_flight = (
         "unbounded" if result.max_in_flight is None else str(result.max_in_flight)
     )
@@ -402,10 +341,8 @@ def _run_fleet(args, out) -> int:
             f"finish {member.finished_ms / 1000.0:8.2f} s  {source}",
             file=out,
         )
-    if races is not None:
-        _render_races_text(races, out)
     _write_trace_outputs(args, instruments, out)
-    return 1 if races is not None and races.findings else 0
+    return 0
 
 
 def _run_schedule(args, out) -> int:
@@ -521,8 +458,8 @@ def _run_faults(args, out) -> int:
     if args.verify_noop:
         verify_noop()
         print(
-            "noop check ok: instruments, a zero-fault injector and the race "
-            "sanitizer leave every run bit-identical",
+            "noop check ok: instruments and a zero-fault injector leave "
+            "every run bit-identical",
             file=out,
         )
 
@@ -700,18 +637,11 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             print(f"{name:10s} layers: {', '.join(sizes)}", file=out)
         return 0
 
-    if args.sanitize_fixture:
-        return _run_sanitize_fixture(args, out)
-
     if args.fleet is not None:
         return _run_fleet(args, out)
 
-    if args.sanitize or args.fault_scenario:
-        print(
-            "--sanitize/--fault-scenario need a fleet: add --fleet N "
-            "(or use --sanitize-fixture racy)",
-            file=out,
-        )
+    if args.fault_scenario:
+        print("--fault-scenario needs a fleet: add --fleet N", file=out)
         return 2
 
     profile = VENDOR_PROFILES[args.profile]

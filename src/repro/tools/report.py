@@ -52,36 +52,6 @@ def render_diagnostics(diagnostics: List[Any], heading: str = "### Diagnostics")
     return lines
 
 
-def render_races(summary: Dict[str, Any], heading: str = "### Race check") -> List[str]:
-    """Markdown lines for a race-check summary.
-
-    Accepts the payload produced by
-    :meth:`repro.analysis.racecheck.RaceCheckResult.summary` (the form
-    benchmarks and the race-smoke CI job store in
-    ``extra_info["races"]``).  Each TNG040 finding is rendered with its
-    full ``(time, sequence)`` access trace.
-    """
-    lines = [heading, ""]
-    lines.append(
-        f"- accesses: {summary.get('accesses', 0)} over "
-        f"{summary.get('events', 0)} events "
-        f"({summary.get('locations', 0)} locations)"
-    )
-    findings = summary.get("findings", 0)
-    lines.append(f"- findings: {findings}")
-    for payload in summary.get("diagnostics") or ():
-        location = f" `{payload['location']}`" if payload.get("location") else ""
-        lines.append(
-            f"- **{payload.get('code', '?')}** "
-            f"({payload.get('severity', '?')}){location}: "
-            f"{payload.get('message', '')}"
-        )
-        for entry in payload.get("trace") or ():
-            lines.append(f"  - `{entry}`")
-    lines.append("")
-    return lines
-
-
 def render_telemetry(summary: Dict[str, Any], heading: str = "### Telemetry") -> List[str]:
     """Markdown lines for a trace summary.
 
@@ -232,7 +202,6 @@ def render_report(data: Dict[str, Any]) -> str:
         diagnostics = extra.pop("diagnostics", None)
         telemetry = extra.pop("telemetry", None)
         flow_telemetry = extra.pop("flow_telemetry", None)
-        races = extra.pop("races", None)
         serve = extra.pop("serve", None)
         if extra:
             lines.append("Reported results:")
@@ -246,16 +215,12 @@ def render_report(data: Dict[str, Any]) -> str:
             diagnostics is None
             and telemetry is None
             and flow_telemetry is None
-            and races is None
             and serve is None
         ):
             lines.append("(no extra_info recorded)")
         if diagnostics:
             lines.append("")
             lines.extend(render_diagnostics(diagnostics))
-        if races:
-            lines.append("")
-            lines.extend(render_races(races))
         if serve:
             lines.append("")
             lines.extend(render_serve(serve))

@@ -112,21 +112,3 @@ def test_fault_deferral_feeds_counter_series_and_event():
         "request_id": 7, "switch": "s1", "fault": "SwitchDisconnectedError",
         "attempts": 2, "retry_at_ms": 7.0,
     }
-
-
-def test_wrap_metrics_sees_lookups_without_a_registry():
-    seen = []
-
-    class Recording:
-        def __init__(self, inner):
-            self.inner = inner
-
-        def counter(self, name, **labels):
-            seen.append(name)
-            return self.inner.counter(name, **labels)
-
-    wrapped = NULL_INSTRUMENTS.wrap_metrics(Recording)
-    assert wrapped.enabled
-    wrapped.counter("fleet.members").inc()
-    assert seen == ["fleet.members"]
-    assert NULL_INSTRUMENTS.metrics is None

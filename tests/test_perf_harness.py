@@ -217,8 +217,8 @@ def test_verify_noop_instrumentation_passes():
 def test_verify_noop_passes():
     from repro.perf.harness import NOOP_WORKLOADS, verify_noop
 
-    # AssertionError is the failure mode: a sink combination, the
-    # zero-fault injector or the sanitizer changed a run's ops, issue
+    # AssertionError is the failure mode: a sink combination or the
+    # zero-fault injector changed a run's ops, issue
     # records, fleet models/timelines or TangoDB records, or same-seed
     # collectors streamed different telemetry.
     payload = verify_noop(n=200)
@@ -228,9 +228,6 @@ def test_verify_noop_passes():
         assert summary["trace_events"] > 0
         assert summary["metrics"] > 0
         assert summary["telemetry_samples"] > 0
-    # The sanitizer arm saw the fleet's accesses and no race.
-    assert payload["fleet"]["accesses"] > 0
-    assert payload["fleet"]["findings"] == 0
 
 
 def test_fleet_infer_case_is_trajectory_only_and_deterministic():

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.sim.clock import VirtualClock
-from repro.sim.events import (
-    NULL_PROVENANCE,
-    EventQueue,
-    ProvenanceRecorder,
-    Simulator,
-)
+from repro.sim.events import EventQueue, Simulator
 
 
 def test_queue_pops_in_time_order():
@@ -103,84 +98,3 @@ def test_schedule_at_in_past_rejected():
     sim = Simulator(clock=VirtualClock(start_ms=10.0))
     with pytest.raises(ValueError):
         sim.schedule_at(5.0, lambda: None)
-
-
-# -- causal provenance ---------------------------------------------------------
-def test_default_simulator_records_no_provenance():
-    sim = Simulator()
-    assert sim.provenance is NULL_PROVENANCE
-    assert not sim.provenance.enabled
-    event = sim.schedule(1.0, lambda: None)
-    assert event.parent_sequence is None
-    assert NULL_PROVENANCE.parents == {}
-    sim.run()
-    assert NULL_PROVENANCE.parents == {}
-
-
-def test_provenance_records_scheduling_parent():
-    recorder = ProvenanceRecorder()
-    sim = Simulator(provenance=recorder)
-    children = []
-
-    def parent_action():
-        children.append(sim.schedule(1.0, lambda: None))
-
-    parent = sim.schedule(2.0, parent_action)
-    sim.run()
-    child = children[0]
-    assert recorder.parents[parent.sequence] is None  # scheduled from root
-    assert recorder.parents[child.sequence] == parent.sequence
-    assert child.parent_sequence == parent.sequence
-    assert child.parent_time_ms == parent.time_ms
-
-
-def test_provenance_ancestry_is_transitive():
-    recorder = ProvenanceRecorder()
-    sim = Simulator(provenance=recorder)
-    chain = []
-
-    def tick():
-        if len(chain) < 3:
-            chain.append(sim.call_soon(tick))
-
-    root = sim.schedule(1.0, tick)
-    sim.run()
-    last = chain[-1]
-    assert recorder.is_ancestor(root.sequence, last.sequence)
-    assert not recorder.is_ancestor(last.sequence, root.sequence)
-    assert recorder.ordered(root.sequence, last.sequence)
-    assert recorder.ordered(last.sequence, root.sequence)  # either direction
-    assert recorder.ordered(root.sequence, root.sequence)  # same event
-
-
-def test_sibling_events_are_unordered():
-    recorder = ProvenanceRecorder()
-    sim = Simulator(provenance=recorder)
-    first = sim.schedule_at(5.0, lambda: None)
-    second = sim.schedule_at(5.0, lambda: None)
-    sim.run()
-    assert not recorder.ordered(first.sequence, second.sequence)
-
-
-def test_current_event_is_set_during_action_and_cleared_after():
-    sim = Simulator()
-    seen = []
-    event = sim.schedule(1.0, lambda: seen.append(sim.current_event))
-    assert sim.current_event is None
-    sim.run()
-    assert seen == [event]
-    assert sim.current_event is None
-
-
-def test_provenance_fields_do_not_change_event_ordering():
-    # Identical schedules with and without a recorder fire identically.
-    def run(provenance):
-        sim = Simulator(provenance=provenance)
-        fired = []
-        sim.schedule_at(2.0, lambda: fired.append("a"))
-        sim.schedule_at(1.0, lambda: fired.append("b"))
-        sim.schedule_at(2.0, lambda: fired.append("c"))
-        end = sim.run()
-        return fired, end
-
-    assert run(None) == run(ProvenanceRecorder())

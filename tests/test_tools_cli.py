@@ -256,60 +256,11 @@ def test_fleet_rejects_bad_sizes_and_profiles():
     assert out.getvalue().strip() == "--max-in-flight must be positive, got 0"
 
 
-# -- race sanitizer -----------------------------------------------------------
-def test_sanitize_fixture_racy_flags_tng040_and_exits_one():
+def test_fault_scenario_without_fleet_is_a_usage_error():
     out = io.StringIO()
-    code = main(
-        ["infer", "--profile", "switch2", "--sanitize-fixture", "racy"], out=out
-    )
-    assert code == 1
-    text = out.getvalue()
-    assert "TNG040" in text
-    assert "t=5.000ms seq=0" in text  # (time, sequence) access trace
-    assert "owner=racy-a" in text and "owner=racy-b" in text
-
-
-def test_sanitize_fixture_json_summary():
-    import json
-
-    out = io.StringIO()
-    code = main(
-        [
-            "infer", "--profile", "switch2",
-            "--sanitize-fixture", "racy", "--json",
-        ],
-        out=out,
-    )
-    assert code == 1
-    payload = json.loads(out.getvalue())
-    assert payload["findings"] == 1
-    assert payload["diagnostics"][0]["code"] == "TNG040"
-    assert len(payload["diagnostics"][0]["trace"]) == 2
-
-
-def test_sanitized_fleet_run_is_race_free_and_exits_zero():
-    import json
-
-    out = io.StringIO()
-    code = main(
-        [
-            "infer", "--profile", "switch3", "--fleet", "3",
-            "--fleet-profiles", "switch3,switch1",
-            "--max-rules", "512", "--sanitize", "--json",
-        ],
-        out=out,
-    )
-    assert code == 0
-    payload = json.loads(out.getvalue())
-    assert payload["fleet"]["members"] == 3
-    assert payload["races"]["findings"] == 0
-    assert payload["races"]["accesses"] > 0
-
-
-def test_sanitize_without_fleet_is_a_usage_error():
-    out = io.StringIO()
-    assert main(["infer", "--profile", "switch2", "--sanitize"], out=out) == 2
-    assert "--sanitize" in out.getvalue()
+    argv = ["infer", "--profile", "switch2", "--fault-scenario", "chaos"]
+    assert main(argv, out=out) == 2
+    assert out.getvalue().strip() == "--fault-scenario needs a fleet: add --fleet N"
 
 
 # -- faults subcommand --------------------------------------------------------

@@ -68,60 +68,6 @@ def test_main_reports_bad_json(tmp_path):
     assert main([str(path)], out=io.StringIO()) == 1
 
 
-# -- races section ------------------------------------------------------------
-def test_render_races_section_with_trace():
-    from repro.tools.report import render_races
-
-    summary = {
-        "accesses": 4,
-        "events": 4,
-        "locations": 2,
-        "findings": 1,
-        "diagnostics": [
-            {
-                "code": "TNG040",
-                "severity": "error",
-                "message": "tie-break race on db:__fleet__/model_cache",
-                "location": "db:__fleet__/model_cache @ t=5.000ms",
-                "trace": [
-                    "t=5.000ms seq=0 owner=a write cache.store db:...",
-                    "t=5.000ms seq=1 owner=b read cache.lookup db:...",
-                ],
-            }
-        ],
-    }
-    lines = render_races(summary)
-    text = "\n".join(lines)
-    assert "### Race check" in text
-    assert "- accesses: 4 over 4 events (2 locations)" in text
-    assert "**TNG040**" in text
-    assert "seq=0 owner=a" in text and "seq=1 owner=b" in text
-
-
-def test_render_report_includes_races_from_extra_info():
-    data = {
-        "benchmarks": [
-            {
-                "name": "fleet_sanitized",
-                "stats": {},
-                "extra_info": {
-                    "races": {
-                        "accesses": 10,
-                        "events": 3,
-                        "locations": 2,
-                        "findings": 0,
-                        "diagnostics": [],
-                    }
-                },
-            }
-        ]
-    }
-    report = render_report(data)
-    assert "### Race check" in report
-    assert "- findings: 0" in report
-    assert "(no extra_info recorded)" not in report
-
-
 def test_render_diagnostics_section():
     from repro.analysis import DiagnosticReport, Severity
 
