@@ -114,11 +114,11 @@ def group_by_location(
     """Split a request iterable into per-switch FlowMod batches.
 
     Accepts :class:`~repro.core.requests.SwitchRequest` objects (or
-    anything with ``location`` and ``flow_mod()``), preserving order.
+    anything with ``location`` and ``mod``), preserving order.
     """
     batches: Dict[str, List[FlowMod]] = {}
     for request in requests:
-        batches.setdefault(request.location, []).append(request.flow_mod())
+        batches.setdefault(request.location, []).append(request.mod)
     return batches
 
 

@@ -94,9 +94,10 @@ def enforce_topological_priorities(dag: RequestDag, base: int = 100_000) -> Requ
     rewritten = RequestDag()
     by_id = {}
     for request in dag.requests:
-        updated = dataclasses.replace(
-            request, priority=base + heights[request.request_id] - 1
+        mod = dataclasses.replace(
+            request.mod, priority=base + heights[request.request_id] - 1
         )
+        updated = request._replace(mod=mod)
         rewritten.add_request(updated)
         by_id[request.request_id] = updated
     for first_id, then_id in dag.edge_ids():

@@ -32,7 +32,13 @@ from repro.sim.rng import SeededRng
 
 @dataclass
 class ProbeHandle:
-    """Controller-side record of one installed probe flow."""
+    """Controller-side record of one installed probe flow.
+
+    Slotted by hand (``dataclass(slots=True)`` needs Python 3.10): the
+    engine keeps one per probe flow it installs.
+    """
+
+    __slots__ = ("index", "match", "packet_out", "priority")
 
     index: int
     match: Match

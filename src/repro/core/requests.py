@@ -27,33 +27,41 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.openflow.actions import Action, OutputAction
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 
 
-@dataclass(frozen=True)
-class SwitchRequest:
-    """One rule operation bound for one switch."""
+class SwitchRequest(NamedTuple):
+    """One rule operation bound for one switch.
+
+    ``mod`` is the request's one :class:`FlowMod`, built (and validated)
+    when the request is made and sent as is at every issue; the rule
+    fields read through to it.
+    """
 
     request_id: int
     location: str
-    command: FlowModCommand
-    match: Match
-    priority: int = 0
-    actions: Tuple[Action, ...] = (OutputAction(port=1),)
-    install_by_ms: Optional[float] = None  # None = best effort
+    mod: FlowMod
 
-    def flow_mod(self) -> FlowMod:
-        return FlowMod(
-            command=self.command,
-            match=self.match,
-            priority=self.priority,
-            actions=self.actions,
-            install_by_ms=self.install_by_ms,
-        )
+    @property
+    def command(self) -> FlowModCommand:
+        return self.mod.command
+
+    @property
+    def match(self) -> Match:
+        return self.mod.match
+
+    @property
+    def priority(self) -> int:
+        return self.mod.priority
+
+    @property
+    def install_by_ms(self) -> Optional[float]:
+        """The deadline in virtual ms; None = best effort."""
+        return self.mod.install_by_ms
 
 
 @dataclass
@@ -123,16 +131,14 @@ class RequestDag:
         install_by_ms: Optional[float] = None,
         after: Iterable[SwitchRequest] = (),
     ) -> SwitchRequest:
-        """Create and add a request, optionally dependent on ``after``."""
-        request = SwitchRequest(
-            request_id=next(self._ids),
-            location=location,
-            command=command,
-            match=match,
-            priority=priority,
-            actions=actions,
-            install_by_ms=install_by_ms,
-        )
+        """Create and add a request, optionally dependent on ``after``.
+
+        Raises:
+            ValueError: the rule is not a valid :class:`FlowMod`; the DAG
+                and its id counter are left untouched.
+        """
+        mod = FlowMod(command, match, priority, actions, install_by_ms)
+        request = SwitchRequest(next(self._ids), location, mod)
         self.add_request(request)
         self._link_sink(after, request.request_id)
         return request

@@ -142,7 +142,7 @@ class NetworkExecutor:
         channel = self.channels[request.location]
         channel.clock.advance_to(max(channel.clock.now_ms, not_before_ms))
         started = channel.clock.now_ms
-        channel.send_flow_mod(request.flow_mod())
+        channel.send_flow_mod(request.mod)
         finished = channel.clock.now_ms
         if self.instruments.enabled:
             self.instruments.request_issued(request, started, finished)

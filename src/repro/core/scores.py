@@ -124,6 +124,10 @@ class TangoScoreDatabase:
         The ground truth a linear scan would see -- the differential
         test for the per-switch secondary index compares
         :meth:`records_for_switch` against a filter over this list.
+        In a fleet run, records of different switches interleave in the
+        order the simulator breaks same-time ties, so a consumer that
+        compares or persists records across runs should key them by
+        switch (:meth:`records_for_switch`).
         """
         return list(self._records.values())
 

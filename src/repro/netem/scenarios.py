@@ -33,7 +33,7 @@ from repro.netem.flows import NetworkFlow
 from repro.netem.network import EmulatedNetwork
 from repro.netem.temaxmin import max_min_fair_allocation
 from repro.openflow.actions import OutputAction
-from repro.openflow.messages import FlowModCommand
+from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.sim.rng import SeededRng
 
 
@@ -55,7 +55,7 @@ class ScenarioResultDag:
     def apply_preinstall(self, network: EmulatedNetwork) -> None:
         """Install the preinstall rules directly (untimed setup)."""
         for location, request in self.preinstall:
-            network.channels[location].send_flow_mod(request.flow_mod())
+            network.channels[location].send_flow_mod(request.mod)
 
     @property
     def total(self) -> int:
@@ -216,11 +216,9 @@ class TrafficEngineeringScenario:
                     (
                         switch,
                         SwitchRequest(
-                            request_id=-request.request_id - 1,
-                            location=switch,
-                            command=FlowModCommand.ADD,
-                            match=flow.match(),
-                            priority=priority,
+                            -request.request_id - 1,
+                            switch,
+                            FlowMod(FlowModCommand.ADD, request.match, priority),
                         ),
                     )
                 )

@@ -27,9 +27,12 @@ class FlowModCommand(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FlowMod:
     """A flow-table modification request.
+
+    Slotted, with an explicit ``__init__`` (``dataclass(slots=True)``
+    needs Python 3.10): every switch request keeps its own.
 
     Args:
         command: ADD, MODIFY, or DELETE.
@@ -41,20 +44,41 @@ class FlowMod:
             single-table switches only accept table 0).
     """
 
+    __slots__ = ("command", "match", "priority", "actions", "install_by_ms", "table_id")
+
     command: FlowModCommand
     match: Match
-    priority: int = 0
-    actions: Tuple[Action, ...] = (OutputAction(port=1),)
-    install_by_ms: Optional[float] = None
-    table_id: int = 0
+    priority: int
+    actions: Tuple[Action, ...]
+    install_by_ms: Optional[float]
+    table_id: int
 
-    def __post_init__(self) -> None:
-        if self.priority < 0:
-            raise ValueError(f"priority must be non-negative, got {self.priority}")
-        if self.table_id < 0:
-            raise ValueError(f"table_id must be non-negative, got {self.table_id}")
-        if self.command is not FlowModCommand.DELETE and not self.actions:
+    def __init__(
+        self,
+        command: FlowModCommand,
+        match: Match,
+        priority: int = 0,
+        actions: Tuple[Action, ...] = (OutputAction(port=1),),
+        install_by_ms: Optional[float] = None,
+        table_id: int = 0,
+    ) -> None:
+        if priority < 0:
+            raise ValueError(f"priority must be non-negative, got {priority}")
+        if table_id < 0:
+            raise ValueError(f"table_id must be non-negative, got {table_id}")
+        if command is not FlowModCommand.DELETE and not actions:
             raise ValueError("ADD/MODIFY require at least one action")
+        put = object.__setattr__  # frozen: the generated __setattr__ raises
+        put(self, "command", command)
+        put(self, "match", match)
+        put(self, "priority", priority)
+        put(self, "actions", actions)
+        put(self, "install_by_ms", install_by_ms)
+        put(self, "table_id", table_id)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the frozen __setattr__.
+        return FlowMod, tuple(getattr(self, name) for name in self.__slots__)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ control-plane cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.openflow.actions import Action, OutputAction
 from repro.openflow.match import IpPrefix, Match
@@ -84,12 +84,12 @@ class CacheStats:
         }
 
 
-@dataclass(frozen=True)
-class PlannedOp:
+class PlannedOp(NamedTuple):
     """One flow-table operation the loop should schedule.
 
     ``reason`` labels why the op exists (``install`` / ``evict`` /
-    ``aggregate`` / ``aggregate-member``) for telemetry and reports.
+    ``aggregate`` / ``aggregate-member``) for callers and tests that
+    inspect a plan; the serving loop does not read it.
     """
 
     command: FlowModCommand
@@ -294,23 +294,10 @@ class RuleCacheManager:
         (group_base, priority, eth_type, actions), members = eligible[0]
         wild = self._aggregate_match(eth_type, group_base)
         ops = [
-            PlannedOp(
-                FlowModCommand.DELETE,
-                member.match,
-                member.priority,
-                reason="aggregate-member",
-            )
+            PlannedOp(FlowModCommand.DELETE, member.match, member.priority, "aggregate-member")
             for member in sorted(members, key=lambda e: e.entry_id)
         ]
-        ops.append(
-            PlannedOp(
-                FlowModCommand.ADD,
-                wild,
-                priority,
-                reason="aggregate",
-                actions=actions,
-            )
-        )
+        ops.append(PlannedOp(FlowModCommand.ADD, wild, priority, "aggregate", actions))
         for member in members:
             excluded.add(member.entry_id)
         self.stats.aggregations += 1
@@ -365,20 +352,11 @@ class RuleCacheManager:
                     continue
                 claimed.add(victim.entry_id)
                 ops.append(
-                    PlannedOp(
-                        FlowModCommand.DELETE,
-                        victim.match,
-                        victim.priority,
-                        reason="evict",
-                    )
+                    PlannedOp(FlowModCommand.DELETE, victim.match, victim.priority, "evict")
                 )
                 self.stats.evictions += 1
                 free += 1
-            ops.append(
-                PlannedOp(
-                    FlowModCommand.ADD, item.match, item.priority, reason="install"
-                )
-            )
+            ops.append(PlannedOp(FlowModCommand.ADD, item.match, item.priority, "install"))
             planned_keys.add(key)
             self.stats.installs += 1
             if free is not None:

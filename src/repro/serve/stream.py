@@ -31,8 +31,8 @@ flow, however many arrivals it yields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, NamedTuple, Tuple
 
 from repro.openflow.match import IpPrefix, Match
 from repro.sim.rng import SeededRng
@@ -91,16 +91,19 @@ class StreamConfig:
             raise ValueError("churn_interval_ms must be non-negative")
 
 
-@dataclass(frozen=True)
-class FlowArrival:
-    """One flow request: a packet-in the controller must cover with a rule."""
+class FlowArrival(NamedTuple):
+    """One flow request: a packet-in the controller must cover with a rule.
+
+    ``match`` is a pure function of ``(tenant, destination)``
+    (:func:`flow_match`), so comparing it adds nothing to equality.
+    """
 
     index: int
     t_ms: float
     tenant: int
     destination: int
     priority: int
-    match: Match = field(compare=False)
+    match: Match
 
     @property
     def flow_key(self) -> Tuple[int, int]:
@@ -179,10 +182,5 @@ class FlowRequestStream:
                 if match is None:
                     match = matches[flow] = flow_match(tenant, destination)
                 yield FlowArrival(
-                    index=index,
-                    t_ms=t_ms,
-                    tenant=tenant,
-                    destination=destination,
-                    priority=1 + tenant % priority_levels,
-                    match=match,
+                    index, t_ms, tenant, destination, 1 + tenant % priority_levels, match
                 )

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.requests import RequestDag, SwitchRequest
 from repro.openflow.match import IpPrefix, Match
-from repro.openflow.messages import FlowModCommand
+from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.sim.rng import SeededRng
 
 
@@ -46,7 +46,7 @@ def test_flow_mod_conversion():
     request = dag.new_request(
         "s1", FlowModCommand.ADD, _match(1), priority=7, install_by_ms=50.0
     )
-    flow_mod = request.flow_mod()
+    flow_mod = request.mod
     assert flow_mod.command is FlowModCommand.ADD
     assert flow_mod.priority == 7
     assert flow_mod.install_by_ms == 50.0
@@ -178,9 +178,7 @@ def test_ready_after_is_stateless():
 def test_dependency_on_unknown_request_rejected():
     dag = RequestDag()
     known = dag.new_request("s", FlowModCommand.ADD, _match(0))
-    stranger = SwitchRequest(
-        request_id=999, location="s", command=FlowModCommand.ADD, match=_match(1)
-    )
+    stranger = SwitchRequest(999, "s", FlowMod(FlowModCommand.ADD, _match(1)))
     with pytest.raises(KeyError):
         dag.add_dependency(known, stranger)
     with pytest.raises(KeyError):
@@ -380,9 +378,9 @@ def _sink_link_base(n, edges, done):
 def _sink_link_parents(dag, requests, tokens):
     def resolve(token):
         if token == "unknown":
-            return SwitchRequest(10_000, "s1", FlowModCommand.ADD, _match(0))
+            return SwitchRequest(10_000, "s1", FlowMod(FlowModCommand.ADD, _match(0)))
         if token == "self":  # the id the new request is about to get
-            return SwitchRequest(len(dag), "s1", FlowModCommand.ADD, _match(0))
+            return SwitchRequest(len(dag), "s1", FlowMod(FlowModCommand.ADD, _match(0)))
         return requests[token]
 
     return [resolve(token) for token in tokens]
@@ -434,7 +432,7 @@ def test_new_request_after_keeps_edges_before_unknown_parent():
     dag = RequestDag()
     a = dag.new_request("s", FlowModCommand.ADD, _match(0))
     b = dag.new_request("s", FlowModCommand.ADD, _match(1))
-    stranger = SwitchRequest(999, "s", FlowModCommand.ADD, _match(2))
+    stranger = SwitchRequest(999, "s", FlowMod(FlowModCommand.ADD, _match(2)))
     with pytest.raises(KeyError, match="999"):
         dag.new_request("s", FlowModCommand.ADD, _match(3), after=[a, stranger, b])
     assert dag.edge_ids() == [(a.request_id, 2)]

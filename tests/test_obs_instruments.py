@@ -10,9 +10,9 @@ from repro.obs import (
 )
 from repro.openflow.errors import ControlMessageLostError, SwitchDisconnectedError
 from repro.openflow.match import IpPrefix, Match
-from repro.openflow.messages import FlowModCommand
+from repro.openflow.messages import FlowMod, FlowModCommand
 
-REQUEST = SwitchRequest(7, "s1", FlowModCommand.ADD, Match(ip_dst=IpPrefix(1, 32)))
+REQUEST = SwitchRequest(7, "s1", FlowMod(FlowModCommand.ADD, Match(ip_dst=IpPrefix(1, 32))))
 
 
 class FakeClock:
