@@ -6,7 +6,7 @@ A Zipf/churn flow-request stream is served against a 96-rule budget
 with FDRC admission, policy-ranked eviction, and wildcard aggregation;
 the measured quantity is *virtual* time (sustained requests/sec, p50
 and p99 install latency), and the full serving summary lands in
-``benchmark.extra_info["serve"]`` so ``python -m repro.tools.report``
+``benchmark.extra_info["serve"]`` so ``tango-report bench``
 renders a "Sustained serving" section for it.
 """
 

@@ -7,10 +7,10 @@ counters/gauges/histograms (:mod:`repro.obs.metrics`), exporters for
 JSONL, Chrome ``trace_event``, and Prometheus text formats
 (:mod:`repro.obs.export`), a continuous flow-telemetry pipeline with
 sliding-window aggregates and NetFlow-style flow-cache sampling
-(:mod:`repro.obs.telemetry`), and SLO burn-rate alerting plus drift
-feeds over that stream (:mod:`repro.obs.slo`), surfaced by the
-``tango-trace`` (:mod:`repro.obs.cli`) and ``tango-telemetry``
-(:mod:`repro.obs.telemetry_cli`) CLIs.
+(:mod:`repro.obs.telemetry`), and SLO burn-rate alerting over that
+stream (:mod:`repro.obs.slo`).  ``tango-report``
+(:mod:`repro.tools.report`) reads every artifact back through this
+package's readers.
 
 Components reach those sinks through one handle,
 :class:`~repro.obs.instruments.Instruments` (``instruments=`` on every
@@ -38,10 +38,10 @@ from repro.obs.metrics import (
 from repro.obs.slo import (
     BurnWindow,
     DEFAULT_BURN_WINDOWS,
-    DriftFeed,
     SloPolicy,
     SloTarget,
     TelemetryAlert,
+    default_collector,
     default_slo_targets,
     read_alerts_jsonl,
     write_alerts_jsonl,
@@ -69,7 +69,6 @@ __all__ = [
     "Counter",
     "DEFAULT_BUCKETS_MS",
     "DEFAULT_BURN_WINDOWS",
-    "DriftFeed",
     "FlowCache",
     "FlowCacheConfig",
     "FlowRecord",
@@ -87,6 +86,7 @@ __all__ = [
     "TelemetrySample",
     "TraceEvent",
     "Tracer",
+    "default_collector",
     "default_slo_targets",
     "prometheus_text",
     "read_alerts_jsonl",

@@ -3,8 +3,10 @@
 Three output formats, all byte-deterministic for a fixed event stream
 (keys sorted, compact separators, no wall-clock anywhere):
 
-* **JSONL** -- one event per line; the archival format ``tango-trace``
-  reads back (:func:`write_jsonl` / :func:`read_jsonl`).
+* **JSONL** -- one record per line; the archival format ``tango-report``
+  reads back (:func:`write_jsonl` for every stream; :func:`read_jsonl`
+  for traces, and :func:`read_records` under the telemetry and alert
+  readers).
 * **Chrome trace_event JSON** -- loads directly in ``chrome://tracing``
   or Perfetto; spans become complete (``"ph": "X"``) events, instant
   events ``"ph": "i"``, and each category gets its own named track
@@ -14,19 +16,19 @@ Three output formats, all byte-deterministic for a fixed event stream
   (:func:`prometheus_text`).
 
 :func:`summarize_events` condenses an event stream into the dict that
-``tango-trace summary`` and the markdown report's telemetry section
-render.
+``tango-report trace`` renders.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Iterable, List, Sequence, Union
+from typing import IO, Any, Callable, Dict, Iterable, List, Sequence, TypeVar, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceEvent
 
 PathOrFile = Union[str, "IO[str]"]
+T = TypeVar("T")
 
 _JSON_KWARGS = {"sort_keys": True, "separators": (",", ":")}
 
@@ -36,29 +38,56 @@ def _dump(payload: Any) -> str:
 
 
 # -- JSONL ---------------------------------------------------------------------
-def write_jsonl(events: Iterable[TraceEvent], target: PathOrFile) -> int:
-    """Write one JSON object per line; returns the event count."""
+def jsonl_lines(records: Iterable[Any]) -> List[str]:
+    """Byte-deterministic JSONL lines, one per record's ``to_dict()``."""
+    return [_dump(record.to_dict()) for record in records]
+
+
+def write_jsonl(records: Iterable[Any], target: PathOrFile) -> int:
+    """Write one JSON object per line (each record's ``to_dict()``) --
+    trace events, telemetry samples or alerts; returns the count."""
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8") as handle:
-            return write_jsonl(events, handle)
+            return write_jsonl(records, handle)
     count = 0
-    for event in events:
-        target.write(_dump(event.to_dict()) + "\n")
+    for record in records:
+        target.write(_dump(record.to_dict()) + "\n")
         count += 1
     return count
 
 
-def read_jsonl(source: PathOrFile) -> List[TraceEvent]:
-    """Load a JSONL trace back into :class:`TraceEvent` objects."""
+def read_records(
+    source: PathOrFile, from_dict: Callable[[Dict[str, Any]], T]
+) -> List[T]:
+    """Parse each nonblank line with ``from_dict``.
+
+    A line that is not a JSON object, or that ``from_dict`` rejects,
+    raises :class:`ValueError` naming it as ``FILE:LINE``.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
-            return read_jsonl(handle)
-    events = []
-    for line in source:
+            return read_records(handle, from_dict)
+    name = getattr(source, "name", "<stream>")
+    records = []
+    for number, line in enumerate(source, 1):
         line = line.strip()
-        if line:
-            events.append(TraceEvent.from_dict(json.loads(line)))
-    return events
+        if not line:
+            continue
+        try:
+            payload = json.loads(line)
+            if not isinstance(payload, dict):
+                raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+            records.append(from_dict(payload))
+        except KeyError as error:
+            raise ValueError(f"{name}:{number}: missing field {error}") from None
+        except (AttributeError, TypeError, ValueError) as error:
+            raise ValueError(f"{name}:{number}: {error}") from None
+    return records
+
+
+def read_jsonl(source: PathOrFile) -> List[TraceEvent]:
+    """Load a JSONL trace back into :class:`TraceEvent` objects."""
+    return read_records(source, TraceEvent.from_dict)
 
 
 # -- Chrome trace_event --------------------------------------------------------

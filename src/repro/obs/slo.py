@@ -1,22 +1,16 @@
-"""SLO burn-rate alerting and drift feeds over the telemetry stream.
+"""SLO burn-rate alerting over the telemetry stream.
 
 Consumes :class:`~repro.obs.telemetry.TelemetryCollector` samples and
-turns them into structured, deterministic :class:`TelemetryAlert`\\ s:
-
-* :class:`SloPolicy` implements multi-window burn-rate alerting in the
-  SRE style.  Each :class:`SloTarget` defines an objective (e.g. "p99
-  install latency under 40 ms", "occupancy ratio under 0.9") with an
-  error *budget* -- the tolerated fraction of violating observations.
-  An alert fires only when the violation rate, expressed as a multiple
-  of the budget (the *burn rate*), exceeds the threshold over **both**
-  a short and a long window: the long window proves the burn is
-  sustained, the short window proves it is still happening, so a burst
-  that already ended pages nobody.
-* :class:`DriftFeed` watches per-source windows and emits
-  :class:`~repro.core.online_probing.DriftFinding`-compatible findings
-  when a series' recent behaviour departs from its trailing baseline --
-  sustained occupancy churn, probe-RTT signature shifts -- the signal
-  the adversarial-detection ROADMAP item quarantines on.
+turns them into structured, deterministic :class:`TelemetryAlert`\\ s.
+:class:`SloPolicy` implements multi-window burn-rate alerting in the SRE
+style.  Each :class:`SloTarget` defines an objective (e.g. "p99 install
+latency under 40 ms", "occupancy ratio under 0.9") with an error
+*budget* -- the tolerated fraction of violating observations.  An alert
+fires only when the violation rate, expressed as a multiple of the
+budget (the *burn rate*), exceeds the threshold over **both** a short
+and a long window: the long window proves the burn is sustained, the
+short window proves it is still happening, so a burst that already
+ended pages nobody.
 
 Determinism: policies are evaluated only at collector cadence ticks, so
 alert timestamps are exact multiples of the collector's ``interval_ms``
@@ -25,29 +19,11 @@ and two same-seed runs raise byte-identical alert streams.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import (
-    IO,
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.telemetry import SlidingWindow, TelemetrySample
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle (core imports obs)
-    from repro.core.online_probing import DriftFinding
-
-PathOrFile = Union[str, "IO[str]"]
-
-_JSON_KWARGS = {"sort_keys": True, "separators": (",", ":")}
+from repro.obs.export import PathOrFile, jsonl_lines, read_records, write_jsonl
+from repro.obs.telemetry import SlidingWindow, TelemetryCollector, TelemetrySample
 
 
 @dataclass(frozen=True)
@@ -56,7 +32,7 @@ class TelemetryAlert:
 
     t_ms: float
     name: str
-    kind: str  # "burn_rate" | "drift"
+    kind: str  # "burn_rate" (older streams may also hold "drift")
     series: str
     source: str
     severity: str  # "page" | "ticket"
@@ -290,7 +266,7 @@ class SloPolicy:
 def default_slo_targets(
     install_ms: float = 40.0, occupancy_ratio: float = 0.9
 ) -> Tuple[SloTarget, ...]:
-    """The stock objectives used by the CLI and CI telemetry smoke.
+    """The stock objectives :func:`default_collector` watches.
 
     Three targets: page on sustained p99 install-latency burn, page on
     a sustained fault-deferral burst (every deferral sample counts 1.0,
@@ -325,160 +301,26 @@ def default_slo_targets(
     )
 
 
-class DriftFeed:
-    """Baseline-vs-recent drift scoring over telemetry windows.
-
-    For each watched series and source, keeps a *recent* window and a
-    *baseline* window ``baseline_factor`` times longer.  At each
-    evaluation the drift score is the relative shift of the recent mean
-    against the baseline mean, and for churn-flagged series the recent
-    churn (sum of absolute deltas) normalised by the baseline mean.  A
-    score above ``threshold`` raises a ``kind="drift"``
-    :class:`TelemetryAlert` (with hysteresis) and records a
-    :class:`~repro.core.online_probing.DriftFinding` whose
-    ``property_path`` is ``telemetry[<series>][<source>].<metric>`` --
-    the same finding type the online-probing drift detector emits, so
-    downstream consumers (model-cache invalidation, quarantine) need
-    one code path.
-
-    Args:
-        series: series names to watch, e.g. ``("switch.occupancy_ratio",
-            "probe.rtt_ms")``.
-        window_ms: recent-window length.
-        baseline_factor: baseline window is this many times longer.
-        threshold: relative-shift score at which drift fires.
-        churn_series: subset of ``series`` scored on churn too.
-        min_samples: observations required in both windows.
-    """
-
-    def __init__(
-        self,
-        series: Sequence[str] = ("switch.occupancy_ratio", "probe.rtt_ms"),
-        window_ms: float = 100.0,
-        baseline_factor: float = 5.0,
-        threshold: float = 0.5,
-        churn_series: Sequence[str] = ("switch.occupancy_ratio",),
-        min_samples: int = 5,
-    ) -> None:
-        if baseline_factor <= 1.0:
-            raise ValueError("baseline_factor must exceed 1")
-        self.series = tuple(series)
-        self.window_ms = float(window_ms)
-        self.baseline_factor = float(baseline_factor)
-        self.threshold = float(threshold)
-        self.churn_series = frozenset(churn_series)
-        self.min_samples = min_samples
-        self.alerts: List[TelemetryAlert] = []
-        self.findings: List["DriftFinding"] = []
-        self._windows: Dict[Tuple[str, str], Tuple[SlidingWindow, SlidingWindow]] = {}
-        self._firing: Dict[Tuple[str, str, str], bool] = {}
-
-    # -- collector protocol -------------------------------------------------------
-    def ingest(self, sample: TelemetrySample) -> None:
-        if sample.series not in self.series:
-            return
-        key = (sample.series, sample.source)
-        pair = self._windows.get(key)
-        if pair is None:
-            pair = self._windows[key] = (
-                SlidingWindow(self.window_ms),
-                SlidingWindow(self.window_ms * self.baseline_factor),
-            )
-        recent, baseline = pair
-        recent.observe(sample.t_ms, sample.value)
-        baseline.observe(sample.t_ms, sample.value)
-
-    def evaluate(self, now_ms: float) -> List[TelemetryAlert]:
-        # Imported lazily: repro.core modules import repro.obs at module
-        # scope, so the reverse edge must bind at call time.
-        from repro.core.online_probing import DriftFinding
-
-        raised: List[TelemetryAlert] = []
-        for key in sorted(self._windows):
-            series, source = key
-            recent, baseline = self._windows[key]
-            if (
-                recent.count(now_ms) < self.min_samples
-                or baseline.count(now_ms) < 2 * self.min_samples
-            ):
-                continue
-            recent_mean = recent.mean()
-            baseline_mean = baseline.mean()
-            if recent_mean is None or baseline_mean is None:
-                continue
-            metrics = [("mean_shift", recent_mean, baseline_mean, self._shift(recent_mean, baseline_mean))]
-            if series in self.churn_series:
-                recent_churn = recent.churn()
-                scale = abs(baseline_mean) if baseline_mean else 1.0
-                metrics.append(
-                    ("churn", recent_churn, 0.0, recent_churn / scale)
-                )
-            for metric, after, before, score in metrics:
-                latch = (series, source, metric)
-                if score < self.threshold:
-                    self._firing[latch] = False
-                    continue
-                if self._firing.get(latch):
-                    continue
-                self._firing[latch] = True
-                self.findings.append(
-                    DriftFinding(
-                        property_path=f"telemetry[{series}][{source}].{metric}",
-                        before=before,
-                        after=after,
-                    )
-                )
-                alert = TelemetryAlert(
-                    t_ms=now_ms,
-                    name=f"drift-{metric}",
-                    kind="drift",
-                    series=series,
-                    source=source,
-                    severity="ticket",
-                    value=score,
-                    threshold=self.threshold,
-                    detail=(
-                        ("after", f"{after:.6g}"),
-                        ("before", f"{before:.6g}"),
-                        ("metric", metric),
-                    ),
-                )
-                self.alerts.append(alert)
-                raised.append(alert)
-        return raised
-
-    @staticmethod
-    def _shift(recent: float, baseline: float) -> float:
-        scale = abs(baseline) if baseline else 1.0
-        return abs(recent - baseline) / scale
+def default_collector() -> TelemetryCollector:
+    """The collector ``--telemetry`` attaches: a 5 ms cadence, 50 ms
+    windows, and an :class:`SloPolicy` over :func:`default_slo_targets`."""
+    collector = TelemetryCollector(interval_ms=5.0, window_ms=50.0)
+    collector.add_policy(SloPolicy(default_slo_targets()))
+    return collector
 
 
 # -- alert export -------------------------------------------------------------------
 def alerts_jsonl_lines(alerts: Iterable[TelemetryAlert]) -> List[str]:
     """Byte-deterministic JSONL lines for an alert stream."""
-    return [json.dumps(alert.to_dict(), **_JSON_KWARGS) for alert in alerts]
+    return jsonl_lines(alerts)
 
 
 def write_alerts_jsonl(alerts: Iterable[TelemetryAlert], target: PathOrFile) -> int:
     """Write one JSON object per alert; returns the alert count."""
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as handle:
-            return write_alerts_jsonl(alerts, handle)
-    count = 0
-    for line in alerts_jsonl_lines(alerts):
-        target.write(line + "\n")
-        count += 1
-    return count
+    return write_jsonl(alerts, target)
 
 
 def read_alerts_jsonl(source: PathOrFile) -> List[TelemetryAlert]:
-    """Load an alert JSONL stream back into alerts."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_alerts_jsonl(handle)
-    alerts = []
-    for line in source:
-        line = line.strip()
-        if line:
-            alerts.append(TelemetryAlert.from_dict(json.loads(line)))
-    return alerts
+    """Load an alert JSONL stream back into alerts; a malformed line
+    raises :class:`ValueError` naming ``FILE:LINE``."""
+    return read_records(source, TelemetryAlert.from_dict)

@@ -1,10 +1,9 @@
 """Continuous flow telemetry on the simulated clock.
 
 Everything else in :mod:`repro.obs` is one-shot: a trace and a metrics
-snapshot per batch run.  This module is the *standing* stream the
-ROADMAP's online re-optimization and adversarial-detection items
-consume: a :class:`TelemetryCollector` samples per-switch, per-port,
-and per-flow counters (packets, flow-mod rates, TCAM occupancy from
+snapshot per batch run.  This module is the *standing* stream: a
+:class:`TelemetryCollector` samples per-switch, per-port, and per-flow
+counters (packets, flow-mod rates, TCAM occupancy from
 :mod:`repro.tables`, install latency from scheduler batch spans) on a
 configurable virtual-time cadence, in the style of NetFlow-for-OpenFlow
 and sFlow network monitors.
@@ -44,12 +43,10 @@ Usage::
 
 from __future__ import annotations
 
-import json
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    IO,
     Any,
     Callable,
     Dict,
@@ -58,12 +55,10 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
-PathOrFile = Union[str, "IO[str]"]
-
-_JSON_KWARGS = {"sort_keys": True, "separators": (",", ":")}
+from repro.obs.export import PathOrFile, jsonl_lines, read_records, write_jsonl
+from repro.obs.metrics import _labelset
 
 
 @dataclass(frozen=True)
@@ -102,10 +97,6 @@ class TelemetrySample:
                 sorted((str(k), str(v)) for k, v in (payload.get("labels") or {}).items())
             ),
         )
-
-
-def _labelset(labels: Dict[str, Any]) -> Tuple[Tuple[str, str], ...]:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
 class SlidingWindow:
@@ -153,9 +144,6 @@ class SlidingWindow:
         values = self.values(now_ms)
         return sum(values) / len(values) if values else None
 
-    def last(self) -> Optional[float]:
-        return self._samples[-1][1] if self._samples else None
-
     def percentile(self, p: float, now_ms: Optional[float] = None) -> Optional[float]:
         """Nearest-rank percentile (p in [0, 100]) of retained values."""
         if not 0.0 <= p <= 100.0:
@@ -165,36 +153,6 @@ class SlidingWindow:
             return None
         rank = max(0, min(len(values) - 1, int((p / 100.0) * len(values) + 0.5) - 1))
         return values[rank]
-
-    def rate_per_ms(self, now_ms: Optional[float] = None) -> float:
-        """Counter rate: (last - first) / elapsed over the window.
-
-        For cumulative series (flow-mod totals, packet counts).  Returns
-        0.0 with fewer than two samples or zero elapsed time.
-        """
-        if now_ms is not None:
-            self._trim(now_ms)
-        if len(self._samples) < 2:
-            return 0.0
-        (t0, v0), (t1, v1) = self._samples[0], self._samples[-1]
-        elapsed = t1 - t0
-        return (v1 - v0) / elapsed if elapsed > 0 else 0.0
-
-    def churn(self, now_ms: Optional[float] = None) -> float:
-        """Sum of absolute sample-to-sample deltas over the window.
-
-        The occupancy-churn signal: a table whose occupancy oscillates
-        (evict/insert storms) churns even when its mean stays flat.
-        """
-        if now_ms is not None:
-            self._trim(now_ms)
-        total = 0.0
-        previous: Optional[float] = None
-        for _, value in self._samples:
-            if previous is not None:
-                total += abs(value - previous)
-            previous = value
-        return total
 
     def violation_fraction(
         self, threshold: float, now_ms: Optional[float] = None
@@ -423,7 +381,7 @@ class TelemetryCollector:
 
     # -- policies ---------------------------------------------------------------
     def add_policy(self, policy: Any) -> Any:
-        """Attach an alerting/drift policy (``ingest``/``evaluate`` duck type).
+        """Attach an alerting policy (``ingest``/``evaluate`` duck type).
 
         Policies see every sample as it is emitted and are evaluated at
         each cadence tick; their alerts carry the tick's deterministic
@@ -585,7 +543,7 @@ class TelemetryCollector:
         self._tick_to(finished_ms)
 
     def observe_probe(self, switch: str, op: str, t_ms: float, rtt_ms: float) -> None:
-        """One probe RTT (the signature stream the drift feed watches)."""
+        """One probe RTT."""
         self.emit(t_ms, "probe.rtt_ms", rtt_ms, source=switch, op=op)
         self._tick_to(t_ms)
 
@@ -696,41 +654,27 @@ def occupancy_snapshot(tables: Any) -> Dict[str, Any]:
 # -- JSONL export -------------------------------------------------------------------
 def telemetry_jsonl_lines(samples: Iterable[TelemetrySample]) -> List[str]:
     """Byte-deterministic JSONL lines (sorted keys, compact separators)."""
-    return [json.dumps(sample.to_dict(), **_JSON_KWARGS) for sample in samples]
+    return jsonl_lines(samples)
 
 
 def write_telemetry_jsonl(
     samples: Iterable[TelemetrySample], target: PathOrFile
 ) -> int:
     """Write one JSON object per sample; returns the sample count."""
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as handle:
-            return write_telemetry_jsonl(samples, handle)
-    count = 0
-    for line in telemetry_jsonl_lines(samples):
-        target.write(line + "\n")
-        count += 1
-    return count
+    return write_jsonl(samples, target)
 
 
 def read_telemetry_jsonl(source: PathOrFile) -> List[TelemetrySample]:
-    """Load a telemetry JSONL stream back into samples."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_telemetry_jsonl(handle)
-    samples = []
-    for line in source:
-        line = line.strip()
-        if line:
-            samples.append(TelemetrySample.from_dict(json.loads(line)))
-    return samples
+    """Load a telemetry JSONL stream back into samples; a malformed line
+    raises :class:`ValueError` naming ``FILE:LINE``."""
+    return read_records(source, TelemetrySample.from_dict)
 
 
 def summarize_telemetry(samples: Sequence[TelemetrySample]) -> Dict[str, Any]:
     """Condense a telemetry stream into per-series statistics.
 
-    The payload behind ``tango-telemetry summary`` and the markdown
-    report's telemetry section: per series -- sample count, distinct
+    The payload behind ``tango-report telemetry`` and the markdown
+    report's flow-telemetry section: per series -- sample count, distinct
     sources, min/mean/max/last value, and the time extent.
     """
     per_series: Dict[str, Dict[str, Any]] = {}

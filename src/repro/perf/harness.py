@@ -355,17 +355,13 @@ NOOP_WORKLOADS: Dict[str, Callable[..., Tuple]] = {
 
 def _sink_combinations():
     """(label, handle) for every non-empty mix of the three sinks."""
-    from repro.obs import SloPolicy, TelemetryCollector, Tracer, default_slo_targets
+    from repro.obs import Tracer, default_collector
 
     for mask in range(1, 8):
-        collector = None
-        if mask & 4:
-            collector = TelemetryCollector(interval_ms=5.0, window_ms=50.0)
-            collector.add_policy(SloPolicy(default_slo_targets()))
         instruments = Instruments(
             tracer=Tracer() if mask & 1 else None,
             metrics=MetricsRegistry() if mask & 2 else None,
-            telemetry=collector,
+            telemetry=default_collector() if mask & 4 else None,
         )
         sinks = ("tracer", "metrics", "telemetry")
         label = "+".join(sink for bit, sink in enumerate(sinks) if mask >> bit & 1)

@@ -24,7 +24,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.obs import Instruments, MetricsRegistry
+from repro.obs import Instruments, MetricsRegistry, default_collector
 from repro.serve.loop import ServeConfig, ServeLoop, policy_from_model
 from repro.serve.stream import StreamConfig
 from repro.switches.profiles import VENDOR_PROFILES
@@ -125,18 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_collector(args):
-    if not args.telemetry:
-        return None
-    from repro.obs.slo import DriftFeed, SloPolicy, default_slo_targets
-    from repro.obs.telemetry import TelemetryCollector
-
-    collector = TelemetryCollector(interval_ms=5.0, window_ms=50.0)
-    collector.add_policy(SloPolicy(default_slo_targets()))
-    collector.add_policy(DriftFeed())
-    return collector
-
-
 def _build_config(args) -> ServeConfig:
     """The run's config; raises :class:`ValueError` on an out-of-range knob."""
     return ServeConfig(
@@ -168,7 +156,7 @@ def _run_once(args, config, profile):
         policy = policy_from_model(model)
         if config.capacity is None:
             config = replace(config, capacity=model.fast_table_size)
-    collector = _make_collector(args)
+    collector = default_collector() if args.telemetry else None
     loop = ServeLoop(
         config,
         profile,

@@ -171,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--telemetry",
         metavar="PATH",
         help="attach a continuous-telemetry collector with the default "
-        "SLO burn-rate policy and drift feed; writes "
+        "SLO burn-rate policy; writes "
         "PATH.telemetry.jsonl and PATH.alerts.jsonl "
         "(with --verify-determinism, both runs' streams must be "
         "byte-identical)",
@@ -440,7 +440,7 @@ def _run_schedule(args, out) -> int:
 def _run_faults(args, out) -> int:
     from repro.core.scheduler import BasicTangoScheduler
     from repro.faults import FaultInjector, RetryPolicy
-    from repro.obs import Instruments
+    from repro.obs import Instruments, default_collector
     from repro.perf.harness import verify_noop
     from repro.netem.network import EmulatedNetwork
     from repro.netem.scenarios import FAULT_SCENARIOS, LinkFailureScenario
@@ -464,18 +464,6 @@ def _run_faults(args, out) -> int:
         )
 
     instruments = _make_instruments(args)
-
-    def make_collector():
-        """A fresh collector + default SLO policy + drift feed, or None."""
-        if not getattr(args, "telemetry", None):
-            return None
-        from repro.obs.slo import DriftFeed, SloPolicy, default_slo_targets
-        from repro.obs.telemetry import TelemetryCollector
-
-        collector = TelemetryCollector(interval_ms=5.0, window_ms=50.0)
-        collector.add_policy(SloPolicy(default_slo_targets()))
-        collector.add_policy(DriftFeed())
-        return collector
 
     def run_once():
         # Faulted size inference (Algorithm 1 in degraded mode).
@@ -502,7 +490,7 @@ def _run_faults(args, out) -> int:
         network.preinstall_flow_rules()
         dag_result = LinkFailureScenario(network, ("s1", "s2")).build_dag()
         sched_injector = FaultInjector(plan)
-        collector = make_collector()
+        collector = default_collector() if args.telemetry else None
         executor = network.executor(
             fault_injector=sched_injector,
             instruments=Instruments(

@@ -1,6 +1,6 @@
 """Doc-drift guard: the docs must keep up with the public surface.
 
-Three invariants, all cheap and purely static:
+Five invariants, all cheap and purely static:
 
 * every public *package* under ``src/repro`` has an API.md heading that
   names it (``## ... `repro.x` ...``), so a new subsystem cannot land
@@ -9,9 +9,16 @@ Three invariants, all cheap and purely static:
   path appears verbatim, or at least one public top-level name it
   defines does (word-boundary match), so a module cannot drift into
   being entirely undocumented;
-* every ``--flag`` on a ``tango-probe`` / ``tango-serve`` command line
-  in README.md, OPERATIONS.md and API.md is one that script's parser
-  defines, so a removed option cannot linger in a documented command.
+* every ``--flag`` on a ``tango-probe`` / ``tango-serve`` /
+  ``tango-report`` command line in README.md, OPERATIONS.md and API.md
+  is one that script's parser defines, so a removed option cannot
+  linger in a documented command;
+* every documented ``tango-report`` line names one of its subcommands
+  (OPERATIONS.md's migration section, which lists the old commands,
+  aside);
+* no doc, workflow or source file names a removed tool or class
+  (``tango-trace``, ``tango-telemetry``, ``DriftFeed``), outside
+  OPERATIONS.md's migration section.
 
 CI runs this file as the doc-drift check.
 """
@@ -22,6 +29,7 @@ from pathlib import Path
 
 from repro.serve.cli import _build_parser as serve_parser
 from repro.tools.cli import _build_parser as probe_parser
+from repro.tools.report import _build_parser as report_parser
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -102,7 +110,10 @@ COMMANDS = {
     "python -m repro.tools.cli": probe_parser,
     "tango-serve": serve_parser,
     "python -m repro.serve.cli": serve_parser,
+    "tango-report": report_parser,
+    "python -m repro.tools.report": report_parser,
 }
+DOCS = ("README.md", "OPERATIONS.md", "API.md")
 COMMAND = re.compile("|".join(re.escape(prefix) for prefix in COMMANDS))
 
 
@@ -136,7 +147,7 @@ def _command_lines(text):
 
 def test_documented_command_flags_exist():
     stale = []
-    for doc in ("README.md", "OPERATIONS.md", "API.md"):
+    for doc in DOCS:
         text = (REPO / doc).read_text(encoding="utf-8")
         for prefix, words in _command_lines(text):
             parser = COMMANDS[prefix]()
@@ -148,3 +159,37 @@ def test_documented_command_flags_exist():
                 if flag not in known:
                     stale.append(f"{doc}: {prefix} {' '.join(words[:1])} {flag}")
     assert not stale, f"documented flags the parser does not define: {stale}"
+
+
+#: OPERATIONS.md's old-to-new command table, which names old commands.
+MIGRATION = re.compile(r"^## Migration\b.*?(?=^## |\Z)", flags=re.MULTILINE | re.DOTALL)
+
+
+def test_documented_report_subcommands_exist():
+    subcommands = _subparsers(report_parser())
+    stale = []
+    for doc in DOCS:
+        text = MIGRATION.sub("", (REPO / doc).read_text(encoding="utf-8"))
+        for prefix, words in _command_lines(text):
+            if COMMANDS[prefix] is not report_parser or not words:
+                continue
+            if words[0] not in subcommands:
+                stale.append(f"{doc}: {prefix} {words[0]}")
+    assert not stale, f"documented tango-report subcommands that do not exist: {stale}"
+
+
+#: Tools and classes that were removed; nothing may name them any more.
+REMOVED = ("tango-trace", "tango-telemetry", "DriftFeed")
+
+
+def test_no_doc_names_a_removed_tool():
+    paths = [REPO / name for name in DOCS + ("EXPERIMENTS.md", "DESIGN.md")]
+    paths.append(REPO / ".github" / "workflows" / "ci.yml")
+    paths.extend(sorted(SRC.rglob("*.py")))
+    found = [
+        f"{path.relative_to(REPO)}: {name}"
+        for path in paths
+        for name in REMOVED
+        if name in MIGRATION.sub("", path.read_text(encoding="utf-8"))
+    ]
+    assert not found, f"removed tools still named: {found}"

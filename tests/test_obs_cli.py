@@ -1,13 +1,13 @@
-"""Tests for the tango-trace CLI."""
+"""Tests for the ``tango-report trace`` and ``chrome`` subcommands."""
 
 import io
 import json
 
 import pytest
 
-from repro.obs.cli import main
 from repro.obs.export import write_jsonl
 from repro.obs.trace import Tracer
+from repro.tools.report import main
 
 
 @pytest.fixture
@@ -26,13 +26,16 @@ def trace_file(tmp_path):
 
 def test_summary_subcommand(trace_file):
     out = io.StringIO()
-    assert main(["summary", trace_file], out=out) == 0
-    text = out.getvalue()
-    assert "events         : 3" in text
-    assert "scheduler/batch" in text
-    assert "x2" in text
-    assert "DEL MOD: 2" in text
-    assert "cli/arm: 1" in text
+    assert main(["trace", trace_file], out=out) == 0
+    assert out.getvalue().splitlines() == [
+        "### Telemetry",
+        "",
+        "- events: 3",
+        "- span `scheduler/batch`: x2, total 5.00 ms, max 3.00 ms",
+        "- event `cli/arm`: x1",
+        "- pattern choices: DEL MOD x2",
+        "",
+    ]
 
 
 def test_chrome_subcommand_default_output(trace_file, tmp_path):
@@ -52,7 +55,7 @@ def test_chrome_subcommand_explicit_output(trace_file, tmp_path):
 
 
 def test_missing_trace_file_errors(tmp_path):
-    assert main(["summary", str(tmp_path / "nope.jsonl")], out=io.StringIO()) == 1
+    assert main(["trace", str(tmp_path / "nope.jsonl")], out=io.StringIO()) == 1
 
 
 def test_missing_subcommand_rejected():

@@ -1,4 +1,4 @@
-"""Tests for SLO burn-rate alerting and the telemetry drift feed."""
+"""Tests for SLO burn-rate alerting."""
 
 import io
 
@@ -7,7 +7,6 @@ import pytest
 from repro.obs.slo import (
     BurnWindow,
     DEFAULT_BURN_WINDOWS,
-    DriftFeed,
     SloPolicy,
     SloTarget,
     TelemetryAlert,
@@ -177,61 +176,6 @@ def test_policy_alerts_fire_at_cadence_tick_timestamps():
     assert collector.alerts == sorted(
         collector.alerts, key=lambda a: (a.t_ms, a.name)
     )
-
-
-# -- drift feed ----------------------------------------------------------------------------
-def test_drift_feed_detects_mean_shift_and_emits_finding():
-    feed = DriftFeed(
-        series=("probe.rtt_ms",), window_ms=50.0, baseline_factor=5.0, threshold=0.5
-    )
-    for t in range(0, 200, 10):
-        feed.ingest(_sample(float(t), 1.0, series="probe.rtt_ms"))
-    assert feed.evaluate(200.0) == []  # flat: no drift
-    for t in range(200, 250, 10):
-        feed.ingest(_sample(float(t), 10.0, series="probe.rtt_ms"))
-    raised = feed.evaluate(250.0)
-    assert [a.name for a in raised] == ["drift-mean_shift"]
-    (finding,) = feed.findings
-    assert finding.property_path == "telemetry[probe.rtt_ms][s1].mean_shift"
-    assert finding.after > finding.before
-
-
-def test_drift_feed_churn_scoring_on_flagged_series():
-    feed = DriftFeed(
-        series=("switch.occupancy_ratio",),
-        window_ms=50.0,
-        baseline_factor=5.0,
-        threshold=0.5,
-        churn_series=("switch.occupancy_ratio",),
-        min_samples=3,
-    )
-    # Oscillating occupancy: mean stays ~0.5 but churn is large.
-    for index, t in enumerate(range(0, 250, 5)):
-        value = 0.2 if index % 2 else 0.8
-        feed.ingest(_sample(float(t), value, series="switch.occupancy_ratio", source="s3"))
-    names = {a.name for a in feed.evaluate(250.0)}
-    assert "drift-churn" in names
-
-
-def test_drift_feed_hysteresis_one_alert_per_episode():
-    feed = DriftFeed(series=("probe.rtt_ms",), window_ms=50.0, threshold=0.5)
-    for t in range(0, 200, 10):
-        feed.ingest(_sample(float(t), 1.0, series="probe.rtt_ms"))
-    for t in range(200, 260, 10):
-        feed.ingest(_sample(float(t), 10.0, series="probe.rtt_ms"))
-    assert len(feed.evaluate(255.0)) == 1
-    assert feed.evaluate(260.0) == []  # same episode
-
-
-def test_drift_feed_ignores_unwatched_series():
-    feed = DriftFeed(series=("probe.rtt_ms",))
-    feed.ingest(_sample(0.0, 1.0, series="executor.install_ms"))
-    assert feed.evaluate(10.0) == []
-
-
-def test_drift_feed_validation():
-    with pytest.raises(ValueError):
-        DriftFeed(baseline_factor=1.0)
 
 
 # -- alert serialization ---------------------------------------------------------------------

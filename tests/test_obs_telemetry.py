@@ -44,25 +44,7 @@ def test_window_percentile_and_mean_empty_is_none():
     window = SlidingWindow(window_ms=10.0)
     assert window.percentile(99.0) is None
     assert window.mean() is None
-    assert window.last() is None
     assert window.violation_fraction(1.0) is None
-
-
-def test_window_rate_per_ms_for_cumulative_counters():
-    window = SlidingWindow(window_ms=100.0)
-    window.observe(0.0, 100.0)
-    window.observe(50.0, 200.0)
-    assert window.rate_per_ms() == pytest.approx(2.0)
-    single = SlidingWindow(window_ms=100.0)
-    single.observe(0.0, 5.0)
-    assert single.rate_per_ms() == 0.0
-
-
-def test_window_churn_sums_absolute_deltas():
-    window = SlidingWindow(window_ms=100.0)
-    for t, value in enumerate([5.0, 7.0, 4.0, 4.0, 9.0]):
-        window.observe(float(t), value)
-    assert window.churn() == pytest.approx(2.0 + 3.0 + 0.0 + 5.0)
 
 
 def test_window_violation_fraction_is_strictly_above():

@@ -2,8 +2,8 @@
 
 from repro.obs import Instruments
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import DriftFeed, SloPolicy, alerts_jsonl_lines, default_slo_targets
-from repro.obs.telemetry import TelemetryCollector, telemetry_jsonl_lines
+from repro.obs.slo import alerts_jsonl_lines, default_collector
+from repro.obs.telemetry import telemetry_jsonl_lines
 from repro.serve import ServeConfig, ServeLoop, StreamConfig
 from repro.serve.loop import policy_from_model
 from repro.switches.profiles import make_cache_test_profile
@@ -40,13 +40,6 @@ def _config(**overrides):
     return ServeConfig(**base)
 
 
-def _collector():
-    collector = TelemetryCollector(interval_ms=5.0, window_ms=50.0)
-    collector.add_policy(SloPolicy(default_slo_targets()))
-    collector.add_policy(DriftFeed())
-    return collector
-
-
 def _run(config, collector=None):
     loop = ServeLoop(
         config,
@@ -58,7 +51,7 @@ def _run(config, collector=None):
 
 def test_replay_is_byte_identical():
     """Two same-seed runs: identical telemetry JSONL and table state."""
-    first_collector, second_collector = _collector(), _collector()
+    first_collector, second_collector = default_collector(), default_collector()
     first = _run(_config(), first_collector)
     second = _run(_config(), second_collector)
     assert first.to_dict() == second.to_dict()
@@ -179,7 +172,7 @@ def test_attachments_change_nothing_on_the_bench_workload():
 
     bare = signature()
     assert bare[0] == 1923
-    instruments = Instruments(Tracer(), MetricsRegistry(), _collector())
+    instruments = Instruments(Tracer(), MetricsRegistry(), default_collector())
     assert signature(instruments=instruments) == bare
     assert len(instruments.tracer) > 0 and len(instruments.metrics) > 0
     assert instruments.telemetry.samples
