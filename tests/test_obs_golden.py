@@ -48,7 +48,7 @@ CASES = [
             "P.chrome.json": "644e5680512dc4f225264e6f7b59989c31d9bcabefcd86c26aea7f5269c30801",
             "P.prom": "befdcab908d13c362fdb6380d78ccf71804068eba34c8d9d7467a8298c4da374",
             "P.telemetry.jsonl": "149797a8e374bd8d33f676bf726bd0af65ccb49b5684c7186ea2f42886cee7d4",
-            "P.alerts.jsonl": "c255f1e45d27affcc256851ca3641cd38583fb088ba144db4f21e244a6dfb95d",
+            "P.alerts.jsonl": "75d8eac914abde809b19042454260923d6fc639e8b3f7bd7d6a4515ea4334630",
         },
     ),
     (
@@ -85,9 +85,9 @@ CASES = [
             "--telemetry", "P", "--json",
         ),
         {
-            "stdout": "063aa7db1df40fe646e9f55925d491766832cfb9a9fefd6ee0dec90c8fe653fb",
+            "stdout": "50dc31c88ae8217ed2f581fd12de30012cc56e98ac74e884f7446c57e72b614c",
             "P.telemetry.jsonl": "3efc4d78e1fddacaf4cbf5bff7aaad63a4987fbb41fb46bf926e54c3ac8d88e4",
-            "P.alerts.jsonl": "e9d0006b7f9165d1c2f1aed711fa3af7c11c8637bccf017b0421e133c9ad4c6c",
+            "P.alerts.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         },
     ),
 ]
