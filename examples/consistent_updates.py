@@ -81,7 +81,7 @@ def run(reverse: bool, strict: bool = False) -> None:
         )
     executor = AuditingExecutor(network, probes_for_flows(network, [flow]))
     if reverse:
-        BasicTangoScheduler(executor, strict=strict).schedule(dag)
+        BasicTangoScheduler(executor).schedule(dag)
     else:
         FifoOrderScheduler(executor).schedule(dag)  # issues ingress first
 

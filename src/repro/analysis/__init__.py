@@ -10,7 +10,7 @@ The package provides four checkers sharing one diagnostic model
   (TNG03x, TNG041–TNG043)
 
 :func:`analyze_dag` bundles the plan-facing checks (DAG + rules +
-capacity) into the single call the strict scheduler mode and the CLI
+capacity) into the single call a scheduler's ``precheck`` and the CLI
 use.
 """
 

@@ -5,7 +5,7 @@ Every pre-execution checker in :mod:`repro.analysis` reports problems as
 severity, a human-readable message, a location (a switch name, a request
 id, or a ``file:line``), and an optional fix hint.  Checkers append
 their findings to a shared :class:`DiagnosticReport`, which callers
-render, filter, or — in strict scheduler mode — turn into a
+render, filter, or — in a scheduler's ``precheck`` — turn into a
 :class:`DiagnosticError`.
 
 Code ranges (one block per checker):
@@ -27,7 +27,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 class Severity(enum.Enum):
     """How bad a diagnostic is.
 
-    ERROR diagnostics abort strict scheduling and fail ``tango-lint``;
+    ERROR diagnostics fail a scheduler's ``precheck`` and ``tango-lint``;
     WARNING and INFO are advisory.
     """
 
@@ -180,7 +180,8 @@ class DiagnosticReport:
 
 
 class DiagnosticError(RuntimeError):
-    """Raised by strict-mode consumers when a report contains errors."""
+    """Raised by :meth:`DiagnosticReport.raise_on_errors` when a report
+    contains errors."""
 
     def __init__(self, report: DiagnosticReport) -> None:
         self.report = report

@@ -143,30 +143,23 @@ class Tango:
         return measured or self.patterns.rewrite_patterns
 
     def make_scheduler(
-        self, dag: RequestDag, variant: str = "basic", strict: bool = False
+        self, dag: RequestDag, variant: str = "basic"
     ) -> BasicTangoScheduler:
         """Build a scheduler for ``dag`` using inferred switch knowledge.
 
         Args:
             dag: the request DAG about to be scheduled.
             variant: ``"basic"``, ``"prefix"``, or ``"concurrent"``.
-            strict: statically verify the DAG before scheduling and
-                raise :class:`~repro.analysis.DiagnosticError` on any
-                ERROR diagnostic.
         """
         executor = self._executor()
         patterns = self._patterns_for(dag)
         if variant == "basic":
-            return BasicTangoScheduler(executor, patterns=patterns, strict=strict)
+            return BasicTangoScheduler(executor, patterns=patterns)
         estimate = self._duration_estimator(dag)
         if variant == "prefix":
-            return PrefixTangoScheduler(
-                executor, estimate, patterns=patterns, strict=strict
-            )
+            return PrefixTangoScheduler(executor, estimate, patterns=patterns)
         if variant == "concurrent":
-            return ConcurrentTangoScheduler(
-                executor, estimate, patterns=patterns, strict=strict
-            )
+            return ConcurrentTangoScheduler(executor, estimate, patterns=patterns)
         raise ValueError(f"unknown scheduler variant {variant!r}")
 
     def _duration_estimator(self, dag: RequestDag):
@@ -182,15 +175,11 @@ class Tango:
 
         return estimate
 
-    def schedule(
-        self, dag: RequestDag, variant: str = "basic", strict: bool = False
-    ) -> ScheduleResult:
+    def schedule(self, dag: RequestDag, variant: str = "basic") -> ScheduleResult:
         """Schedule and execute a request DAG against the registered switches.
 
-        With ``strict=True`` the DAG is statically verified first
-        (cycles, shadowed rules, deadline feasibility, ...) and
-        execution aborts on ERROR diagnostics instead of issuing a
-        single ``flow_mod``.
+        For static verification first (cycles, shadowed rules, deadline
+        feasibility, ...), call ``precheck(dag)`` on
+        :meth:`make_scheduler`'s scheduler before its ``schedule``.
         """
-        scheduler = self.make_scheduler(dag, variant=variant, strict=strict)
-        return scheduler.schedule(dag)
+        return self.make_scheduler(dag, variant=variant).schedule(dag)

@@ -128,26 +128,28 @@ def test_same_switch_dependency_never_violates_guard():
     assert len(report) == 0
 
 
-def test_strict_scheduler_raises_on_cyclic_dag():
+def test_precheck_raises_on_cyclic_dag():
     switch = VENDOR_PROFILES["switch2"].build(seed=3)
     executor = NetworkExecutor({switch.name: ControlChannel(switch)})
     dag = _linear_dag(n=2, location=switch.name)
     _force_cycle(dag)
-    scheduler = BasicTangoScheduler(executor, strict=True)
+    scheduler = BasicTangoScheduler(executor)
     with pytest.raises(DiagnosticError) as excinfo:
-        scheduler.schedule(dag)
+        scheduler.precheck(dag)
     assert any(d.code == "TNG010" for d in excinfo.value.report)
+    assert switch.stats.adds == 0  # nothing was issued
 
 
-def test_non_strict_scheduler_still_runs_clean_dags():
+def test_precheck_passes_clean_dag_then_schedule_runs():
     switch = VENDOR_PROFILES["switch2"].build(seed=3)
     executor = NetworkExecutor({switch.name: ControlChannel(switch)})
     dag = _linear_dag(n=3, location=switch.name)
-    result = BasicTangoScheduler(executor, strict=True).schedule(dag)
-    assert result.total_requests == 3
+    scheduler = BasicTangoScheduler(executor)
+    assert len(scheduler.precheck(dag)) == 0
+    assert scheduler.schedule(dag).total_requests == 3
 
 
-def test_strict_concurrent_scheduler_checks_deadlines():
+def test_concurrent_precheck_checks_deadlines():
     switch = VENDOR_PROFILES["switch2"].build(seed=3)
     executor = NetworkExecutor({switch.name: ControlChannel(switch)})
     dag = RequestDag()
@@ -162,11 +164,9 @@ def test_strict_concurrent_scheduler_checks_deadlines():
             after=previous,
         )
         previous = [request]
-    scheduler = ConcurrentTangoScheduler(
-        executor, estimate=lambda request: 10.0, strict=True
-    )
+    scheduler = ConcurrentTangoScheduler(executor, estimate=lambda request: 10.0)
     with pytest.raises(DiagnosticError) as excinfo:
-        scheduler.schedule(dag)
+        scheduler.precheck(dag)
     assert any(d.code == "TNG012" for d in excinfo.value.report)
 
 

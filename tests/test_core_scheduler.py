@@ -238,6 +238,28 @@ def test_concurrent_scheduler_completes_and_orders():
     assert result.total_requests == 2
 
 
+@pytest.mark.parametrize("guard_ms", [float("nan"), float("inf"), float("-inf"), -0.5])
+def test_concurrent_rejects_non_finite_or_negative_guard(guard_ms):
+    """A NaN guard made every comparison false, so the dependent request
+    started as soon as its switch was free -- before its dependency."""
+    with pytest.raises(ValueError, match="guard_ms"):
+        ConcurrentTangoScheduler(
+            _executor("a", "b"), estimate=lambda r: 0.01, guard_ms=guard_ms
+        )
+
+
+def test_concurrent_zero_guard_waits_for_the_dependency():
+    executor = _executor("a", "b")
+    dag = RequestDag()
+    first = dag.new_request("a", FlowModCommand.ADD, _match(1))
+    then = dag.new_request("b", FlowModCommand.ADD, _match(2), after=[first])
+    result = ConcurrentTangoScheduler(
+        executor, estimate=lambda r: 0.01, guard_ms=0.0
+    ).schedule(dag)
+    records = {r.request.request_id: r for r in result.records}
+    assert records[then.request_id].finished_ms >= records[first.request_id].finished_ms
+
+
 def test_concurrent_overlaps_dependent_requests():
     """A slow dependent request starts before its fast parent finishes."""
     executor = NetworkExecutor(
