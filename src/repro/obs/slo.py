@@ -20,9 +20,9 @@ and two same-seed runs raise byte-identical alert streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.export import PathOrFile, jsonl_lines, read_records, write_jsonl
+from repro.obs.export import PathOrFile, read_records, write_jsonl
 from repro.obs.telemetry import SlidingWindow, TelemetryCollector, TelemetrySample
 
 
@@ -302,24 +302,24 @@ def default_slo_targets(
 
 
 def default_collector() -> TelemetryCollector:
-    """The collector ``--telemetry`` attaches: a 5 ms cadence, 50 ms
-    windows, and an :class:`SloPolicy` over :func:`default_slo_targets`."""
-    collector = TelemetryCollector(interval_ms=5.0, window_ms=50.0)
+    """The collector ``--telemetry`` attaches: a 5 ms cadence and an
+    :class:`SloPolicy` over :func:`default_slo_targets`."""
+    collector = TelemetryCollector(interval_ms=5.0)
     collector.add_policy(SloPolicy(default_slo_targets()))
     return collector
 
 
-# -- alert export -------------------------------------------------------------------
-def alerts_jsonl_lines(alerts: Iterable[TelemetryAlert]) -> List[str]:
-    """Byte-deterministic JSONL lines for an alert stream."""
-    return jsonl_lines(alerts)
+def write_streams(collector: TelemetryCollector, prefix: str) -> Tuple[str, str]:
+    """Write ``PREFIX.telemetry.jsonl`` (the samples) and
+    ``PREFIX.alerts.jsonl`` (the alerts); returns the two paths."""
+    telemetry_path = f"{prefix}.telemetry.jsonl"
+    alerts_path = f"{prefix}.alerts.jsonl"
+    write_jsonl(collector.samples, telemetry_path)
+    write_jsonl(collector.alerts, alerts_path)
+    return telemetry_path, alerts_path
 
 
-def write_alerts_jsonl(alerts: Iterable[TelemetryAlert], target: PathOrFile) -> int:
-    """Write one JSON object per alert; returns the alert count."""
-    return write_jsonl(alerts, target)
-
-
+# -- alert import -------------------------------------------------------------------
 def read_alerts_jsonl(source: PathOrFile) -> List[TelemetryAlert]:
     """Load an alert JSONL stream back into alerts; a malformed line
     raises :class:`ValueError` naming ``FILE:LINE``."""

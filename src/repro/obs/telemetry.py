@@ -38,7 +38,7 @@ Usage::
     executor = network.executor(instruments=Instruments(telemetry=collector))
     BasicTangoScheduler(executor).schedule(dag)  # inherits the handle
     collector.finish(executor.now_ms())
-    write_telemetry_jsonl(collector.samples, "run.telemetry.jsonl")
+    write_jsonl(collector.samples, "run.telemetry.jsonl")
 """
 
 from __future__ import annotations
@@ -50,14 +50,14 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
-from repro.obs.export import PathOrFile, jsonl_lines, read_records, write_jsonl
+from repro.obs.export import PathOrFile, read_records
 from repro.obs.metrics import _labelset
 
 
@@ -309,7 +309,6 @@ class TelemetryCollector:
 
     Args:
         interval_ms: cadence between samples on the virtual clock.
-        window_ms: default sliding-window length for aggregates.
         flow_cache: NetFlow-style flow-cache sampling configuration.
         capacity: retained-sample ring buffer size (oldest drop first).
     """
@@ -317,7 +316,6 @@ class TelemetryCollector:
     def __init__(
         self,
         interval_ms: float = 10.0,
-        window_ms: float = 100.0,
         flow_cache: Optional[FlowCacheConfig] = None,
         capacity: int = DEFAULT_SAMPLE_CAPACITY,
     ) -> None:
@@ -326,12 +324,11 @@ class TelemetryCollector:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.interval_ms = float(interval_ms)
-        self.window_ms = float(window_ms)
         self.capacity = capacity
         self._samples: deque = deque(maxlen=capacity)
         self.dropped = 0
         self._probes: List[Tuple[str, Callable[[float], List[TelemetrySample]]]] = []
-        self._windows: Dict[Tuple[str, str], SlidingWindow] = {}
+        self._series: Set[str] = set()
         self._policies: List[Any] = []
         self.flow_cache = FlowCache(flow_cache)
         self._next_tick_ms: Optional[float] = None
@@ -343,17 +340,9 @@ class TelemetryCollector:
         """Retained samples in emission order (bounded by capacity)."""
         return list(self._samples)
 
-    def window(self, series: str, source: str = "") -> SlidingWindow:
-        """The sliding window aggregating ``(series, source)`` samples."""
-        key = (series, source)
-        window = self._windows.get(key)
-        if window is None:
-            window = self._windows[key] = SlidingWindow(self.window_ms)
-        return window
-
     def series_names(self) -> List[str]:
-        """Sorted distinct series names with at least one window."""
-        return sorted({series for series, _ in self._windows})
+        """Sorted distinct series names emitted so far."""
+        return sorted(self._series)
 
     def emit(
         self,
@@ -363,7 +352,7 @@ class TelemetryCollector:
         source: str = "",
         **labels: Any,
     ) -> TelemetrySample:
-        """Record one sample, feed its window, and notify policies."""
+        """Record one sample and notify policies."""
         sample = TelemetrySample(
             t_ms=float(t_ms),
             series=series,
@@ -374,7 +363,7 @@ class TelemetryCollector:
         if len(self._samples) == self.capacity:
             self.dropped += 1
         self._samples.append(sample)
-        self.window(series, source).observe(sample.t_ms, sample.value)
+        self._series.add(series)
         for policy in self._policies:
             policy.ingest(sample)
         return sample
@@ -422,7 +411,7 @@ class TelemetryCollector:
             emitted.append(
                 self.emit(t_ms, "switch.occupancy", len(tables), source=name)
             )
-            snapshot = occupancy_snapshot(tables)
+            snapshot = tables.occupancy_snapshot()
             for layer in snapshot["layers"]:
                 emitted.append(
                     self.emit(
@@ -640,30 +629,7 @@ class TelemetryCollector:
         }
 
 
-# -- table-stack occupancy view ----------------------------------------------------
-def occupancy_snapshot(tables: Any) -> Dict[str, Any]:
-    """A JSON-ready per-layer occupancy view of a ranked table stack.
-
-    For bounded layers the ``ratio`` is entries over capacity (geometry
-    layers use slot units); unbounded layers report ``None``.  Pure
-    read; see :meth:`repro.tables.stack.RankedTableStack.occupancy_snapshot`.
-    """
-    return tables.occupancy_snapshot()
-
-
 # -- JSONL export -------------------------------------------------------------------
-def telemetry_jsonl_lines(samples: Iterable[TelemetrySample]) -> List[str]:
-    """Byte-deterministic JSONL lines (sorted keys, compact separators)."""
-    return jsonl_lines(samples)
-
-
-def write_telemetry_jsonl(
-    samples: Iterable[TelemetrySample], target: PathOrFile
-) -> int:
-    """Write one JSON object per sample; returns the sample count."""
-    return write_jsonl(samples, target)
-
-
 def read_telemetry_jsonl(source: PathOrFile) -> List[TelemetrySample]:
     """Load a telemetry JSONL stream back into samples; a malformed line
     raises :class:`ValueError` naming ``FILE:LINE``."""

@@ -385,7 +385,7 @@ def verify_noop(n: int = 1000) -> Dict[str, object]:
     Raises :class:`AssertionError` on any divergence; returns per
     workload the bare op count and what the attachments recorded.
     """
-    from repro.obs.telemetry import telemetry_jsonl_lines
+    from repro.obs.export import jsonl_lines
 
     payload: Dict[str, object] = {}
     for name, run in NOOP_WORKLOADS.items():
@@ -396,7 +396,7 @@ def verify_noop(n: int = 1000) -> Dict[str, object]:
             if run(n, instruments) != bare:
                 raise AssertionError(f"{label} changed the {name} run")
             if instruments.telemetry is not None:
-                streams.add("\n".join(telemetry_jsonl_lines(instruments.telemetry.samples)))
+                streams.add("\n".join(jsonl_lines(instruments.telemetry.samples)))
         if len(streams) != 1:
             raise AssertionError(f"{name}: same-seed collectors streamed differently")
         injector = FaultInjector(FaultPlan())

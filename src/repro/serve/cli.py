@@ -25,6 +25,8 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.obs import Instruments, MetricsRegistry, default_collector
+from repro.obs.export import jsonl_lines
+from repro.obs.slo import write_streams
 from repro.serve.loop import ServeConfig, ServeLoop, policy_from_model
 from repro.serve.stream import StreamConfig
 from repro.switches.profiles import VENDOR_PROFILES
@@ -173,11 +175,8 @@ def _signature(result, collector):
         repr(result.table_signature),
     ]
     if collector is not None:
-        from repro.obs.slo import alerts_jsonl_lines
-        from repro.obs.telemetry import telemetry_jsonl_lines
-
-        parts.append("\n".join(telemetry_jsonl_lines(collector.samples)))
-        parts.append("\n".join(alerts_jsonl_lines(collector.alerts)))
+        parts.append("\n".join(jsonl_lines(collector.samples)))
+        parts.append("\n".join(jsonl_lines(collector.alerts)))
     return "\x00".join(parts)
 
 
@@ -266,13 +265,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         _render_text(args, result, collector, out)
 
     if collector is not None:
-        from repro.obs.slo import write_alerts_jsonl
-        from repro.obs.telemetry import write_telemetry_jsonl
-
-        telemetry_path = f"{args.telemetry}.telemetry.jsonl"
-        alerts_path = f"{args.telemetry}.alerts.jsonl"
-        write_telemetry_jsonl(collector.samples, telemetry_path)
-        write_alerts_jsonl(collector.alerts, alerts_path)
+        telemetry_path, alerts_path = write_streams(collector, args.telemetry)
         if not args.json:
             print(f"telemetry samples written to {telemetry_path}", file=out)
             print(f"telemetry alerts written to {alerts_path}", file=out)

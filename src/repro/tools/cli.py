@@ -345,32 +345,36 @@ def _run_fleet(args, out) -> int:
     return 0
 
 
+def _triangle_testbed(seed: int, flows: int):
+    """The triangle testbed: Switch #1 with ``s3`` on Switch #3, and
+    ``flows`` flows s1 -> s2 at seeded priorities, their rules installed."""
+    from repro.netem.network import EmulatedNetwork
+    from repro.netem.topology import triangle_topology
+    from repro.sim.rng import SeededRng
+
+    network = EmulatedNetwork(
+        triangle_topology(),
+        default_profile=VENDOR_PROFILES["switch1"],
+        profiles={"s3": VENDOR_PROFILES["switch3"]},
+        seed=seed,
+    )
+    rng = SeededRng(seed).child("cli-flows")
+    for _ in range(flows):
+        network.new_flow("s1", "s2", priority=rng.randint(1, 2000))
+    network.preinstall_flow_rules()
+    return network
+
+
 def _run_schedule(args, out) -> int:
     from repro.baselines import DionysusScheduler
     from repro.core.patterns import make_type_only_pattern
     from repro.core.scheduler import BasicTangoScheduler
-    from repro.netem.network import EmulatedNetwork
     from repro.netem.scenarios import LinkFailureScenario, TrafficEngineeringScenario
-    from repro.netem.topology import triangle_topology
-    from repro.sim.rng import SeededRng
 
     for flag, value in (("--flows", args.flows), ("--requests", args.requests)):
         if value < 1:
             print(f"{flag} must be positive, got {value}", file=out)
             return 2
-
-    def build_network():
-        network = EmulatedNetwork(
-            triangle_topology(),
-            default_profile=VENDOR_PROFILES["switch1"],
-            profiles={"s3": VENDOR_PROFILES["switch3"]},
-            seed=args.seed,
-        )
-        rng = SeededRng(args.seed).child("cli-flows")
-        for _ in range(args.flows):
-            network.new_flow("s1", "s2", priority=rng.randint(1, 2000))
-        network.preinstall_flow_rules()
-        return network
 
     def build_dag(network):
         if args.scenario == "lf":
@@ -396,7 +400,7 @@ def _run_schedule(args, out) -> int:
     baseline = None
     checked = False
     for label, factory in arms.items():
-        network = build_network()
+        network = _triangle_testbed(args.seed, args.flows)
         result = build_dag(network)
         if args.strict and not checked:
             # Same seed => every arm schedules an identical DAG; verify once.
@@ -442,10 +446,7 @@ def _run_faults(args, out) -> int:
     from repro.faults import FaultInjector, RetryPolicy
     from repro.obs import Instruments, default_collector
     from repro.perf.harness import verify_noop
-    from repro.netem.network import EmulatedNetwork
     from repro.netem.scenarios import FAULT_SCENARIOS, LinkFailureScenario
-    from repro.netem.topology import triangle_topology
-    from repro.sim.rng import SeededRng
 
     scenario = FAULT_SCENARIOS[args.scenario]
     plan = scenario.plan(args.seed)
@@ -478,16 +479,7 @@ def _run_faults(args, out) -> int:
         size = engine.infer_sizes()
 
         # Faulted link-failure schedule on the triangle testbed.
-        network = EmulatedNetwork(
-            triangle_topology(),
-            default_profile=VENDOR_PROFILES["switch1"],
-            profiles={"s3": VENDOR_PROFILES["switch3"]},
-            seed=args.seed,
-        )
-        rng = SeededRng(args.seed).child("cli-flows")
-        for _ in range(args.flows):
-            network.new_flow("s1", "s2", priority=rng.randint(1, 2000))
-        network.preinstall_flow_rules()
+        network = _triangle_testbed(args.seed, args.flows)
         dag_result = LinkFailureScenario(network, ("s1", "s2")).build_dag()
         sched_injector = FaultInjector(plan)
         collector = default_collector() if args.telemetry else None
@@ -571,14 +563,13 @@ def _run_faults(args, out) -> int:
             )
             return 2
         if collector is not None and recollector is not None:
-            from repro.obs.slo import alerts_jsonl_lines
-            from repro.obs.telemetry import telemetry_jsonl_lines
+            from repro.obs.export import jsonl_lines
 
-            first_stream = telemetry_jsonl_lines(collector.samples)
-            second_stream = telemetry_jsonl_lines(recollector.samples)
-            first_alerts = alerts_jsonl_lines(collector.alerts)
-            second_alerts = alerts_jsonl_lines(recollector.alerts)
-            if first_stream != second_stream or first_alerts != second_alerts:
+            streams = [
+                (jsonl_lines(c.samples), jsonl_lines(c.alerts))
+                for c in (collector, recollector)
+            ]
+            if streams[0] != streams[1]:
                 print(
                     "determinism FAILED: two same-seed runs produced "
                     "different telemetry streams",
@@ -593,13 +584,9 @@ def _run_faults(args, out) -> int:
         )
 
     if collector is not None:
-        from repro.obs.slo import write_alerts_jsonl
-        from repro.obs.telemetry import write_telemetry_jsonl
+        from repro.obs.slo import write_streams
 
-        telemetry_path = f"{args.telemetry}.telemetry.jsonl"
-        alerts_path = f"{args.telemetry}.alerts.jsonl"
-        write_telemetry_jsonl(collector.samples, telemetry_path)
-        write_alerts_jsonl(collector.alerts, alerts_path)
+        telemetry_path, alerts_path = write_streams(collector, args.telemetry)
         print(f"telemetry samples written to {telemetry_path}", file=out)
         print(f"telemetry alerts written to {alerts_path}", file=out)
 

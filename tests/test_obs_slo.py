@@ -4,16 +4,15 @@ import io
 
 import pytest
 
+from repro.obs.export import jsonl_lines, write_jsonl
 from repro.obs.slo import (
     BurnWindow,
     DEFAULT_BURN_WINDOWS,
     SloPolicy,
     SloTarget,
     TelemetryAlert,
-    alerts_jsonl_lines,
     default_slo_targets,
     read_alerts_jsonl,
-    write_alerts_jsonl,
 )
 from repro.obs.telemetry import TelemetryCollector, TelemetrySample
 
@@ -165,7 +164,7 @@ def test_alert_detail_carries_burn_evidence():
 
 # -- collector integration ---------------------------------------------------------------
 def test_policy_alerts_fire_at_cadence_tick_timestamps():
-    collector = TelemetryCollector(interval_ms=10.0, window_ms=100.0)
+    collector = TelemetryCollector(interval_ms=10.0)
     policy = collector.add_policy(_policy(threshold=10.0, budget=0.05, min_samples=2))
     for t in range(0, 100, 5):
         collector.observe_install("s1", "add", float(t), float(t) + 50.0)
@@ -195,9 +194,9 @@ def test_alert_dict_roundtrip():
 def test_alerts_jsonl_roundtrip_and_determinism(tmp_path):
     alerts = _alerts()
     buffer = io.StringIO()
-    assert write_alerts_jsonl(alerts, buffer) == len(alerts)
+    assert write_jsonl(alerts, buffer) == len(alerts)
     assert read_alerts_jsonl(io.StringIO(buffer.getvalue())) == alerts
     path = str(tmp_path / "alerts.jsonl")
-    write_alerts_jsonl(alerts, path)
+    write_jsonl(alerts, path)
     assert read_alerts_jsonl(path) == alerts
-    assert alerts_jsonl_lines(_alerts()) == alerts_jsonl_lines(_alerts())
+    assert jsonl_lines(_alerts()) == jsonl_lines(_alerts())

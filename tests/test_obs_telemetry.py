@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.obs import NULL_INSTRUMENTS, Instruments, Tracer
+from repro.obs.export import jsonl_lines, write_jsonl
 from repro.obs.telemetry import (
     FlowCache,
     FlowCacheConfig,
@@ -13,9 +14,7 @@ from repro.obs.telemetry import (
     TelemetrySample,
     read_telemetry_jsonl,
     summarize_telemetry,
-    telemetry_jsonl_lines,
     timeseries,
-    write_telemetry_jsonl,
 )
 
 
@@ -136,13 +135,18 @@ def test_collector_tick_timestamps_are_interval_multiples():
     assert seen == [0.0, 10.0, 20.0]
 
 
-def test_collector_emit_feeds_windows_and_series_names():
+def test_collector_emit_records_samples_and_series_names():
     collector = TelemetryCollector()
     collector.emit(1.0, "x.y", 5.0, source="s1", layer="t0")
     collector.emit(2.0, "x.y", 7.0, source="s1")
-    assert collector.window("x.y", "s1").values() == [5.0, 7.0]
-    assert collector.series_names() == ["x.y"]
-    (first, _) = collector.samples
+    collector.emit(3.0, "a.b", 1.0)
+    assert [(s.series, s.source, s.value) for s in collector.samples] == [
+        ("x.y", "s1", 5.0),
+        ("x.y", "s1", 7.0),
+        ("a.b", "", 1.0),
+    ]
+    assert collector.series_names() == ["a.b", "x.y"]
+    first = collector.samples[0]
     assert first.labels == (("layer", "t0"),)
 
 
@@ -165,8 +169,12 @@ def test_collector_rejects_bad_parameters():
 def test_collector_observe_install_records_latency_and_flow():
     collector = TelemetryCollector(interval_ms=1000.0)
     collector.observe_install("s1", "add", started_ms=1.0, finished_ms=3.5)
-    window = collector.window("executor.install_ms", "s1")
-    assert window.values() == [2.5]
+    installs = [
+        (s.t_ms, s.source, s.value)
+        for s in collector.samples
+        if s.series == "executor.install_ms"
+    ]
+    assert installs == [(3.5, "s1", 2.5)]
 
 
 def test_collector_finish_flushes_flow_cache():
@@ -255,16 +263,16 @@ def _sample_stream():
 def test_jsonl_roundtrip_identity_through_handle_and_path(tmp_path):
     samples = _sample_stream()
     buffer = io.StringIO()
-    assert write_telemetry_jsonl(samples, buffer) == len(samples)
+    assert write_jsonl(samples, buffer) == len(samples)
     assert read_telemetry_jsonl(io.StringIO(buffer.getvalue())) == samples
     path = str(tmp_path / "telemetry.jsonl")
-    write_telemetry_jsonl(samples, path)
+    write_jsonl(samples, path)
     assert read_telemetry_jsonl(path) == samples
 
 
 def test_jsonl_lines_are_byte_deterministic():
-    first = telemetry_jsonl_lines(_sample_stream())
-    second = telemetry_jsonl_lines(_sample_stream())
+    first = jsonl_lines(_sample_stream())
+    second = jsonl_lines(_sample_stream())
     assert first == second
     assert ": " not in first[0]  # compact separators, sorted keys
     import json
@@ -339,6 +347,6 @@ def test_two_same_seed_scheduler_runs_serialize_identically():
         executor = fast_executor(instruments=Instruments(telemetry=collector))
         BasicTangoScheduler(executor).schedule(layered_dag(200))
         collector.finish(executor.now_ms())
-        return telemetry_jsonl_lines(collector.samples)
+        return jsonl_lines(collector.samples)
 
     assert stream() == stream()

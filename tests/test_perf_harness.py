@@ -192,7 +192,7 @@ def test_bench_records_carry_op_attribution():
 
 def test_verify_noop_instrumentation_passes():
     from repro.obs import NULL_INSTRUMENTS, Instruments, MetricsRegistry, TelemetryCollector, Tracer
-    from repro.obs.telemetry import telemetry_jsonl_lines
+    from repro.obs.export import jsonl_lines
     from repro.perf.harness import NOOP_WORKLOADS
 
     # Every sink attached at once: each workload's ops, issue records,
@@ -210,7 +210,7 @@ def test_verify_noop_instrumentation_passes():
             assert len(instruments.tracer) > 0, name
             assert len(instruments.metrics) > 0, name
             assert instruments.telemetry.samples, name
-            streams.append(telemetry_jsonl_lines(instruments.telemetry.samples))
+            streams.append(jsonl_lines(instruments.telemetry.samples))
         assert streams[0] == streams[1], name
 
 

@@ -2,8 +2,8 @@
 
 from repro.obs import Instruments
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import alerts_jsonl_lines, default_collector
-from repro.obs.telemetry import telemetry_jsonl_lines
+from repro.obs.export import jsonl_lines
+from repro.obs.slo import default_collector
 from repro.serve import ServeConfig, ServeLoop, StreamConfig
 from repro.serve.loop import policy_from_model
 from repro.switches.profiles import make_cache_test_profile
@@ -56,12 +56,8 @@ def test_replay_is_byte_identical():
     second = _run(_config(), second_collector)
     assert first.to_dict() == second.to_dict()
     assert first.table_signature == second.table_signature
-    assert telemetry_jsonl_lines(first_collector.samples) == telemetry_jsonl_lines(
-        second_collector.samples
-    )
-    assert alerts_jsonl_lines(first_collector.alerts) == alerts_jsonl_lines(
-        second_collector.alerts
-    )
+    assert jsonl_lines(first_collector.samples) == jsonl_lines(second_collector.samples)
+    assert jsonl_lines(first_collector.alerts) == jsonl_lines(second_collector.alerts)
 
 
 def test_different_seed_diverges():

@@ -7,8 +7,9 @@ import json
 
 import pytest
 
-from repro.obs.slo import SloPolicy, SloTarget, write_alerts_jsonl
-from repro.obs.telemetry import TelemetryCollector, write_telemetry_jsonl
+from repro.obs.export import write_jsonl
+from repro.obs.slo import SloPolicy, SloTarget
+from repro.obs.telemetry import TelemetryCollector
 from repro.tools.report import main
 
 #: A ``drift`` alert as written by the drift feed that earlier versions
@@ -28,7 +29,7 @@ def _write_stream(tmp_path):
         collector.observe_probe("s2", "mod", float(t), 0.5)
     collector.finish(60.0)
     path = str(tmp_path / "run.telemetry.jsonl")
-    write_telemetry_jsonl(collector.samples, path)
+    write_jsonl(collector.samples, path)
     return path
 
 
@@ -43,7 +44,7 @@ def _write_alerts(tmp_path):
         collector.observe_install("s1", "add", float(t), float(t) + 50.0)
     collector.finish(150.0)
     path = str(tmp_path / "run.alerts.jsonl")
-    write_alerts_jsonl(collector.alerts, path)
+    write_jsonl(collector.alerts, path)
     return path, len(collector.alerts)
 
 
