@@ -24,7 +24,11 @@ from hypothesis import strategies as st
 from repro.core.planner import TailCostPlanner
 from repro.core.priorities import assign_topological_priorities
 from repro.core.requests import ReadySimulation, RequestDag, SwitchRequest
-from repro.core.scheduler import PrefixTangoScheduler, ScheduleResult
+from repro.core.scheduler import (
+    BasicTangoScheduler,
+    PrefixTangoScheduler,
+    ScheduleResult,
+)
 from repro.faults import DisconnectWindow, FaultInjector, FaultPlan
 from repro.obs import Instruments, MetricsRegistry, Tracer
 from repro.openflow.match import IpPrefix, Match
@@ -128,7 +132,9 @@ class ReferencePrefixTangoScheduler(PrefixTangoScheduler):
         return cuts[: self.max_prefixes]
 
     def schedule(self, dag: RequestDag) -> ScheduleResult:
-        result = self._begin_schedule(dag)
+        # The Basic preamble: PrefixTangoScheduler's would also build
+        # the incremental planner this reference is checked against.
+        result = BasicTangoScheduler._begin_schedule(self, dag)
         finish_times: Dict[int, float] = {}
         makespan = self.executor.epoch_ms
         sim = dag.simulation(dag.done_ids)
